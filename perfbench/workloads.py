@@ -20,7 +20,7 @@ import importlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class EpochClock:
 class TaskResult:
     epoch_ns: list
     model: object
-    losses: list = field(default_factory=list)
     reports: dict = None
     steps: int = 0
 
@@ -127,10 +126,8 @@ class TrainToyAsa(_Training):
             pass
         else:
             raise AssertionError(f"no perfect retrieval within {cfg.epochs} epochs")
-        return TaskResult(
-            epoch_ns=clock.epoch_ns, model=model, losses=[e["loss"] for e in entries],
-            reports=entries[-1]["reports"], steps=entries[-1]["steps"],
-        )
+        return TaskResult(epoch_ns=clock.epoch_ns, model=model,
+                          reports=entries[-1]["reports"], steps=entries[-1]["steps"])
 
     def digest(self, state, result):
         return {
@@ -166,16 +163,10 @@ class TrainWideNoAsa(_Training):
     def task(self, state, pause):
         cfg, data = state["cfg"], state["data"]
         model = tvadapt.AdapterModel(cfg)
-        losses = []
-
-        def progress(entry):
-            clock.tick()
-            losses.append(entry["loss"])
-
         clock = EpochClock(pause)
         _, _, steps = tvadapt.train(cfg, data, model=model, eval_each_epoch=False,
-                                    progress=progress)
-        return TaskResult(epoch_ns=clock.epoch_ns, model=model, losses=losses, steps=steps)
+                                    progress=lambda entry: clock.tick())
+        return TaskResult(epoch_ns=clock.epoch_ns, model=model, steps=steps)
 
     def digest(self, state, result):
         return {
