@@ -3,8 +3,13 @@
 Every tensor stores a numpy array plus an optional gradient slot. Ops
 executed while gradients are enabled record a closure that scatters the
 output adjoint back into the operands; ``Tensor.backward`` replays the
-tape in reverse topological order. Frozen tensors (``requires_grad``
-False) never receive a grad array and are skipped by the tape.
+tape in reverse topological order and consumes it: each interior node
+drops its gradient, its closure and its parent links as soon as its
+closure has run, so the activations it held are freed during the sweep
+and a graph can be differentiated only once. Leaves (tensors created
+with ``requires_grad``, e.g. trainable parameters) keep ``grad`` and
+accumulate across graphs. Frozen tensors (``requires_grad`` False) never
+receive a grad array and are skipped by the tape.
 
 Also hosts the deterministic counter-based RNG helper, the named
 parameter store, and the central-difference gradient checker used as the
@@ -92,16 +97,21 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh buffer in this tensor's layout; never alias ``g``
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     # -- autodiff core --------------------------------------------------
 
     def backward(self):
-        """Reverse sweep from a scalar output.
+        """Reverse sweep from a scalar output; consumes the graph.
 
-        Accumulates into ``grad`` of every trainable tensor on the path;
-        repeated calls without ``zero_grad`` keep accumulating.
+        Accumulates into ``grad`` of every leaf on the path; repeated
+        sweeps over separate graphs without ``zero_grad`` keep
+        accumulating. Each interior node is released once its closure
+        has run, so differentiating through it again raises.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -119,15 +129,26 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise ContractError(
+                    "backward through a graph that an earlier backward already consumed"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # pop so that the sweep holds no reference to a node it has passed
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _released
 
     # -- operator sugar --------------------------------------------------
 
@@ -166,6 +187,11 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
+
+
+def _released(g):
+    """Backward of an interior node whose graph was already consumed."""
+    raise ContractError("backward through a released tape node")
 
 
 def astensor(x):
@@ -496,15 +522,29 @@ def broadcast_to(a, shape):
     return _make(data, (a,), _bw)
 
 
+def _is_basic_key(key):
+    """True for keys numpy treats as basic indexing (a view, no repeats)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
+
+
 def getitem(a, key):
     """Basic or integer-array indexing; adjoints scatter-add back."""
     a = astensor(a)
     data = a.data[key]
+    basic = _is_basic_key(key)
 
     def _bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
+            if basic:
+                ga[key] += g  # a basic key hits each element at most once
+            else:
+                np.add.at(ga, key, g)
             a._accumulate(ga)
 
     return _make(data, (a,), _bw)
@@ -519,7 +559,14 @@ def take(a, indices, axis):
     def _bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
+            ax = axis % a.data.ndim
+            dst = np.moveaxis(ga, ax, 0)
+            src = np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim))
+            src = src.reshape((idx.size,) + src.shape[idx.ndim:])
+            # one slice add per index position, in index order: each target
+            # sums its contributions in the same order as np.add.at
+            for i, j in enumerate(idx.reshape(-1)):
+                dst[j] += src[i]
             a._accumulate(ga)
 
     return _make(data, (a,), _bw)
@@ -683,24 +730,19 @@ class ParamStore:
         return h.hexdigest()
 
 
-def backward(loss, store=None):
-    """Run the reverse sweep from ``loss`` into a store's trainable entries."""
-    loss = astensor(loss)
-    loss.backward()
-    return None
-
-
 def fd_check(fn, store, eps=1e-5):
     """Max relative error between analytic and central-difference grads.
 
     ``fn`` maps the store to a scalar Tensor and must be deterministic:
     it is evaluated twice at the base point and any disagreement raises.
     Central differences perturb each trainable coordinate by +/- eps.
+    Only the analytic pass records a tape.
     """
     if not (0.0 < eps <= 1e-3):
         raise ContractError(f"fd_check: eps must lie in (0, 1e-3], got {eps}")
-    base = fn(store)
-    repeat = fn(store)
+    with no_grad():
+        base = fn(store)
+        repeat = fn(store)
     if base.data != repeat.data:
         raise ContractError("fd_check: fn is not deterministic across evaluations")
 
@@ -709,19 +751,20 @@ def fd_check(fn, store, eps=1e-5):
     loss.backward()
 
     worst = 0.0
-    for _, t in store.trainable_items():
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        grad_flat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(fn(store).data)
-            flat[i] = orig - eps
-            f_minus = float(fn(store).data)
-            flat[i] = orig
-            cd = (f_plus - f_minus) / (2.0 * eps)
-            denom = max(abs(grad_flat[i]), abs(cd), 1e-8)
-            worst = max(worst, abs(grad_flat[i] - cd) / denom)
+    with no_grad():
+        for _, t in store.trainable_items():
+            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+            flat = t.data.reshape(-1)
+            grad_flat = analytic.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_plus = float(fn(store).data)
+                flat[i] = orig - eps
+                f_minus = float(fn(store).data)
+                flat[i] = orig
+                cd = (f_plus - f_minus) / (2.0 * eps)
+                denom = max(abs(grad_flat[i]), abs(cd), 1e-8)
+                worst = max(worst, abs(grad_flat[i] - cd) / denom)
     store.zero_grad()
     return worst

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import ContractError, NumericError
 from .model import AdapterModel
 from .retrieval import SimilarityMatrix, dsl, metrics_report
 from .tensor import no_grad, rng_for
@@ -114,6 +114,11 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
             loss = model.batch_loss(
                 dataset.videos[idx], dataset.tokens[idx], sel_key=("train", step)
             )
+            if not loss.requires_grad and model.store.trainable_count:
+                raise ContractError(
+                    f"loss at step {step} carries no tape (called under no_grad?); "
+                    "the trainable adapters would never change"
+                )
             value = loss.item()
             if not np.isfinite(value):
                 _nan_dump(model, step, loss_log)

@@ -237,6 +237,95 @@ def test_take_repeated_indices_grad():
     np.testing.assert_array_equal(p.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+def test_backward_releases_interior_nodes():
+    p = Tensor([1.0, 2.0], requires_grad=True)
+    h = p * p
+    loss = T.tsum(h)
+    loss.backward()
+    for node in (h, loss):
+        assert node.grad is None and node._parents == ()
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+
+
+def test_backward_twice_through_released_graph_raises():
+    p = Tensor([3.0], requires_grad=True)
+    h = p * p
+    loss = T.tsum(h)
+    loss.backward()
+    with pytest.raises(ContractError):
+        loss.backward()
+    with pytest.raises(ContractError):
+        T.tsum(h * p).backward()  # a new graph reusing a consumed node
+    np.testing.assert_array_equal(p.grad, [6.0])
+
+
+def test_first_gradient_does_not_alias_shared_adjoint():
+    # add hands one adjoint array to both leaves; a later graph over ``a``
+    # alone must not write through into ``b.grad``
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    T.tsum(a + b).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    T.tsum(a * 5.0).backward()
+    np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _signed_adjoint(shape, seed):
+    # mixed signs with signed zeros, so a sum that drops the sign of zero shows
+    g = rng_for(seed, "adjoint").normal(size=shape)
+    g[..., ::3] *= 0.0
+    return g
+
+
+def test_getitem_grad_bitwise_matches_add_at_oracle():
+    x = rng_for(4, "gi").normal(size=(4, 5, 3))
+    keys = [
+        (slice(None), -1, slice(None)),
+        (slice(None), slice(-1, None), slice(None)),
+        (Ellipsis, 0),
+        (1, None, slice(1, 4)),
+        2,
+        (np.array([0, 3, 0, 3]), np.array([1, 1, 1, 4])),  # advanced, repeats
+        np.array([3, 3, 0]),
+    ]
+    for n, key in enumerate(keys):
+        p = Tensor(x, requires_grad=True)
+        out = p[key]
+        g = _signed_adjoint(out.shape, n)
+        T.tsum(out * Tensor(g)).backward()
+        # the product's adjoint is g itself (times 1.0); add.at onto zeros
+        want = np.zeros_like(x)
+        np.add.at(want, key, g * 1.0)
+        np.testing.assert_array_equal(_bits(p.grad), _bits(want))
+
+
+def test_take_grad_bitwise_matches_add_at_oracle():
+    x = rng_for(5, "tk").normal(size=(16, 6, 4, 32))
+    cases = [
+        (np.array([0, 0, 1, 2]), -2),  # clamped: first index repeats
+        (np.array([1, 2, 3, 3]), -2),  # clamped at the top edge
+        (np.array([5, 0, 5, 2, 5, 1]), 1),
+        (np.array([[2, 0], [2, 2]]), 0),  # 2-D indices
+        (np.array([[1, 3, 1]]), -1),
+        (np.intp(3), 2),  # scalar index drops the axis
+    ]
+    for n, (idx, axis) in enumerate(cases):
+        p = Tensor(x, requires_grad=True)
+        out = T.take(p, idx, axis=axis)
+        g = _signed_adjoint(out.shape, 10 + n)
+        T.tsum(out * Tensor(g)).backward()
+        want = np.zeros_like(x)
+        ax = axis % x.ndim
+        moved = np.moveaxis(g * 1.0, range(ax, ax + np.ndim(idx)), range(np.ndim(idx)))
+        np.add.at(np.moveaxis(want, ax, 0), idx, moved)
+        np.testing.assert_array_equal(_bits(p.grad), _bits(want))
+
+
 def test_param_store_order_and_counts():
     store = ParamStore()
     store.add("b/x", Tensor(np.zeros(2)))

@@ -9,8 +9,9 @@ import pytest
 from tvadapt.checkpoint import load_checkpoint, load_model, save_checkpoint
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
-from tvadapt.exceptions import NumericError, VersionError
+from tvadapt.exceptions import ContractError, NumericError, VersionError
 from tvadapt.model import AdapterModel
+from tvadapt.tensor import no_grad
 from tvadapt.train import Adam, evaluate_model, lr_at, train
 
 CFG = toy_config(pairs=6, batch_size=6, epochs=8, lr=1e-2)
@@ -36,6 +37,15 @@ def test_frozen_only_config_keeps_loss_constant():
     losses = [h["loss"] for h in history]
     assert max(losses) == min(losses)
     assert model.store.num_elements(trainable=True) == 0
+
+
+def test_train_under_no_grad_raises():
+    model = AdapterModel(CFG)
+    before = model.store.hash_bytes()
+    with no_grad():
+        with pytest.raises(ContractError):
+            train(CFG, DATA, model=model, max_steps=2, eval_each_epoch=False)
+    assert model.store.hash_bytes() == before
 
 
 def test_training_reduces_loss_and_logs_reports():
