@@ -12,7 +12,6 @@ import numpy as np
 from tvadapt.modulation import (
     DecomposeMode,
     VideoModulation,
-    compose_modulation,
     identity_init,
     modulate_video,
 )
@@ -23,7 +22,7 @@ FRAMES, TOKENS, DIM, RANK = 6, 5, 32, 3
 print("=== identity initialization ===")
 store = ParamStore()
 mod = VideoModulation(store, "temporal", [1, 2], RANK, FRAMES, TOKENS, DIM, seed=0)
-c, s = compose_modulation(mod, 1)
+c, s = mod.compose(1)
 print("composed scale at init: all ones ->", (c.data == 1.0).all())
 print("composed shift at init: all zeros ->", (s.data == 0.0).all())
 x = Tensor(rng_for(0, "demo").normal(size=(FRAMES, TOKENS, DIM)))
@@ -35,7 +34,7 @@ print("\n=== rank structure ===")
 rng = rng_for(1, "demo")
 for key in ("c_a", "c_b", "s_a", "s_b"):
     mod.params[1][key].data[:] = rng.normal(size=mod.params[1][key].shape)
-c, s = compose_modulation(mod, 1)
+c, s = mod.compose(1)
 sv = np.linalg.svd(c.data, compute_uv=False)
 print("singular values of a random composed scale:")
 print(np.array2string(sv, precision=3, suppress_small=True))

@@ -13,7 +13,7 @@ from tvadapt import tensor as T
 from tvadapt.attention import (
     OffsetParams,
     asa_block_attention,
-    select_patches,
+    selection_masks,
     warp_kv,
 )
 from tvadapt.backbone import vanilla_attention
@@ -23,17 +23,15 @@ FRAMES, PATCHES, DIM = 6, 4, 8
 rng = rng_for(0, "demo")
 
 print("=== text-conditioned patch selection ===")
-u = np.zeros((PATCHES, DIM))
-u[:, 0] = [3.0, 1.0, 4.0, 2.0]  # relevance scores live on channel 0
+u = np.zeros((1, PATCHES, DIM))  # one frame
+u[0, :, 0] = [3.0, 1.0, 4.0, 2.0]  # relevance scores live on channel 0
 proj = np.zeros((DIM, 3))
 proj[0, 0] = 1.0
-w_star = np.array([[1.0, 0.0, 0.0]])
-sel = select_patches(Tensor(u), w_star=Tensor(w_star), k_sel=2, mode="text_top_k",
-                     proj_w=proj)
-print("scores [3,1,4,2], K=2 -> selected patches:", sorted(sel.indices[0]))
-sel = select_patches(Tensor(u), w_star=Tensor(w_star), k_sel=2, mode="text_bottom_k",
-                     proj_w=proj)
-print("bottom-K instead ->", sorted(sel.indices[0]))
+w_star = np.array([1.0, 0.0, 0.0])
+sel = selection_masks("text_top_k", 2, u, w_star=w_star, proj_w=proj)
+print("scores [3,1,4,2], K=2 -> selected patches:", np.flatnonzero(sel[0]).tolist())
+sel = selection_masks("text_bottom_k", 2, u, w_star=w_star, proj_w=proj)
+print("bottom-K instead ->", np.flatnonzero(sel[0]).tolist())
 
 print("\n=== warping ===")
 store = ParamStore()

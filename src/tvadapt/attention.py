@@ -13,15 +13,14 @@ attention bitwise. Unselected patches pass through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import attention_core
-from .exceptions import ConfigError, InputError
-from .tensor import ParamStore, Tensor
+from .exceptions import ConfigError
+from .tensor import Tensor
 
 
 class SelectionMode(str, Enum):
@@ -46,7 +45,7 @@ class OffsetParams:
     one axis freezes the other axis's offsets at zero.
     """
 
-    def __init__(self, store, patches, frames, axes=WarpAxes.BOTH, seed=0):
+    def __init__(self, store, patches, frames, axes=WarpAxes.BOTH):
         axes = WarpAxes(axes)
         self.axes = axes
         self.gamma = store.add(
@@ -59,45 +58,6 @@ class OffsetParams:
         )
 
 
-@dataclass
-class PatchSelection:
-    """Per-frame selected patch index sets, stored as a boolean mask."""
-
-    mask: np.ndarray  # (..., T, N) bool
-    k: int
-    warp_all: bool = False
-    indices: list = field(default_factory=list)
-
-
-def qkv(u, wq, wk, wv):
-    """Frozen linear triplet over patch features (CLS excluded upstream)."""
-    return T.matmul(u, wq), T.matmul(u, wk), T.matmul(u, wv)
-
-
-def pool_video(f):
-    """Mean over the frame axis: (..., T, D) -> (..., 1, D)."""
-    if f.shape[-2] == 0:
-        raise InputError("pool_video: no frames to pool")
-    return T.mean(f, axis=-2, keepdims=True)
-
-
-def select_sentence(f_bar, candidates, proj_w, proj_b=None):
-    """Most video-aligned candidate sentence, by projected dot product.
-
-    Hard argmax over Proj(f_bar) . w^T with ties going to the lowest
-    candidate index. The returned feature row is a plain gather, so no
-    gradient flows through the selection scores themselves.
-    """
-    if candidates.shape[0] == 0:
-        raise InputError("select_sentence: empty candidate set")
-    probe = f_bar.data @ proj_w.data
-    if proj_b is not None:
-        probe = probe + proj_b.data
-    scores = (probe @ candidates.data.T).reshape(-1)
-    idx = int(np.argmax(scores))
-    return T.take(candidates, [idx], axis=0), idx
-
-
 def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=None,
                     cls_feats=None, rng=None):
     """Boolean (..., T, N) mask of patches to warp.
@@ -105,7 +65,9 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
     ``u_patches``: detached (..., T, N, D) patch features. Text modes
     score Proj(u) against ``w_star`` (..., D_t); vision modes score u
     against the frame CLS feature (..., T, D). Scoring is value-only:
-    selection is hard and carries no gradient.
+    selection is hard and carries no gradient. Ties break toward the
+    lower patch index; random mode draws K per frame without replacement
+    from ``rng``.
     """
     mode = SelectionMode(mode)
     u = np.asarray(u_patches)
@@ -143,30 +105,6 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
     return mask
 
 
-def select_patches(u_t, w_star=None, k_sel=3, mode=SelectionMode.TEXT_TOP_K,
-                   proj_w=None, proj_b=None, cls_feat=None, rng=None):
-    """Selected patch indices for a single frame's (N, D) features.
-
-    Ties break toward the lower patch index; Random draws K without
-    replacement from ``rng``. Returns a PatchSelection whose ``indices``
-    holds the sorted index set S_t.
-    """
-    u = u_t.data if isinstance(u_t, Tensor) else np.asarray(u_t)
-    w = None
-    if w_star is not None:
-        w = (w_star.data if isinstance(w_star, Tensor) else np.asarray(w_star)).reshape(-1)
-    cls = None
-    if cls_feat is not None:
-        cls = (cls_feat.data if isinstance(cls_feat, Tensor) else np.asarray(cls_feat)).reshape(1, -1)
-    pw = proj_w.data if isinstance(proj_w, Tensor) else proj_w
-    pb = proj_b.data if isinstance(proj_b, Tensor) else proj_b
-    mask = selection_masks(mode, k_sel, u[None], w_star=w, proj_w=pw, proj_b=pb,
-                           cls_feats=cls, rng=rng)
-    idx = np.flatnonzero(mask[0])
-    return PatchSelection(mask=mask, k=k_sel, warp_all=(SelectionMode(mode) is SelectionMode.NONE),
-                          indices=[idx])
-
-
 def _axis_coords(offset_vec, size, enabled):
     """Clamped sample coordinates along one axis plus interpolation pieces.
 
@@ -190,7 +128,8 @@ def _axis_coords(offset_vec, size, enabled):
 def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
     """Resample key/value fields at offset grid positions for selected patches.
 
-    k, v: (..., T, N, D). For n in S_t the output row is the field at
+    k, v: (..., T, N, D); ``selection``: boolean (..., T, N) mask of the
+    patches to warp. For n in S_t the output row is the field at
     (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
     clamped to the grid; rows outside the selection pass through
     bitwise. ``interp="nearest"`` snaps the value to the nearest grid
@@ -225,16 +164,10 @@ def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
         return T.value_override(bilinear(field), snapped)
 
     warp = bilinear if interp == "bilinear" else nearest
-    mask = selection.mask if isinstance(selection, PatchSelection) else np.asarray(selection)
-    mask = mask[..., None]
+    mask = np.asarray(selection, dtype=bool)[..., None]
     k_hat = T.where_const(mask, warp(k), k)
     v_hat = T.where_const(mask, warp(v), v)
     return k_hat, v_hat
-
-
-def asa_attention(q, k_hat, v_hat, heads=1):
-    """Scaled dot-product attention over warped keys/values, per frame."""
-    return attention_core(q, k_hat, v_hat, heads)
 
 
 def asa_block_attention(x_in, q, k, v, heads, offsets, selection, axes=WarpAxes.BOTH,

@@ -9,6 +9,7 @@ u8 ndim, u32 dims, raw float64 payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -52,36 +53,42 @@ def save_checkpoint(path, model, steps=0):
 
 
 def load_checkpoint(path):
+    """Parse a checkpoint file; a truncated or garbled one raises ``VersionError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
     if bytes(view[:4]) != MAGIC:
         raise VersionError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", view, 4)
-    if version != VERSION:
-        raise VersionError(f"{path}: format version {version}, expected {VERSION}")
-    (cfg_len,) = struct.unpack_from("<I", view, 8)
-    offset = 12
-    cfg = config_mod.loads(bytes(view[offset : offset + cfg_len]).decode("utf-8"))
-    offset += cfg_len
-    (steps,) = struct.unpack_from("<Q", view, offset)
-    offset += 8
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    params = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
-        offset += name_len
-        frozen, ndim = struct.unpack_from("<BB", view, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{ndim}I", view, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(view, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        params[name] = (data.astype(np.float64).copy(), bool(frozen))
+    try:
+        (version,) = struct.unpack_from("<I", view, 4)
+        if version != VERSION:
+            raise VersionError(f"{path}: format version {version}, expected {VERSION}")
+        (cfg_len,) = struct.unpack_from("<I", view, 8)
+        offset = 12
+        cfg = config_mod.loads(bytes(view[offset : offset + cfg_len]).decode("utf-8"))
+        offset += cfg_len
+        (steps,) = struct.unpack_from("<Q", view, offset)
+        offset += 8
+        (count,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        params = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", view, offset)
+            offset += 2
+            name = bytes(view[offset : offset + name_len]).decode("utf-8")
+            offset += name_len
+            frozen, ndim = struct.unpack_from("<BB", view, offset)
+            offset += 2
+            shape = struct.unpack_from(f"<{ndim}I", view, offset)
+            offset += 4 * ndim
+            size = math.prod(shape)
+            data = np.frombuffer(view, dtype="<f8", count=size, offset=offset)
+            offset += 8 * size
+            params[name] = (data.reshape(shape).astype(np.float64), bool(frozen))
+    except (struct.error, ValueError, UnicodeDecodeError) as err:
+        raise VersionError(f"{path}: truncated or corrupt checkpoint ({err})") from None
+    if offset != len(blob):
+        raise VersionError(f"{path}: {len(blob) - offset} trailing bytes after the last entry")
     return Checkpoint(config=cfg, params=params, steps=steps)
 
 
@@ -100,8 +107,9 @@ def restore_model(checkpoint):
         t = model.store[name]
         if t.data.shape != data.shape:
             raise VersionError(f"shape mismatch for {name}: {t.data.shape} vs {data.shape}")
+        if frozen == t.requires_grad:
+            raise VersionError(f"frozen flag of {name} differs from the config-built model")
         t.data[:] = data
-        t.requires_grad = not frozen
     return model
 
 

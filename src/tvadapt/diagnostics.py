@@ -15,11 +15,11 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .attention import SelectionMode, WarpAxes, selection_masks, warp_kv
+from .attention import warp_kv
 from .backbone import patchify
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
-from .tensor import no_grad, rng_for
+from .tensor import no_grad
 
 
 def attention_similarity_map(model, video, candidates=None, layer=None, frame=0, patch=0):
@@ -53,21 +53,10 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
         k = T.linear(h, p("wk"), p("bk"))
 
         k_patches = k[:, 1:, :]
-        if cfg.asa and model.offsets is not None:
-            mode = SelectionMode(cfg.selection)
-            w_star = None
-            if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
-                if candidates is None:
-                    raise ConfigError("text-conditioned selection needs candidate sentences")
-                idx = model._pick_sentences(video[None], candidates)
-                w_star = np.asarray(candidates)[idx[0]]
-            mask = selection_masks(
-                mode, cfg.top_k, x.data[:, 1:, :], w_star=w_star,
-                proj_w=model.proj_w.data, proj_b=model.proj_b.data,
-                cls_feats=x.data[:, 0, :], rng=rng_for(cfg.seed, "randsel", "diag"),
-            )
-            k_patches, _ = warp_kv(k_patches, k_patches, model.offsets, mask,
-                                   axes=WarpAxes(cfg.warp_axes), interp=cfg.warp_interp)
+        if cfg.asa:
+            select = model.selection_plan(video[None], candidates, sel_key=("diag",))
+            k_patches, _ = warp_kv(k_patches, k_patches, model.offsets, select(x.data[None])[0],
+                                   axes=cfg.warp_axes, interp=cfg.warp_interp)
         k_hat = k_patches.data
 
     query = q[frame, patch]

@@ -19,7 +19,6 @@ from . import tensor as T
 from .attention import (
     OffsetParams,
     SelectionMode,
-    WarpAxes,
     asa_block_attention,
     selection_masks,
 )
@@ -56,7 +55,7 @@ def build_adapters(config, store):
     )
     offsets = None
     if config.asa:
-        offsets = OffsetParams(store, vcfg.patches, vcfg.frames, config.warp_axes, config.seed)
+        offsets = OffsetParams(store, vcfg.patches, vcfg.frames, config.warp_axes)
     rng = rng_for(config.seed, "adapter/proj")
     proj_w = store.add("adapter/proj/w", Tensor(rng.normal(size=(vcfg.dim, tcfg.dim)) / np.sqrt(vcfg.dim)))
     proj_b = store.add("adapter/proj/b", Tensor(np.zeros(tcfg.dim)))
@@ -109,13 +108,50 @@ class AdapterModel:
         return text_embedding(z)
 
     def _pick_sentences(self, videos, candidates):
-        """Index of the most video-aligned candidate per video (no grad)."""
+        """Index of the most video-aligned candidate per video (no grad).
+
+        Hard argmax of Proj(mean-pooled last-layer frame features) against
+        each candidate row; ties go to the lowest candidate index.
+        """
+        candidates = np.asarray(candidates)
+        shape_ok = candidates.ndim == 2 and candidates.shape[1] == self.tcfg.dim
+        if not shape_ok or candidates.shape[0] == 0:
+            raise InputError(
+                f"candidate sentences must be a non-empty (Q, {self.tcfg.dim}) array, "
+                f"got shape {candidates.shape}"
+            )
         with no_grad():
             _, f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks())
         pooled = f_last.data.mean(axis=-2)
         probe = pooled @ self.proj_w.data + self.proj_b.data
-        scores = probe @ np.asarray(candidates).T
+        scores = probe @ candidates.T
         return scores.argmax(axis=-1)
+
+    def selection_plan(self, videos, candidates=None, sel_key=("eval",)):
+        """Patch-selection function shared by every adapted layer.
+
+        Returns ``select(x)`` mapping a block input (..., T, N+1, D) array
+        to the boolean (..., T, N) mask of patches to warp under
+        ``config.selection``. Text modes score against each video's
+        picked sentence; random mode draws from the ``randsel`` stream
+        keyed by ``sel_key``, one draw per call in layer order.
+        """
+        cfg = self.config
+        mode = SelectionMode(cfg.selection)
+        w_star = None
+        if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
+            if candidates is None:
+                raise InputError("text-conditioned selection needs candidate sentences")
+            w_star = np.asarray(candidates)[self._pick_sentences(videos, candidates)]
+        rng = rng_for(cfg.seed, "randsel", *sel_key)
+
+        def select(x):
+            return selection_masks(
+                mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
+                proj_w=self.proj_w.data, proj_b=self.proj_b.data,
+                cls_feats=x[..., 0, :], rng=rng,
+            )
+        return select
 
     def encode_video_features(self, videos, candidates=None, sel_key=("eval",)):
         """Per-layer features and final frame features, all hooks applied.
@@ -130,30 +166,15 @@ class AdapterModel:
         cfg = self.config
         attention = {}
         if cfg.asa:
-            mode = SelectionMode(cfg.selection)
-            w_star = None
-            if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
-                if candidates is None:
-                    raise InputError("text-conditioned selection needs candidate sentences")
-                idx = self._pick_sentences(videos, candidates)
-                w_star = np.asarray(candidates)[idx]
-            sel_rng = rng_for(cfg.seed, "randsel", *sel_key)
-            axes = WarpAxes(cfg.warp_axes)
+            select = self.selection_plan(videos, candidates, sel_key)
 
-            def make_attention(layer):
-                def attend(x_in, q, k, v, heads):
-                    mask = selection_masks(
-                        mode, cfg.top_k, x_in.data[..., 1:, :], w_star=w_star,
-                        proj_w=self.proj_w.data, proj_b=self.proj_b.data,
-                        cls_feats=x_in.data[..., 0, :], rng=sel_rng,
-                    )
-                    return asa_block_attention(
-                        x_in, q, k, v, heads, self.offsets, mask,
-                        axes=axes, interp=cfg.warp_interp,
-                    )
-                return attend
+            def attend(x_in, q, k, v, heads):
+                return asa_block_attention(
+                    x_in, q, k, v, heads, self.offsets, select(x_in.data),
+                    axes=cfg.warp_axes, interp=cfg.warp_interp,
+                )
 
-            attention = {layer: make_attention(layer) for layer in cfg.visual_adapter_layers()}
+            attention = {layer: attend for layer in cfg.visual_adapter_layers()}
         return encode_video(videos, self.store, self.vcfg,
                             modulate=self._video_hooks(), attention=attention)
 

@@ -34,21 +34,6 @@ class DecomposeMode(str, Enum):
     NONE = "none"
 
 
-def _identity_factors(rng, a_shape, b_shape, shift):
-    """Factor pair whose product is exactly ones (scale) or zeros (shift).
-
-    The leading factor is an indicator on rank slot 0 (or all zeros for
-    the shift), so the noisy rows of the trailing factor are annihilated
-    and the composition is exact in floating point.
-    """
-    a = np.zeros(a_shape)
-    b = rng.normal(size=b_shape) * 1e-3
-    if not shift:
-        a[..., 0] = 1.0
-        b[0] = 1.0
-    return a, b
-
-
 class VideoModulation:
     """Scale/shift modulation of video features at a set of layers."""
 
@@ -65,35 +50,34 @@ class VideoModulation:
         if not 1 <= rank <= min(frames, dim):
             raise ConfigError(f"rank {rank} outside [1, min(T={frames}, D={dim})]")
 
+        # trailing factors start as small noise so every factor receives a
+        # gradient; identity_init then cancels their effect exactly
         if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
-            m = len(self.layers)
             for tag in ("c", "s"):
                 rng = rng_for(seed, "lorm/stl", tag)
-                a = np.zeros((m, rank))
-                b = rng.normal(size=(rank, frames, tokens, rank)) * 1e-3
-                c = rng.normal(size=(rank, dim)) * 1e-3
-                if tag == "c":
-                    a[:, 0] = 1.0
-                    b[0] = 0.0
-                    b[0, :, :, 0] = 1.0
-                    c[0] = 1.0
-                for suffix, arr in (("a", a), ("b", b), ("c", c)):
+                factors = {
+                    "a": np.zeros((len(self.layers), rank)),
+                    "b": rng.normal(size=(rank, frames, tokens, rank)) * 1e-3,
+                    "c": rng.normal(size=(rank, dim)) * 1e-3,
+                }
+                for suffix, arr in factors.items():
                     name = f"adapter/lorm/shared/{tag}_{suffix}"
                     self.params[f"{tag}_{suffix}"] = store.add(name, Tensor(arr))
-            return
-
-        for layer in self.layers:
-            entry = {}
-            for tag in ("c", "s"):
-                rng = rng_for(seed, "lorm", layer, tag)
-                if self.mode is DecomposeMode.TEMPORAL:
-                    a_shape = (frames, rank)
-                else:
-                    a_shape = (frames, tokens, rank)
-                a, b = _identity_factors(rng, a_shape, (rank, dim), shift=(tag == "s"))
-                entry[f"{tag}_a"] = store.add(f"adapter/lorm/layer{layer}/{tag}_a", Tensor(a))
-                entry[f"{tag}_b"] = store.add(f"adapter/lorm/layer{layer}/{tag}_b", Tensor(b))
-            self.params[layer] = entry
+        else:
+            a_shape = (frames, rank)
+            if self.mode is not DecomposeMode.TEMPORAL:
+                a_shape = (frames, tokens, rank)
+            for layer in self.layers:
+                entry = {}
+                for tag in ("c", "s"):
+                    rng = rng_for(seed, "lorm", layer, tag)
+                    prefix = f"adapter/lorm/layer{layer}/{tag}"
+                    entry[f"{tag}_a"] = store.add(f"{prefix}_a", Tensor(np.zeros(a_shape)))
+                    entry[f"{tag}_b"] = store.add(
+                        f"{prefix}_b", Tensor(rng.normal(size=(rank, dim)) * 1e-3)
+                    )
+                self.params[layer] = entry
+        identity_init(self)
 
     def compose(self, layer):
         """Composed (scale, shift) tensors for one layer.
@@ -147,20 +131,23 @@ class TextModulation:
         self.lowrank = lowrank
         self.params = {}
         for layer in self.layers:
+            prefix = f"adapter/textmod/layer{layer}"
             entry = {
-                "c_t": store.add(f"adapter/textmod/layer{layer}/c_t", Tensor(np.ones((1, dim)))),
-                "s_t": store.add(f"adapter/textmod/layer{layer}/s_t", Tensor(np.zeros((1, dim)))),
+                "c_t": store.add(f"{prefix}/c_t", Tensor(np.zeros((1, dim)))),
+                "s_t": store.add(f"{prefix}/s_t", Tensor(np.zeros((1, dim)))),
             }
             if lowrank:
                 # appendix ablation: word-level low-rank modulation over token positions
                 rng = rng_for(seed, "textmod/lowrank", layer)
-                wa, wb = _identity_factors(rng, (positions, rank), (rank, dim), shift=False)
-                sa, sb = _identity_factors(rng, (positions, rank), (rank, dim), shift=True)
-                entry["w_a"] = store.add(f"adapter/textmod/layer{layer}/w_a", Tensor(wa))
-                entry["w_b"] = store.add(f"adapter/textmod/layer{layer}/w_b", Tensor(wb))
-                entry["v_a"] = store.add(f"adapter/textmod/layer{layer}/v_a", Tensor(sa))
-                entry["v_b"] = store.add(f"adapter/textmod/layer{layer}/v_b", Tensor(sb))
+                for tag in ("w", "v"):
+                    entry[f"{tag}_a"] = store.add(
+                        f"{prefix}/{tag}_a", Tensor(np.zeros((positions, rank)))
+                    )
+                    entry[f"{tag}_b"] = store.add(
+                        f"{prefix}/{tag}_b", Tensor(rng.normal(size=(rank, dim)) * 1e-3)
+                    )
             self.params[layer] = entry
+        identity_init(self)
 
     def apply(self, layer, w):
         if layer not in self.params:
@@ -179,11 +166,6 @@ class TextModulation:
         return cw * x + sw
 
 
-def compose_modulation(mod, layer):
-    """Eq.-style composition for the temporal mode: (c, s) each T x D."""
-    return mod.compose(layer)
-
-
 def modulate_video(x, c_v, s_v):
     """u = c_v * x + s_v with frame-row modulation broadcast over tokens."""
     if c_v.shape != s_v.shape or c_v.ndim != 2:
@@ -196,46 +178,40 @@ def modulate_video(x, c_v, s_v):
     return T.reshape(c_v, (t, 1, d)) * x + T.reshape(s_v, (t, 1, d))
 
 
-def modulate_text(w, text_mod, layer):
-    """z = c_t * w + s_t at the sentence level."""
-    return text_mod.apply(layer, w)
-
-
-def compose_variant(mod, layer):
-    """Modulation tensors for whichever decomposition mode is active."""
-    return mod.compose(layer)
-
-
 def identity_init(mod):
-    """Reset a modulation object so it is exactly the identity map."""
+    """Set a modulation object to exactly the identity map.
+
+    Every scale's leading factor becomes an indicator on rank slot 0
+    (matched by ones in slot 0 of the trailing factors) and every shift's
+    leading factor becomes zeros, so the remaining noisy rows are
+    annihilated: the composed scale is bitwise ones, the shift bitwise
+    zeros. The constructors build their identity through this function.
+    """
     if isinstance(mod, TextModulation):
         for entry in mod.params.values():
             entry["c_t"].data[:] = 1.0
             entry["s_t"].data[:] = 0.0
             if "w_a" in entry:
-                for k in ("w_a", "v_a"):
-                    entry[k].data[:] = 0.0
-                entry["w_a"].data[..., 0] = 1.0
-                entry["w_b"].data[0] = 1.0
-        return
-    if mod.mode is DecomposeMode.NONE:
+                _indicator(entry, "w")
+                entry["v_a"].data[:] = 0.0
         return
     if mod.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
-        for tag in ("c", "s"):
-            a = mod.params[f"{tag}_a"].data
-            b = mod.params[f"{tag}_b"].data
-            c = mod.params[f"{tag}_c"].data
-            a[:] = 0.0
-            if tag == "c":
-                a[:, 0] = 1.0
-                b[0] = 0.0
-                b[0, :, :, 0] = 1.0
-                c[0] = 1.0
+        a, b, c = (mod.params[f"c_{suffix}"].data for suffix in "abc")
+        a[:] = 0.0
+        a[:, 0] = 1.0
+        b[0] = 0.0
+        b[0, :, :, 0] = 1.0
+        c[0] = 1.0
+        mod.params["s_a"].data[:] = 0.0
         return
     for entry in mod.params.values():
-        for tag in ("c", "s"):
-            a = entry[f"{tag}_a"].data
-            a[:] = 0.0
-            if tag == "c":
-                a[..., 0] = 1.0
-                entry["c_b"].data[0] = 1.0
+        _indicator(entry, "c")
+        entry["s_a"].data[:] = 0.0
+
+
+def _indicator(entry, tag):
+    """Scale factor pair whose product is exactly ones."""
+    a = entry[f"{tag}_a"].data
+    a[:] = 0.0
+    a[..., 0] = 1.0
+    entry[f"{tag}_b"].data[0] = 1.0

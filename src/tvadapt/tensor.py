@@ -18,6 +18,7 @@ independent oracle for every differentiable path in the package.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 
 import numpy as np
@@ -27,21 +28,23 @@ from .exceptions import ContractError, DimensionError, NumericError
 
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 
-_grad_enabled = True
+# per context, so each thread has its own grad mode
+_grad_enabled = contextvars.ContextVar("tvadapt_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables tape recording inside its block."""
+    """Context manager that disables tape recording inside its block.
+
+    Grad mode is a context variable: a block only affects the thread (or
+    context) that enters it, whatever order concurrent blocks exit in.
+    """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -87,10 +90,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        """Value-only view of this tensor, cut off from the tape."""
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -201,7 +200,7 @@ def astensor(x):
 def _make(data, parents, backward_fn):
     """Wrap an op result, recording the tape only when it can matter."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -218,7 +217,7 @@ def _unbroadcast(g, shape):
     return g
 
 
-# -- elementwise arithmetic ---------------------------------------------
+# -- arithmetic -------------------------------------------------------
 
 
 def add(a, b):
@@ -306,15 +305,6 @@ def power(a, p):
             a._accumulate(g * p * a.data ** (p - 1.0))
 
     return _make(data, (a,), _bw)
-
-
-def elementwise(op, a, b):
-    """Named elementwise dispatch with standard trailing-axis broadcast."""
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    raise ContractError(f"elementwise: unknown op {op!r}")
 
 
 # -- transcendental -----------------------------------------------------
@@ -471,18 +461,6 @@ def reshape(a, shape):
             a._accumulate(g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), _bw)
-
-
-def transpose(a, axes=None):
-    a = astensor(a)
-    data = np.transpose(a.data, axes)
-
-    def _bw(g):
-        if a.requires_grad:
-            inv = None if axes is None else np.argsort(axes)
-            a._accumulate(np.transpose(g, inv))
-
-    return _make(data, (a,), _bw)
 
 
 def swapaxes(a, ax1, ax2):

@@ -6,20 +6,17 @@ import pytest
 from tvadapt import tensor as T
 from tvadapt.attention import (
     OffsetParams,
-    SelectionMode,
     WarpAxes,
-    asa_attention,
     asa_block_attention,
-    pool_video,
-    qkv,
-    select_patches,
-    select_sentence,
     selection_masks,
     warp_kv,
 )
-from tvadapt.backbone import vanilla_attention
+from tvadapt.backbone import attention_core, encode_video, vanilla_attention
+from tvadapt.config import toy_config
+from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ConfigError, InputError
-from tvadapt.tensor import ParamStore, Tensor, fd_check, rng_for
+from tvadapt.model import AdapterModel
+from tvadapt.tensor import ParamStore, Tensor, fd_check, no_grad, rng_for
 
 FRAMES, PATCHES, DIM = 4, 5, 6
 
@@ -41,129 +38,137 @@ def ref_warp_integer(k, gamma, delta, mask):
     return out
 
 
-# -- qkv / pooling ----------------------------------------------------------
-
-
-def test_qkv_identity_zero_and_random():
-    u = Tensor(rng_for(0, "qkv").normal(size=(PATCHES, DIM)))
-    eye = Tensor(np.eye(DIM))
-    q, k, v = qkv(u, eye, eye, eye)
-    for t in (q, k, v):
-        np.testing.assert_array_equal(t.data, u.data)
-    zero = Tensor(np.zeros((DIM, DIM)))
-    q, k, v = qkv(u, zero, zero, zero)
-    np.testing.assert_array_equal(q.data, 0.0)
-
-    a = rng_for(1, "qkv").normal(size=(2, 2))
-    w = rng_for(2, "qkv").normal(size=(2, 2))
-    got, _, _ = qkv(Tensor(a), Tensor(w), Tensor(w), Tensor(w))
-    np.testing.assert_allclose(got.data, a @ w, atol=1e-15)
-
-
-def test_pool_video():
-    f = Tensor(np.tile([[1.0, 2.0]], (3, 1)))
-    np.testing.assert_array_equal(pool_video(f).data, [[1.0, 2.0]])
-    np.testing.assert_array_equal(pool_video(Tensor([[1.0], [3.0]])).data, [[2.0]])
-    f = rng_for(3, "pool").normal(size=(5, DIM))
-    np.testing.assert_allclose(pool_video(Tensor(f)).data, f.sum(0, keepdims=True) / 5, atol=1e-15)
-    with pytest.raises(InputError):
-        pool_video(Tensor(np.zeros((0, DIM))))
-
-
 # -- sentence selection -------------------------------------------------------
+
+PICK_CFG = toy_config(pairs=3, batch_size=3)
+PICK_VIDEOS = generate_dataset(PICK_CFG.seed, PICK_CFG.pairs, PICK_CFG).videos
+
+
+def pick_model():
+    model = AdapterModel(PICK_CFG)
+    rng = rng_for(4, "sent-model")
+    model.proj_w.data += rng.normal(size=model.proj_w.shape) * 0.1
+    model.proj_b.data += rng.normal(size=model.proj_b.shape) * 0.1
+    return model
+
+
+def loop_probes(model, videos):
+    """Proj(mean over frames of the last-layer frame features), by explicit loops."""
+    with no_grad():
+        _, f_last = encode_video(videos, model.store, model.vcfg,
+                                 modulate=model._video_hooks())
+    probes = []
+    for feats in f_last.data:
+        pooled = sum(feats[t] for t in range(feats.shape[0])) / feats.shape[0]
+        probes.append(pooled @ model.proj_w.data + model.proj_b.data)
+    return np.array(probes)
+
+
+def loop_argmax(probe, cands):
+    best, best_score = 0, None
+    for i, cand in enumerate(cands):
+        score = float(sum(probe[d] * cand[d] for d in range(len(probe))))
+        if best_score is None or score > best_score:  # ties keep the lower index
+            best, best_score = i, score
+    return best
 
 
 def test_select_sentence_single_and_sign():
-    rng = rng_for(4, "sent")
-    f_bar = Tensor(rng.normal(size=(1, DIM)))
-    w = Tensor(np.eye(DIM, 4).T @ np.eye(DIM))  # placeholder proj
-    proj = Tensor(rng.normal(size=(DIM, 4)))
-    single = Tensor(rng.normal(size=(1, 4)))
-    got, idx = select_sentence(f_bar, single, proj)
-    assert idx == 0
-    np.testing.assert_array_equal(got.data, single.data)
+    model = pick_model()
+    single = rng_for(4, "sent").normal(size=(1, PICK_CFG.dim_t))
+    np.testing.assert_array_equal(model._pick_sentences(PICK_VIDEOS, single), [0, 0, 0])
 
-    probe = f_bar.data @ proj.data
-    cands = Tensor(np.vstack([probe, -probe]))
-    _, idx = select_sentence(f_bar, cands, proj)
-    assert idx == 0
-    cands = Tensor(np.vstack([-probe, probe]))
-    _, idx = select_sentence(f_bar, cands, proj)
-    assert idx == 1
+    probes = loop_probes(model, PICK_VIDEOS)
+    for v, probe in enumerate(probes):
+        videos = PICK_VIDEOS[v : v + 1]
+        assert model._pick_sentences(videos, np.vstack([probe, -probe]))[0] == 0
+        assert model._pick_sentences(videos, np.vstack([-probe, probe]))[0] == 1
 
 
 def test_select_sentence_matches_bruteforce():
-    rng = rng_for(5, "sent")
-    f_bar = Tensor(rng.normal(size=(1, DIM)))
-    proj = Tensor(rng.normal(size=(DIM, 4)))
-    cands = Tensor(rng.normal(size=(4, 4)))
-    _, idx = select_sentence(f_bar, cands, proj)
-    scores = [((f_bar.data @ proj.data) @ cands.data[i]).item() for i in range(4)]
-    assert idx == int(np.argmax(scores))
+    model = pick_model()
+    cands = rng_for(5, "sent").normal(size=(5, PICK_CFG.dim_t))
+    want = [loop_argmax(probe, cands) for probe in loop_probes(model, PICK_VIDEOS)]
+    np.testing.assert_array_equal(model._pick_sentences(PICK_VIDEOS, cands), want)
+
+
+def test_pick_sentences_ties_go_to_lowest_index():
+    model = pick_model()
+    row = rng_for(6, "sent").normal(size=(1, PICK_CFG.dim_t))
+    cands = np.vstack([-row, row, row, -row])
+    want = [loop_argmax(probe, cands) for probe in loop_probes(model, PICK_VIDEOS)]
+    assert set(want) <= {0, 1}
+    np.testing.assert_array_equal(model._pick_sentences(PICK_VIDEOS, cands), want)
 
 
 def test_select_sentence_empty_candidates():
+    model = pick_model()
     with pytest.raises(InputError):
-        select_sentence(Tensor(np.zeros((1, DIM))), Tensor(np.zeros((0, 4))), Tensor(np.zeros((DIM, 4))))
+        model.encode_videos(PICK_VIDEOS, candidates=np.zeros((0, PICK_CFG.dim_t)))
+
+
+def test_pick_sentences_rejects_wrong_width():
+    model = pick_model()
+    with pytest.raises(InputError):
+        model.encode_videos(PICK_VIDEOS, candidates=np.zeros((3, PICK_CFG.dim_t + 1)))
 
 
 # -- patch selection ----------------------------------------------------------
 
 
 def crafted_frame(scores):
-    # frame whose Proj(u) . w* scores equal the given values
+    # one-frame (1, N, D) features whose Proj(u) . w* scores equal the given values
     n = len(scores)
-    u = np.zeros((n, DIM))
-    u[:, 0] = scores
+    u = np.zeros((1, n, DIM))
+    u[0, :, 0] = scores
     proj = np.zeros((DIM, 3))
     proj[0, 0] = 1.0
     w_star = np.array([1.0, 0.0, 0.0])
-    return Tensor(u), Tensor(proj), Tensor(w_star.reshape(1, -1))
+    return u, proj, w_star
+
+
+def selected(mask):
+    return np.flatnonzero(mask[0]).tolist()
 
 
 def test_select_patches_exhaustive_and_empty():
     u, proj, w = crafted_frame([3.0, 1.0, 4.0, 2.0])
-    sel = select_patches(u, w_star=w, k_sel=4, mode="text_top_k", proj_w=proj)
-    np.testing.assert_array_equal(sorted(sel.indices[0]), [0, 1, 2, 3])
-    sel = select_patches(u, w_star=w, k_sel=0, mode="text_top_k", proj_w=proj)
-    assert len(sel.indices[0]) == 0
+    mask = selection_masks("text_top_k", 4, u, w_star=w, proj_w=proj)
+    assert selected(mask) == [0, 1, 2, 3]
+    mask = selection_masks("text_top_k", 0, u, w_star=w, proj_w=proj)
+    assert selected(mask) == []
 
 
 def test_select_patches_topk_sort_oracle():
     u, proj, w = crafted_frame([3.0, 1.0, 4.0, 2.0])
-    sel = select_patches(u, w_star=w, k_sel=2, mode="text_top_k", proj_w=proj)
-    np.testing.assert_array_equal(sorted(sel.indices[0]), [0, 2])
-    sel = select_patches(u, w_star=w, k_sel=2, mode="text_bottom_k", proj_w=proj)
-    np.testing.assert_array_equal(sorted(sel.indices[0]), [1, 3])
+    assert selected(selection_masks("text_top_k", 2, u, w_star=w, proj_w=proj)) == [0, 2]
+    assert selected(selection_masks("text_bottom_k", 2, u, w_star=w, proj_w=proj)) == [1, 3]
 
 
 def test_select_patches_tie_breaks_low_index():
     u, proj, w = crafted_frame([1.0, 1.0, 1.0, 0.0])
-    sel = select_patches(u, w_star=w, k_sel=2, mode="text_top_k", proj_w=proj)
-    np.testing.assert_array_equal(sorted(sel.indices[0]), [0, 1])
+    assert selected(selection_masks("text_top_k", 2, u, w_star=w, proj_w=proj)) == [0, 1]
 
 
 def test_select_patches_vision_modes():
     rng = rng_for(6, "vis")
-    u = Tensor(rng.normal(size=(PATCHES, DIM)))
-    cls = Tensor(rng.normal(size=(DIM,)))
-    sel = select_patches(u, k_sel=2, mode="vision_top_k", cls_feat=cls)
-    scores = u.data @ cls.data
-    want = np.argsort(-scores, kind="stable")[:2]
-    np.testing.assert_array_equal(sorted(sel.indices[0]), sorted(want))
-    sel = select_patches(u, k_sel=2, mode="vision_bottom_k", cls_feat=cls)
-    want = np.argsort(scores, kind="stable")[:2]
-    np.testing.assert_array_equal(sorted(sel.indices[0]), sorted(want))
+    u = rng.normal(size=(1, PATCHES, DIM))
+    cls = rng.normal(size=(1, DIM))
+    scores = u[0] @ cls[0]
+    mask = selection_masks("vision_top_k", 2, u, cls_feats=cls)
+    assert selected(mask) == sorted(np.argsort(-scores, kind="stable")[:2])
+    mask = selection_masks("vision_bottom_k", 2, u, cls_feats=cls)
+    assert selected(mask) == sorted(np.argsort(scores, kind="stable")[:2])
 
 
 def test_select_patches_random_deterministic_and_k_validation():
-    u = Tensor(rng_for(7, "rand").normal(size=(PATCHES, DIM)))
-    s1 = select_patches(u, k_sel=3, mode="random", rng=rng_for(9, "sel"))
-    s2 = select_patches(u, k_sel=3, mode="random", rng=rng_for(9, "sel"))
-    np.testing.assert_array_equal(s1.mask, s2.mask)
-    assert s1.mask.sum() == 3
+    u = rng_for(7, "rand").normal(size=(1, PATCHES, DIM))
+    m1 = selection_masks("random", 3, u, rng=rng_for(9, "sel"))
+    m2 = selection_masks("random", 3, u, rng=rng_for(9, "sel"))
+    np.testing.assert_array_equal(m1, m2)
+    assert m1.sum() == 3
     with pytest.raises(ConfigError):
-        select_patches(u, k_sel=PATCHES + 1, mode="random", rng=rng_for(9, "sel"))
+        selection_masks("random", PATCHES + 1, u, rng=rng_for(9, "sel"))
 
 
 def test_selection_none_warps_all():
@@ -306,7 +311,7 @@ def test_asa_zero_offsets_equals_vanilla_bitwise():
 def test_asa_single_patch_returns_value():
     q = Tensor(rng_for(17, "one").normal(size=(1, DIM)))
     v = Tensor(rng_for(18, "one").normal(size=(1, DIM)))
-    out = asa_attention(q, q, v, heads=1)
+    out = attention_core(q, q, v, heads=1)
     np.testing.assert_array_equal(out.data, v.data)
 
 
@@ -315,7 +320,7 @@ def test_asa_matches_loop_oracle():
     q = rng.normal(size=(3, DIM))
     k = rng.normal(size=(3, DIM))
     v = rng.normal(size=(3, DIM))
-    got = asa_attention(Tensor(q), Tensor(k), Tensor(v), heads=1)
+    got = attention_core(Tensor(q), Tensor(k), Tensor(v), heads=1)
     want = np.zeros_like(q)
     for i in range(3):
         scores = np.array([q[i] @ k[j] for j in range(3)]) / np.sqrt(DIM)

@@ -9,7 +9,7 @@ from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import InputError
 from tvadapt.model import AdapterModel
-from tvadapt.tensor import no_grad, rng_for
+from tvadapt.tensor import fd_check, no_grad, rng_for
 
 CFG = toy_config(pairs=6, batch_size=6)
 DATA = generate_dataset(CFG.seed, CFG.pairs, CFG)
@@ -177,3 +177,25 @@ def test_identity_init_holds_across_random_configurations():
             vb = base.encode_videos(data.videos)
         assert (z.data == zb.data).all(), cfg
         assert (v.data == vb.data).all(), cfg
+
+
+@pytest.mark.parametrize("overrides", [
+    {"decompose": "spatial_temporal"},
+    {"decompose": "spatial_temporal_layer"},
+    {"text_lowrank": True},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_whole_model_gradients_pass_fd_for_identity_built_modes(overrides):
+    cfg = toy_config(pairs=2, batch_size=2, layers=2, text_layers=2, asa=False,
+                     train_head=False, **overrides)
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    rng = rng_for(8, "fd-modes")
+    # a generic point: 0.3-scale noise leaves no gradient coordinate near
+    # fd_check's 1e-8 floor, where central differences are all rounding
+    for _, t in model.store.trainable_items():
+        t.data += rng.normal(size=t.shape) * 0.3
+
+    def fn(store):
+        return model.batch_loss(data.videos, data.tokens, sel_key=("fd",))
+
+    assert fd_check(fn, model.store, eps=1e-5) < 1e-4

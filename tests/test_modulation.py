@@ -9,9 +9,7 @@ from tvadapt.modulation import (
     DecomposeMode,
     TextModulation,
     VideoModulation,
-    compose_modulation,
     identity_init,
-    modulate_text,
     modulate_video,
 )
 from tvadapt.tensor import ParamStore, Tensor, rng_for
@@ -33,14 +31,14 @@ def test_compose_rank1_ones_factorization():
     c_a.data[:, 0] = 1.0
     c_b.data[:] = 0.0
     c_b.data[0] = 1.0
-    c, _ = compose_modulation(mod, 1)
+    c, _ = mod.compose(1)
     np.testing.assert_array_equal(c.data, np.ones((FRAMES, DIM)))
 
 
 def test_compose_annihilation():
     store, mod = make_video_mod()
     mod.params[1]["c_b"].data[:] = 0.0
-    c, _ = compose_modulation(mod, 1)
+    c, _ = mod.compose(1)
     np.testing.assert_array_equal(c.data, 0.0)
 
 
@@ -50,7 +48,7 @@ def test_compose_matches_matmul_oracle_and_rank_bound():
     for tag in ("c", "s"):
         mod.params[1][f"{tag}_a"].data[:] = rng.normal(size=(FRAMES, 2))
         mod.params[1][f"{tag}_b"].data[:] = rng.normal(size=(2, DIM))
-    c, s = compose_modulation(mod, 1)
+    c, s = mod.compose(1)
     np.testing.assert_allclose(
         c.data, mod.params[1]["c_a"].data @ mod.params[1]["c_b"].data, atol=1e-15
     )
@@ -88,12 +86,12 @@ def test_modulate_text_oracle():
     store = ParamStore()
     tm = TextModulation(store, [1], 2, seed=0)
     w = Tensor(np.array([[1.0, 2.0]]))
-    np.testing.assert_array_equal(modulate_text(w, tm, 1).data, w.data)  # identity init
+    np.testing.assert_array_equal(tm.apply(1, w).data, w.data)  # identity init
     tm.params[1]["c_t"].data[:] = [3.0, 0.5]
     tm.params[1]["s_t"].data[:] = [-1.0, 0.0]
-    np.testing.assert_array_equal(modulate_text(w, tm, 1).data, [[2.0, 1.0]])
+    np.testing.assert_array_equal(tm.apply(1, w).data, [[2.0, 1.0]])
     tm.params[1]["s_t"].data[:] = [0.5, 0.25]
-    np.testing.assert_array_equal(modulate_text(Tensor(np.zeros((1, 2))), tm, 1).data, [[0.5, 0.25]])
+    np.testing.assert_array_equal(tm.apply(1, Tensor(np.zeros((1, 2)))).data, [[0.5, 0.25]])
 
 
 def test_identity_init_is_exact_for_all_modes():

@@ -1,11 +1,13 @@
 """Engine tests: forward oracles, broadcast rules, and gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from tvadapt import tensor as T
 from tvadapt.exceptions import ContractError, DimensionError, NumericError
-from tvadapt.tensor import ParamStore, Tensor, fd_check, rng_for
+from tvadapt.tensor import ParamStore, Tensor, fd_check, no_grad, rng_for
 
 
 def test_matmul_identity():
@@ -74,13 +76,13 @@ def test_softmax_rows_sum_to_one_and_permutation_equivariant():
 
 def test_elementwise_mul_identity_and_broadcast_shapes():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    np.testing.assert_array_equal(T.elementwise("mul", Tensor(np.ones((2, 3))), x).data, x.data)
-    out = T.elementwise("add", Tensor(np.zeros((3, 1, 4))), Tensor(np.zeros((1, 5, 4))))
+    np.testing.assert_array_equal(T.mul(Tensor(np.ones((2, 3))), x).data, x.data)
+    out = T.add(Tensor(np.zeros((3, 1, 4))), Tensor(np.zeros((1, 5, 4))))
     assert out.shape == (3, 5, 4)
 
 
 def test_elementwise_scalar_broadcast_oracle():
-    out = T.elementwise("mul", Tensor([[2.0]]), Tensor([[1.0, 2.0], [3.0, 4.0]]))
+    out = T.mul(Tensor([[2.0]]), Tensor([[1.0, 2.0], [3.0, 4.0]]))
     np.testing.assert_array_equal(out.data, [[2.0, 4.0], [6.0, 8.0]])
 
 
@@ -347,3 +349,52 @@ def test_rng_for_is_deterministic_and_stream_independent():
     b = rng_for(7, "y").normal(size=4)
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
+
+
+def recording():
+    """Whether an op run now records a tape node."""
+    return (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+
+
+def test_no_grad_is_per_thread_when_exits_cross():
+    # A enters, B enters, A exits, B exits: the order that left a
+    # process-wide flag switched off
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen, errors = {}, []
+
+    def thread_a():
+        try:
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(10)
+                seen["a_inside"] = recording()
+            seen["a_after"] = recording()
+        except Exception as err:
+            errors.append(err)
+        finally:
+            a_in.set()
+            a_out.set()
+
+    def thread_b():
+        try:
+            assert a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(10)
+                seen["b_inside_after_a_exit"] = recording()
+            seen["b_after"] = recording()
+        except Exception as err:
+            errors.append(err)
+        finally:
+            b_in.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    assert seen == {"a_inside": False, "a_after": True,
+                    "b_inside_after_a_exit": False, "b_after": True}
+    assert recording()

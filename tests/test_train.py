@@ -1,17 +1,20 @@
 """Training-loop and checkpoint tests."""
 
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tvadapt.checkpoint import load_checkpoint, load_model, save_checkpoint
+from tvadapt.checkpoint import load_checkpoint, load_model, restore_model, save_checkpoint
+from tvadapt.cli import main
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ContractError, NumericError, VersionError
 from tvadapt.model import AdapterModel
-from tvadapt.tensor import no_grad
+from tvadapt.tensor import no_grad, rng_for
 from tvadapt.train import Adam, evaluate_model, lr_at, train
 
 CFG = toy_config(pairs=6, batch_size=6, epochs=8, lr=1e-2)
@@ -145,7 +148,89 @@ def test_checkpoint_restore_requires_matching_model(tmp_path):
     save_checkpoint(path, model)
     ckpt = load_checkpoint(path)
     ckpt.params.pop("adapter/proj/w")
-    from tvadapt.checkpoint import restore_model
-
     with pytest.raises(VersionError):
         restore_model(ckpt)
+
+
+
+def test_truncated_or_padded_checkpoint_is_a_version_error(tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), AdapterModel(CFG))
+    blob = good.read_bytes()
+    cfg_end = 12 + int.from_bytes(blob[8:12], "little")
+    for cut in (0, 3, 6, 10, cfg_end // 2, cfg_end + 5, len(blob) // 2, len(blob) - 1):
+        path = tmp_path / f"cut{cut}.ckpt"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(VersionError):
+            load_checkpoint(str(path))
+        assert main(["eval", "--ckpt", str(path)]) == 1, cut
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, cut
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes(blob + b"\x00")
+    with pytest.raises(VersionError):
+        load_checkpoint(str(padded))
+
+
+def test_flipped_frozen_flag_is_rejected(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), AdapterModel(CFG))
+    blob = bytearray(path.read_bytes())
+    name = b"backbone/visual/block1/wq"
+    flag = blob.index(name) + len(name)
+    assert blob[flag] == 1
+    blob[flag] = 0
+    path.write_bytes(bytes(blob))
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.params[name.decode()][1] is False
+    with pytest.raises(VersionError):
+        restore_model(ckpt)
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    assert "frozen flag" in capsys.readouterr().err
+
+
+def test_concurrent_evaluation_while_training_matches_serial_runs():
+    eval_cfg = replace(CFG, selection="random")
+    evaluated = AdapterModel(eval_cfg)
+    rng = rng_for(3, "concurrent")
+    for _, t in evaluated.store.trainable_items():
+        t.data += rng.normal(size=t.shape) * 0.1
+
+    def report_dicts():
+        return {k: r.to_dict() for k, r in evaluate_model(evaluated, DATA, use_dsl=True).items()}
+
+    want_reports = report_dicts()
+    serial, _, _ = train(CFG, DATA, eval_each_epoch=False)
+    want_params = params_bytes(serial)
+
+    results, errors = {}, []
+
+    def run(name, fn):
+        try:
+            results[name] = fn()
+        except Exception as err:
+            errors.append((name, err))
+
+    def trainer():
+        model, _, _ = train(CFG, DATA, eval_each_epoch=False)
+        return params_bytes(model)
+
+    def evaluator():
+        return [report_dicts() for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=("train", trainer))]
+    threads += [threading.Thread(target=run, args=(f"eval{i}", evaluator)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often so their steps interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert results.pop("train") == want_params
+    for runs in results.values():
+        assert runs == [want_reports] * 3
