@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The frozen two-tower encoder: patchify, per-frame blocks, text tower.
 
-Shows the feature shapes at every stage, the exact CLS/patch split, and
+Shows the feature shapes at every stage, the CLS/patch token layout, and
 the two properties adapters rely on: frozen determinism and per-frame
 independence of the vanilla path.
 """
@@ -29,7 +29,7 @@ store = ParamStore()
 init_backbone(store, vcfg, tcfg, seed=0)
 freeze_backbone(store)
 print(f"backbone parameters: {store.num_elements(prefix='backbone/'):,} "
-      f"({store.frozen_count} tensors, all frozen)")
+      f"({len(store)} tensors, {store.trainable_count} trainable)")
 
 video = rng_for(0, "demo-video").normal(size=(vcfg.frames, 8, 8, 3))
 tokens = np.array([3, 17, 42])
@@ -39,10 +39,8 @@ x0 = patchify(video, store, vcfg)
 print("patchify output:", x0.shape, " (frames, CLS+patches, dim)")
 features, f_last = encode_video(video, store, vcfg)
 print(f"{len(features)} per-layer features; final frame CLS sequence {f_last.shape}")
-lf = features[-1]
-print("CLS split:", lf.frame_feats.shape, " patch split:", lf.patch_feats.shape)
-recombined = np.concatenate([lf.frame_feats.data[:, None, :], lf.patch_feats.data], axis=1)
-print("split is exact:", (recombined == lf.x.data).all())
+x = features[-1]
+print("CLS token:", x[..., 0, :].shape, " patch tokens:", x[..., 1:, :].shape)
 
 print("\nfrozen purity: two encodes are bitwise equal:",
       (encode_video(video, store, vcfg)[1].data == f_last.data).all())

@@ -13,7 +13,6 @@ from tvadapt.modulation import (
     DecomposeMode,
     VideoModulation,
     identity_init,
-    modulate_video,
 )
 from tvadapt.tensor import ParamStore, Tensor, rng_for
 
@@ -41,7 +40,7 @@ print(np.array2string(sv, precision=3, suppress_small=True))
 print(f"values beyond rank {RANK} are numerically zero: {(sv[RANK:] < 1e-12).all()}")
 
 print("\n=== frame-level broadcast ===")
-u = modulate_video(x, c, s)
+u = mod.apply(1, x)
 print("one modulation row per frame is shared by all tokens of that frame:")
 print("frame 0 scale row applied to every token:",
       np.allclose(u.data[0], c.data[0] * x.data[0] + s.data[0]))

@@ -8,8 +8,6 @@ from tvadapt.retrieval import (
     contrastive_loss,
     dsl,
     metrics_report,
-    rank_stats,
-    recall_at_k,
 )
 from tvadapt.tensor import Tensor, rng_for
 
@@ -26,12 +24,14 @@ scores[np.arange(8), np.arange(8)] += np.linspace(0.5, -0.1, 8)  # degrade later
 sim = SimilarityMatrix(scores)
 for direction in ("video->text", "text->video"):
     print(metrics_report(sim, direction).row())
-print("R@k grows with k:", [round(recall_at_k(sim, k), 3) for k in (1, 2, 4, 8)])
-print("median/mean rank:", rank_stats(sim))
+rep = metrics_report(sim, "video->text", ks=(1, 2, 4, 8))
+print("R@k grows with k:", [round(r, 3) for r in rep.r_at.values()])
+print("median/mean rank:", (rep.mdr, rep.mnr))
 
 print("\n=== ties count against the ground truth ===")
 tied = SimilarityMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-print("rank of a tied diagonal entry is 2 ->", rank_stats(tied))
+rep = metrics_report(tied, "video->text")
+print("rank of a tied diagonal entry is 2 ->", (rep.mdr, rep.mnr))
 
 print("\n=== dual-softmax rescoring ===")
 s = np.array([[0.90, 0.91], [0.20, 0.99]])  # column 1 is a hub
@@ -39,7 +39,7 @@ raw = SimilarityMatrix(s)
 fixed = dsl(raw)
 print("raw scores:")
 print(s)
-print("row argmax before:", s.argmax(axis=1), " R@1 =", recall_at_k(raw, 1))
+print("row argmax before:", s.argmax(axis=1), " R@1 =", metrics_report(raw, "video->text").r_at[1])
 print("rescored:")
 print(np.array2string(fixed.scores, precision=4, suppress_small=True))
-print("row argmax after: ", fixed.scores.argmax(axis=1), " R@1 =", recall_at_k(fixed, 1))
+print("row argmax after: ", fixed.scores.argmax(axis=1), " R@1 =", metrics_report(fixed, "video->text").r_at[1])

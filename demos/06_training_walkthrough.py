@@ -69,4 +69,4 @@ with tempfile.TemporaryDirectory() as td:
     print("trained per-frame scale, channel 0:", np.array2string(scale[:, 0], precision=3))
 
 print("\nbackbone untouched by training:",
-      model.backbone_hash() == AdapterModel(cfg).backbone_hash())
+      model.store.hash_bytes("backbone/") == AdapterModel(cfg).store.hash_bytes("backbone/"))

@@ -67,25 +67,6 @@ class TextConfig:
         return self.vocab - 1
 
 
-class LayerFeatures:
-    """Per-layer token features x of shape (..., T, N+1, D).
-
-    Splits exactly into the frame CLS features (token 0) and the patch
-    features (tokens 1..N); concatenating the two views restores x.
-    """
-
-    def __init__(self, x):
-        self.x = x
-
-    @property
-    def frame_feats(self):
-        return self.x[..., 0, :]
-
-    @property
-    def patch_feats(self):
-        return self.x[..., 1:, :]
-
-
 _BLOCK_SHAPES = (
     ("ln1_g", "ones", ("D",)),
     ("ln1_b", "zeros", ("D",)),
@@ -230,7 +211,8 @@ def encode_video(video, store, vcfg, modulate=None, attention=None):
     ``modulate`` maps layer index -> callable(x) applied to the block
     output before it feeds the next block; ``attention`` maps layer
     index -> replacement attention operation. Returns the per-layer
-    features and the final frame CLS sequence (..., T, D).
+    features (..., T, N+1, D), after each layer's hook, and the final
+    frame CLS sequence (..., T, D).
     """
     modulate = modulate or {}
     attention = attention or {}
@@ -245,7 +227,7 @@ def encode_video(video, store, vcfg, modulate=None, attention=None):
         x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn)
         if layer in modulate:
             x = modulate[layer](x)
-        features.append(LayerFeatures(x))
+        features.append(x)
     return features, x[..., 0, :]
 
 

@@ -4,11 +4,13 @@ Layout (little-endian): magic ``RAPC``, u32 format version, u32 config
 length + flat-text config, u64 completed-step counter (the RNG state:
 every stream is derived from the config seed plus counters), u32 entry
 count, then per parameter: u16 name length + name, u8 frozen flag,
-u8 ndim, u32 dims, raw float64 payload.
+u8 ndim, u32 dims, raw float64 payload; last, the 64-byte blake2b
+digest of every preceding byte, so a flipped bit fails to load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -20,7 +22,8 @@ from .exceptions import VersionError
 from .model import AdapterModel
 
 MAGIC = b"RAPC"
-VERSION = 1
+VERSION = 2
+DIGEST_SIZE = 64
 
 
 @dataclass
@@ -48,21 +51,24 @@ def save_checkpoint(path, model, steps=0):
         blob += struct.pack("<BB", 0 if t.requires_grad else 1, t.data.ndim)
         blob += struct.pack(f"<{t.data.ndim}I", *t.data.shape)
         blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+    blob += hashlib.blake2b(blob, digest_size=DIGEST_SIZE).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint file; a truncated or garbled one raises ``VersionError``."""
+    """Parse a checkpoint file; a truncated or corrupt one raises ``VersionError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    view = memoryview(blob)
-    if bytes(view[:4]) != MAGIC:
+    if blob[:4] != MAGIC:
         raise VersionError(f"{path}: not a checkpoint (bad magic)")
+    view = memoryview(blob)[:-DIGEST_SIZE]
     try:
         (version,) = struct.unpack_from("<I", view, 4)
         if version != VERSION:
             raise VersionError(f"{path}: format version {version}, expected {VERSION}")
+        if hashlib.blake2b(view, digest_size=DIGEST_SIZE).digest() != blob[-DIGEST_SIZE:]:
+            raise VersionError(f"{path}: digest mismatch (truncated or corrupt checkpoint)")
         (cfg_len,) = struct.unpack_from("<I", view, 8)
         offset = 12
         cfg = config_mod.loads(bytes(view[offset : offset + cfg_len]).decode("utf-8"))
@@ -87,8 +93,8 @@ def load_checkpoint(path):
             params[name] = (data.reshape(shape).astype(np.float64), bool(frozen))
     except (struct.error, ValueError, UnicodeDecodeError) as err:
         raise VersionError(f"{path}: truncated or corrupt checkpoint ({err})") from None
-    if offset != len(blob):
-        raise VersionError(f"{path}: {len(blob) - offset} trailing bytes after the last entry")
+    if offset != len(view):
+        raise VersionError(f"{path}: {len(view) - offset} trailing bytes after the last entry")
     return Checkpoint(config=cfg, params=params, steps=steps)
 
 

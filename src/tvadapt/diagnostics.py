@@ -25,27 +25,32 @@ from .tensor import no_grad
 def attention_similarity_map(model, video, candidates=None, layer=None, frame=0, patch=0):
     """(T, N) per-frame attention of one query patch over all patches.
 
-    Uses the final adapted layer's projected queries/keys (single-head,
-    full-dimension scale): row t is softmax_n of q[frame, patch] .
-    k_hat[t, n] / sqrt(D). With zero offsets row ``frame`` equals the
-    vanilla patch-attention row of that frame.
+    Uses the projected queries/keys of ``layer`` (default: the final
+    adapted layer; single-head, full-dimension scale): row t is
+    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D), where k_hat
+    warps the keys with the patch mask the forward pass drew at
+    ``layer`` (unwarped at a layer without ASA). With zero offsets row
+    ``frame`` equals the vanilla patch-attention row of that frame.
     """
     cfg = model.config
     vcfg = model.vcfg
-    adapted = cfg.visual_adapter_layers()
-    layer = layer if layer is not None else adapted[-1]
+    layer = layer if layer is not None else cfg.visual_adapter_layers()[-1]
     if not 1 <= layer <= vcfg.layers:
         raise ConfigError(f"layer {layer} outside [1, {vcfg.layers}]")
     if not 0 <= frame < vcfg.frames or not 0 <= patch < vcfg.patches:
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
-        if layer > 1:
-            features, _ = model.encode_video_features(video[None], candidates,
-                                                      sel_key=("diag",))
-            x = features[layer - 2].x[0]
-        else:
-            x = patchify(video, model.store, vcfg)
+        drawn = []  # the mask of each ASA layer, in layer order
+
+        def select(x_in):
+            drawn.append(plan(x_in))
+            return drawn[-1]
+
+        if cfg.asa:
+            plan = model.selection_plan(video[None], candidates, sel_key=("diag",))
+        features, _ = model.encode_video_features(video[None], select)
+        x = features[layer - 2][0] if layer > 1 else patchify(video, model.store, vcfg)
 
         p = lambda name: model.store[f"backbone/visual/block{layer}/{name}"]
         h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
@@ -53,16 +58,13 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
         k = T.linear(h, p("wk"), p("bk"))
 
         k_patches = k[:, 1:, :]
-        if cfg.asa:
-            select = model.selection_plan(video[None], candidates, sel_key=("diag",))
-            k_patches, _ = warp_kv(k_patches, k_patches, model.offsets, select(x.data[None])[0],
+        masks = dict(zip(cfg.visual_adapter_layers(), drawn))
+        if layer in masks:
+            k_patches, _ = warp_kv(k_patches, k_patches, model.offsets, masks[layer][0],
                                    axes=cfg.warp_axes, interp=cfg.warp_interp)
-        k_hat = k_patches.data
 
-    query = q[frame, patch]
-    scores = np.einsum("d,tnd->tn", query, k_hat) / np.sqrt(vcfg.dim)
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    scores = np.einsum("d,tnd->tn", q[frame, patch], k_patches.data) / np.sqrt(vcfg.dim)
+    return T.softmax(scores, axis=1).data
 
 
 def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):

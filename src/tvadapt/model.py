@@ -153,21 +153,15 @@ class AdapterModel:
             )
         return select
 
-    def encode_video_features(self, videos, candidates=None, sel_key=("eval",)):
+    def encode_video_features(self, videos, select):
         """Per-layer features and final frame features, all hooks applied.
 
-        ``candidates``: detached (Q, D_t) sentence embeddings used by
-        text-conditioned selection -- the batch's sentences in training,
-        the full query set at evaluation.
+        ``select`` is the patch-selection function from ``selection_plan``,
+        called once per ASA layer on its block input; unused with ASA off.
         """
-        videos = np.asarray(videos, dtype=np.float64)
-        if videos.ndim == 4:
-            videos = videos[None]
         cfg = self.config
         attention = {}
         if cfg.asa:
-            select = self.selection_plan(videos, candidates, sel_key)
-
             def attend(x_in, q, k, v, heads):
                 return asa_block_attention(
                     x_in, q, k, v, heads, self.offsets, select(x_in.data),
@@ -179,11 +173,17 @@ class AdapterModel:
                             modulate=self._video_hooks(), attention=attention)
 
     def encode_videos(self, videos, candidates=None, sel_key=("eval",)):
-        """Normalized video embeddings (V, D_t)."""
+        """Normalized video embeddings (V, D_t).
+
+        ``candidates``: detached (Q, D_t) sentence embeddings used by
+        text-conditioned selection -- the batch's sentences in training,
+        the full query set at evaluation.
+        """
         videos = np.asarray(videos, dtype=np.float64)
         if videos.ndim == 4:
             videos = videos[None]
-        _, f_last = self.encode_video_features(videos, candidates, sel_key)
+        select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
+        _, f_last = self.encode_video_features(videos, select)
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (videos.shape[0], self.tcfg.dim))
 
@@ -198,14 +198,3 @@ class AdapterModel:
     def batch_loss(self, videos, tokens, sel_key):
         scores, _, _ = self.batch_scores(videos, tokens, sel_key=sel_key)
         return contrastive_loss(scores, self.log_tau)
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def group_counts(self, trainable=True):
-        return {
-            name: self.store.num_elements(trainable=trainable, prefix=prefix)
-            for name, prefix in ADAPTER_GROUPS.items()
-        }
-
-    def backbone_hash(self):
-        return self.store.hash_bytes("backbone/")

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError
 from .tensor import Tensor, rng_for
 
 
@@ -118,7 +118,9 @@ class VideoModulation:
             return x
         c, s = self.compose(layer)
         if self.mode is DecomposeMode.TEMPORAL:
-            return modulate_video(x, c, s)
+            # one (T, D) row per frame, broadcast over its N+1 tokens
+            c = T.reshape(c, (self.frames, 1, self.dim))
+            s = T.reshape(s, (self.frames, 1, self.dim))
         return c * x + s
 
 
@@ -164,18 +166,6 @@ class TextModulation:
         cw = T.matmul(entry["w_a"], entry["w_b"])[:n]
         sw = T.matmul(entry["v_a"], entry["v_b"])[:n]
         return cw * x + sw
-
-
-def modulate_video(x, c_v, s_v):
-    """u = c_v * x + s_v with frame-row modulation broadcast over tokens."""
-    if c_v.shape != s_v.shape or c_v.ndim != 2:
-        raise DimensionError(f"modulation shapes {c_v.shape} / {s_v.shape} must match T x D")
-    if x.shape[-3] != c_v.shape[0] or x.shape[-1] != c_v.shape[1]:
-        raise DimensionError(
-            f"features {x.shape} incompatible with modulation {c_v.shape}"
-        )
-    t, d = c_v.shape
-    return T.reshape(c_v, (t, 1, d)) * x + T.reshape(s_v, (t, 1, d))
 
 
 def identity_init(mod):

@@ -123,21 +123,10 @@ def rank_queries(sim, direction):
     raise ConfigError(f"unknown retrieval direction {direction!r}")
 
 
-def recall_at_k(sim, k, direction="video->text"):
-    """Fraction of queries whose ground truth ranks within the top k."""
-    if k < 1:
-        raise ConfigError(f"recall needs k >= 1, got {k}")
-    ranks = rank_queries(sim, direction)
-    return float((ranks <= k).mean())
-
-
-def rank_stats(sim, direction="video->text"):
-    """(median rank, mean rank), 1-based."""
-    ranks = rank_queries(sim, direction)
-    return float(np.median(ranks)), float(ranks.mean())
-
-
 def metrics_report(sim, direction, ks=(1, 5, 10)):
+    """R@K for every K in ``ks``, median and mean rank (1-based), one direction."""
+    if min(ks, default=1) < 1:
+        raise ConfigError(f"recall needs k >= 1, got ks={tuple(ks)}")
     ranks = rank_queries(sim, direction)
     mdr, mnr = float(np.median(ranks)), float(ranks.mean())
     r_at = {k: float((ranks <= k).mean()) for k in ks}

@@ -80,19 +80,12 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -174,12 +167,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -284,29 +271,6 @@ def div(a, b):
     return _make(data, (a, b), _bw)
 
 
-def neg(a):
-    a = astensor(a)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), _bw)
-
-
-def power(a, p):
-    """Elementwise ``a ** p`` for a constant real exponent ``p``."""
-    a = astensor(a)
-    p = float(p)
-    data = a.data**p
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), _bw)
-
-
 # -- transcendental -----------------------------------------------------
 
 
@@ -338,17 +302,6 @@ def sqrt(a):
     def _bw(g):
         if a.requires_grad:
             a._accumulate(g * 0.5 / data)
-
-    return _make(data, (a,), _bw)
-
-
-def tanh(a):
-    a = astensor(a)
-    data = np.tanh(a.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data * data))
 
     return _make(data, (a,), _bw)
 
@@ -673,10 +626,6 @@ class ParamStore:
     @property
     def trainable_count(self):
         return sum(1 for _, t in self.items() if t.requires_grad)
-
-    @property
-    def frozen_count(self):
-        return len(self._params) - self.trainable_count
 
     def num_elements(self, trainable=None, prefix=""):
         total = 0

@@ -136,7 +136,7 @@ def test_encode_with_all_blocks_zeroed_returns_patchify_output():
             store[f"{prefix}/{name}"].data[:] = 0.0
     video = rng_for(21, "zeroall").normal(size=(3, 4, 4, 1))
     feats, _ = encode_video(video, store, VCFG)
-    np.testing.assert_array_equal(feats[-1].x.data, patchify(video, store, VCFG).data)
+    np.testing.assert_array_equal(feats[-1].data, patchify(video, store, VCFG).data)
 
 
 def test_single_token_attention_weight_is_one():
@@ -166,14 +166,10 @@ def test_encode_video_purity_and_shapes():
     feats1, f1 = encode_video(video, store, VCFG)
     feats2, f2 = encode_video(video, store, VCFG)
     assert len(feats1) == VCFG.layers
-    for lf in feats1:
-        assert lf.x.shape == (3, VCFG.patches + 1, 8)
-        np.testing.assert_array_equal(
-            np.concatenate([lf.frame_feats.data[:, None, :], lf.patch_feats.data], axis=1),
-            lf.x.data,
-        )
+    for x in feats1:
+        assert x.shape == (3, VCFG.patches + 1, 8)
     np.testing.assert_array_equal(f1.data, f2.data)
-    np.testing.assert_array_equal(feats1[-1].x.data, feats2[-1].x.data)
+    np.testing.assert_array_equal(feats1[-1].data, feats2[-1].data)
 
 
 def test_encode_video_frame_permutation_equivariance():
@@ -182,8 +178,8 @@ def test_encode_video_frame_permutation_equivariance():
     perm = np.array([2, 0, 1])
     feats, _ = encode_video(video, store, VCFG)
     feats_p, _ = encode_video(video[perm], store, VCFG)
-    for lf, lfp in zip(feats, feats_p):
-        np.testing.assert_array_equal(lfp.x.data, lf.x.data[perm])
+    for x, x_p in zip(feats, feats_p):
+        np.testing.assert_array_equal(x_p.data, x.data[perm])
 
 
 def test_encode_video_batched_matches_single():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tvadapt import config as cm
+from tvadapt import diagnostics
 from tvadapt.ablation import SUITES, format_table, perfect_step, rows_to_json, run_suite
 from tvadapt.cli import main
 from tvadapt.counting import count_params
@@ -14,6 +15,7 @@ from tvadapt.data import generate_dataset
 from tvadapt.diagnostics import attention_similarity_map, export_diagnostics
 from tvadapt.exceptions import ConsistencyError
 from tvadapt.model import AdapterModel
+from tvadapt.tensor import no_grad
 
 FAST = dict(epochs=3, pairs=4, batch_size=4, lr=1e-2)
 
@@ -154,6 +156,7 @@ def test_count_params_group_values_on_toy():
     rep = count_params(cm.toy_config())
     assert rep.groups["lorm_visual"] == 912
     assert rep.groups["asa_offsets"] == 10
+    assert rep.groups["temperature"] == 1
     assert rep.trainable_total == sum(rep.groups.values())
     assert "fraction" in rep.table()
 
@@ -255,3 +258,60 @@ def test_diagnostics_shapes_after_training(tmp_path):
                     delimiter=",")
     assert sv.shape == (min(cfg.frames, cfg.dim_v),)
     assert (sv[cfg.rank:] < 1e-10).all()
+
+
+def test_similarity_map_runs_one_sentence_pick_per_map(monkeypatch):
+    cfg = cm.toy_config(pairs=4)
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    with no_grad():
+        cands = model.encode_texts(data.tokens).data
+    picks = []
+    pick = model._pick_sentences
+
+    def counting_pick(videos, candidates):
+        picks.append(len(videos))
+        return pick(videos, candidates)
+
+    monkeypatch.setattr(model, "_pick_sentences", counting_pick)
+    for layer in (1, 3):
+        picks.clear()
+        attention_similarity_map(model, data.videos[0], candidates=cands, layer=layer)
+        assert picks == [1], layer
+
+
+def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
+    cfg = cm.toy_config(pairs=4, selection="random")
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    video = data.videos[0]
+    model = AdapterModel(cfg)
+    # the masks a forward pass draws from the map's selection stream
+    plan = model.selection_plan(video[None], sel_key=("diag",))
+    drawn = []
+
+    def select(x_in):
+        drawn.append(plan(x_in))
+        return drawn[-1]
+
+    with no_grad():
+        model.encode_video_features(video[None], select)
+    assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
+
+    seen = []
+    warp_kv = diagnostics.warp_kv
+
+    def recording_warp(k, v, offsets, selection, **kwargs):
+        seen.append(selection)
+        return warp_kv(k, v, offsets, selection, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "warp_kv", recording_warp)
+    for layer, mask in zip(cfg.visual_adapter_layers(), drawn):
+        seen.clear()
+        attention_similarity_map(model, video, layer=layer)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], mask[0])
+    # a layer without ASA shows the unwarped keys
+    light = AdapterModel(cm.toy_config(pairs=4, selection="random", adapter_layers="1,2"))
+    seen.clear()
+    attention_similarity_map(light, video, layer=3)
+    assert seen == []

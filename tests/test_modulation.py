@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from tvadapt import tensor as T
-from tvadapt.exceptions import ConfigError, DimensionError
+from tvadapt.exceptions import ConfigError
 from tvadapt.modulation import (
     DecomposeMode,
     TextModulation,
     VideoModulation,
     identity_init,
-    modulate_video,
 )
 from tvadapt.tensor import ParamStore, Tensor, rng_for
 
@@ -59,27 +58,27 @@ def test_compose_matches_matmul_oracle_and_rank_bound():
 
 def test_modulate_video_identity_and_pure_shift():
     x = Tensor(rng_for(2, "mv").normal(size=(FRAMES, TOKENS, DIM)))
-    ones = Tensor(np.ones((FRAMES, DIM)))
-    zeros = Tensor(np.zeros((FRAMES, DIM)))
-    np.testing.assert_array_equal(modulate_video(x, ones, zeros).data, x.data)
-    shift = Tensor(rng_for(3, "mv").normal(size=(FRAMES, DIM)))
-    out = modulate_video(x, zeros, shift)
+    store, mod = make_video_mod()
+    np.testing.assert_array_equal(mod.apply(1, x).data, x.data)
+    mod.params[1]["c_b"].data[:] = 0.0  # scale 0: the output is the shift alone
+    rng = rng_for(3, "mv")
+    mod.params[1]["s_a"].data[:] = rng.normal(size=(FRAMES, RANK))
+    mod.params[1]["s_b"].data[:] = rng.normal(size=(RANK, DIM))
+    _, shift = mod.compose(1)
+    out = mod.apply(1, x)
     np.testing.assert_array_equal(out.data, np.broadcast_to(shift.data[:, None, :], x.shape))
 
 
 def test_modulate_video_scalar_oracle():
     # T=1, D=2, x = ones: u tokens must be [3, 4]
-    x = Tensor(np.ones((1, 3, 2)))
-    c = Tensor(np.array([[2.0, 3.0]]))
-    s = Tensor(np.array([[1.0, 1.0]]))
-    out = modulate_video(x, c, s)
+    store = ParamStore()
+    mod = VideoModulation(store, "temporal", [1], 1, 1, 3, 2, seed=0)
+    mod.params[1]["c_a"].data[:] = 1.0
+    mod.params[1]["c_b"].data[:] = [[2.0, 3.0]]
+    mod.params[1]["s_a"].data[:] = 1.0
+    mod.params[1]["s_b"].data[:] = [[1.0, 1.0]]
+    out = mod.apply(1, Tensor(np.ones((1, 3, 2))))
     np.testing.assert_array_equal(out.data, np.broadcast_to([3.0, 4.0], (1, 3, 2)))
-
-
-def test_modulate_video_shape_errors():
-    x = Tensor(np.zeros((FRAMES, TOKENS, DIM)))
-    with pytest.raises(DimensionError):
-        modulate_video(x, Tensor(np.zeros((FRAMES + 1, DIM))), Tensor(np.zeros((FRAMES + 1, DIM))))
 
 
 def test_modulate_text_oracle():

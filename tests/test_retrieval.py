@@ -11,8 +11,6 @@ from tvadapt.retrieval import (
     contrastive_loss,
     dsl,
     metrics_report,
-    rank_stats,
-    recall_at_k,
     similarity,
     text_embedding,
     video_embedding,
@@ -123,29 +121,29 @@ def test_loss_gradients_pass_fd():
 
 def test_recall_identity_dominant_and_antidiagonal():
     sim = SimilarityMatrix(np.eye(4) * 5.0)
-    assert recall_at_k(sim, 1) == 1.0
+    assert metrics_report(sim, "video->text").r_at[1] == 1.0
     anti = SimilarityMatrix(np.fliplr(np.eye(3)) * 5.0 + 0.1)
-    assert recall_at_k(anti, 1, "video->text") < 1.0
+    assert metrics_report(anti, "video->text").r_at[1] < 1.0
 
 
 def test_recall_rejects_bad_k():
     with pytest.raises(ConfigError):
-        recall_at_k(SimilarityMatrix(np.eye(2)), 0)
+        metrics_report(SimilarityMatrix(np.eye(2)), "video->text", ks=(1, 0))
 
 
 def test_ranking_rejects_rectangular_matrices():
     with pytest.raises(ContractError):
-        recall_at_k(SimilarityMatrix(np.zeros((2, 3))), 1)
+        metrics_report(SimilarityMatrix(np.zeros((2, 3))), "video->text")
 
 
 def test_rank_stats_two_point():
     s = np.array([[5.0, 1.0], [4.0, 3.0]])
     # text 1's rank for video 1: 3.0 vs 1.0 -> rank 2? build ranks {1, 2}
     sim = SimilarityMatrix(s)
-    mdr, mnr = rank_stats(sim)
-    assert (mdr, mnr) == (1.5, 1.5)
-    perfect = SimilarityMatrix(np.eye(5) + 1e-3)
-    assert rank_stats(perfect) == (1.0, 1.0)
+    rep = metrics_report(sim, "video->text")
+    assert (rep.mdr, rep.mnr) == (1.5, 1.5)
+    perfect = metrics_report(SimilarityMatrix(np.eye(5) + 1e-3), "video->text")
+    assert (perfect.mdr, perfect.mnr) == (1.0, 1.0)
 
 
 def test_two_queries_with_ranks_one_and_three():
@@ -164,22 +162,22 @@ def test_metrics_match_bruteforce_oracle_on_random_matrices():
         perm = rng.permutation(n)
         sim = SimilarityMatrix(s, video_to_text=perm)
         ranks = brute_force_ranks(s, perm)
+        rep = metrics_report(sim, "video->text")
         for k in (1, 5, 10):
-            assert recall_at_k(sim, k) == (ranks <= k).mean()
-        mdr, mnr = rank_stats(sim)
-        assert mdr == float(np.median(ranks)) and mnr == float(ranks.mean())
+            assert rep.r_at[k] == (ranks <= k).mean()
+        assert rep.mdr == float(np.median(ranks)) and rep.mnr == float(ranks.mean())
         # and the other direction
         inv = np.empty_like(perm)
         inv[perm] = np.arange(n)
         ranks_t = brute_force_ranks(s.T, inv)
-        assert recall_at_k(sim, 1, "text->video") == (ranks_t <= 1).mean()
+        assert metrics_report(sim, "text->video").r_at[1] == (ranks_t <= 1).mean()
 
 
 def test_recall_monotone_in_k():
     rng = rng_for(7, "mono")
     for _ in range(20):
         sim = SimilarityMatrix(rng.normal(size=(12, 12)))
-        vals = [recall_at_k(sim, k) for k in range(1, 13)]
+        vals = list(metrics_report(sim, "video->text", ks=range(1, 13)).r_at.values())
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -187,9 +185,9 @@ def test_pessimistic_ties_count_against_ground_truth():
     s = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     sim = SimilarityMatrix(s)
     ranks = [2, 2, 1]  # every tie outranks the diagonal
-    assert recall_at_k(sim, 1) == pytest.approx(1 / 3)
-    mdr, mnr = rank_stats(sim)
-    assert mdr == 2.0 and mnr == pytest.approx(np.mean(ranks))
+    rep = metrics_report(sim, "video->text")
+    assert rep.r_at[1] == pytest.approx(1 / 3)
+    assert rep.mdr == 2.0 and rep.mnr == pytest.approx(np.mean(ranks))
 
 
 def test_metrics_report_shape():
@@ -224,5 +222,5 @@ def test_dsl_can_fix_an_ambiguous_matrix():
     s = np.array([[0.90, 0.91], [0.20, 0.99]])
     raw = SimilarityMatrix(s)
     fixed = dsl(raw)
-    assert recall_at_k(raw, 1) == 0.5
-    assert recall_at_k(fixed, 1) == 1.0
+    assert metrics_report(raw, "video->text").r_at[1] == 0.5
+    assert metrics_report(fixed, "video->text").r_at[1] == 1.0

@@ -1,5 +1,6 @@
 """Engine tests: forward oracles, broadcast rules, and gradient checks."""
 
+import inspect
 import threading
 
 import numpy as np
@@ -193,14 +194,33 @@ def test_fd_check_rejects_bad_eps():
         fd_check(lambda s: T.tsum(s["p"]), store, eps=1e-2)
 
 
-def test_registered_ops_match_central_differences():
-    # every differentiable op exercised at random points, 1e-4 relative
+def _node_ops():
+    """Every function in ``tensor.py`` that builds a tape node through ``_make``."""
+    return {
+        name for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__
+        and "_make" in fn.__code__.co_names
+    }
+
+
+def test_registered_ops_match_central_differences(monkeypatch):
+    # every node-building op exercised at random points, 1e-4 relative;
+    # value_override is covered by the whole-model nearest-warp FD check
+    made = set()
+    make = T._make
+
+    def recording_make(data, parents, backward_fn):
+        made.add(backward_fn.__qualname__.partition(".")[0])
+        return make(data, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_make", recording_make)
     rng = rng_for(3, "ops")
 
     def build(s):
         a, b, c = s["a"], s["b"], s["c"]
         h = T.matmul(a, b)
-        h = T.softmax(h, axis=1) + T.tanh(h) * 0.3
+        row = T.broadcast_to(T.swapaxes(h, 0, 1)[:, 1], (3, 4))  # row 1 of h, repeated
+        h = T.softmax(h, axis=1) + row / (c * c + 1.0) - h * 0.3
         h = T.gelu(h) + T.exp(c * 0.1) - T.log(c * c + 1.5)
         h = T.layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         h = T.concat([h, h * c], axis=0)
@@ -218,6 +238,7 @@ def test_registered_ops_match_central_differences():
         store.add("c", Tensor(rng.normal(size=(3, 4)) + 3.0))
         worst = max(worst, fd_check(build, store, eps=1e-5))
     assert worst < 1e-4
+    assert made == _node_ops() - {"value_override"}
 
 
 def test_getitem_fancy_grad_scatter():
@@ -334,7 +355,7 @@ def test_param_store_order_and_counts():
     store.add("a/y", Tensor(np.zeros(3)), frozen=True)
     store.add("a/b", Tensor(np.zeros(5)))
     assert store.names() == ["a/b", "a/y", "b/x"]
-    assert store.trainable_count + store.frozen_count == len(store)
+    assert store.trainable_count == 2 and len(store) == 3
     assert store.num_elements(trainable=True) == 7
     assert store.num_elements(prefix="a/") == 8
     store.freeze("a/")

@@ -1,5 +1,6 @@
 """Training-loop and checkpoint tests."""
 
+import hashlib
 import os
 import sys
 import threading
@@ -8,7 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvadapt.checkpoint import load_checkpoint, load_model, restore_model, save_checkpoint
+from tvadapt.checkpoint import (
+    DIGEST_SIZE,
+    load_checkpoint,
+    load_model,
+    restore_model,
+    save_checkpoint,
+)
 from tvadapt.cli import main
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
@@ -68,7 +75,7 @@ def test_training_is_bitwise_deterministic():
 
 def test_backbone_bytes_unchanged_by_training():
     model, _, _ = train(CFG, DATA, eval_each_epoch=False)
-    assert model.backbone_hash() == AdapterModel(CFG).backbone_hash()
+    assert model.store.hash_bytes("backbone/") == AdapterModel(CFG).store.hash_bytes("backbone/")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -96,10 +103,10 @@ def test_adam_moves_only_trainable():
     loss = model.batch_loss(DATA.videos, DATA.tokens, sel_key=("train", 0))
     model.store.zero_grad()
     loss.backward()
-    before_frozen = model.backbone_hash()
+    before_frozen = model.store.hash_bytes("backbone/")
     before_proj = model.proj_w.data.copy()
     Adam().step(model.store, 1e-2)
-    assert model.backbone_hash() == before_frozen
+    assert model.store.hash_bytes("backbone/") == before_frozen
     assert not np.allclose(model.proj_w.data, before_proj)
 
 
@@ -172,6 +179,26 @@ def test_truncated_or_padded_checkpoint_is_a_version_error(tmp_path, capsys):
         load_checkpoint(str(padded))
 
 
+def test_flipped_payload_bit_is_a_version_error(tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), AdapterModel(CFG))
+    blob = good.read_bytes()
+    name = b"adapter/proj/w"
+    payload = blob.index(name) + len(name) + 2 + 4 * 2  # flag, ndim, two u32 dims
+    cfg_byte = 12 + 3
+    for offset, bit in ((cfg_byte, 0), (blob.index(name), 1), (payload, 0), (payload + 8, 7),
+                        (len(blob) - DIGEST_SIZE - 1, 3), (len(blob) - 1, 5)):
+        flipped = bytearray(blob)
+        flipped[offset] ^= 1 << bit
+        path = tmp_path / f"flip{offset}.ckpt"
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(VersionError, match="digest"):
+            load_checkpoint(str(path))
+        assert main(["eval", "--ckpt", str(path)]) == 1, offset
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, offset
+
+
 def test_flipped_frozen_flag_is_rejected(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), AdapterModel(CFG))
@@ -180,6 +207,8 @@ def test_flipped_frozen_flag_is_rejected(tmp_path, capsys):
     flag = blob.index(name) + len(name)
     assert blob[flag] == 1
     blob[flag] = 0
+    # re-seal the digest so the load reaches restore_model's frozen-flag check
+    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
     path.write_bytes(bytes(blob))
     ckpt = load_checkpoint(str(path))
     assert ckpt.params[name.decode()][1] is False
