@@ -29,8 +29,10 @@ from .exceptions import (
 )
 from .train import evaluate_model, train
 
+# OSError covers a missing path, a directory given for a file and an
+# unreadable or unwritable file
 _VALIDATION_ERRORS = (ConfigError, InputError, VersionError, ContractError,
-                      DimensionError, ConsistencyError, FileNotFoundError)
+                      DimensionError, ConsistencyError, OSError)
 
 
 def _load_config(path):

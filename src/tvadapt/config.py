@@ -183,8 +183,12 @@ def loads(text):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 text: byte {err.start} cannot be decoded")
+    return loads(text)
 
 
 def dumps(config):

@@ -11,6 +11,14 @@ with ``requires_grad``, e.g. trainable parameters) keep ``grad`` and
 accumulate across graphs. Frozen tensors (``requires_grad`` False) never
 receive a grad array and are skipped by the tape.
 
+The three elementwise-heavy block ops are one tape node each, bitwise
+equal to the composites of primitive ops they stand for, and keep for
+backward only what cannot be recomputed bit for bit from their inputs:
+``linear`` (``x @ w + b``) keeps nothing beyond its inputs; ``gelu``
+keeps ``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean
+and standard deviation. Backward recomputes the rest (Chen et al.,
+2016, "Training Deep Nets with Sublinear Memory Cost").
+
 Also hosts the deterministic counter-based RNG helper, the named
 parameter store, and the central-difference gradient checker used as the
 independent oracle for every differentiable path in the package.
@@ -27,6 +35,7 @@ from scipy.special import erf as _erf
 from .exceptions import ContractError, DimensionError, NumericError
 
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 
 # per context, so each thread has its own grad mode
 _grad_enabled = contextvars.ContextVar("tvadapt_grad_enabled", default=True)
@@ -306,23 +315,11 @@ def sqrt(a):
     return _make(data, (a,), _bw)
 
 
-def erf(a):
-    a = astensor(a)
-    data = _erf(a.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * 2.0 * _INV_SQRT_PI * np.exp(-a.data * a.data))
-
-    return _make(data, (a,), _bw)
-
-
 # -- contraction and reduction ------------------------------------------
 
 
-def matmul(a, b):
-    """Batched matrix product; leading axes broadcast, last two contract."""
-    a, b = astensor(a), astensor(b)
+def _matmul_data(a, b):
+    """Batched product of two Tensors' data; leading axes broadcast."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
             f"matmul needs >=2-D operands, got {a.shape} and {b.shape}"
@@ -332,19 +329,30 @@ def matmul(a, b):
             f"matmul: contracted axes differ for shapes {a.shape} and {b.shape}"
         )
     try:
-        data = np.matmul(a.data, b.data)
+        return np.matmul(a.data, b.data)
     except ValueError:
         raise DimensionError(
             f"matmul: batch axes do not broadcast for {a.shape} and {b.shape}"
         )
 
+
+def _matmul_grads(a, b, g):
+    """Scatter the adjoint ``g`` of ``a @ b`` into ``a``, then ``b``."""
+    if a.requires_grad:
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        a._accumulate(_unbroadcast(ga, a.data.shape))
+    if b.requires_grad:
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        b._accumulate(_unbroadcast(gb, b.data.shape))
+
+
+def matmul(a, b):
+    """Batched matrix product; leading axes broadcast, last two contract."""
+    a, b = astensor(a), astensor(b)
+    data = _matmul_data(a, b)
+
     def _bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        _matmul_grads(a, b, g)
 
     return _make(data, (a, b), _bw)
 
@@ -564,22 +572,115 @@ def l2_normalize(a, axis=-1):
     return a / norm
 
 
-def linear(x, w, b=None):
-    out = matmul(x, w)
-    return out if b is None else out + b
+# -- fused block ops -------------------------------------------------------
+# One tape node each, bitwise equal to the composite of the ops above it
+# replaces: forward repeats the composite's elementwise steps in place,
+# backward its per-element arithmetic and the order in which each input's
+# gradient sums its contributions; parents are listed so that
+# ``backward`` visits them in the composite's order.
+
+
+def linear(x, w, b):
+    """``x @ w + b`` with the bias added in place on the product."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    data = _matmul_data(x, w)
+    try:
+        data += b.data
+    except ValueError:
+        raise DimensionError(f"linear: bias {b.shape} does not broadcast to {data.shape}")
+
+    def _bw(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+        _matmul_grads(x, w, g)
+
+    return _make(data, (x, w, b), _bw)
 
 
 def gelu(x):
-    """Exact Gaussian-error GELU (smooth, so central differences apply)."""
+    """Exact Gaussian-error GELU 0.5 x (erf(x / sqrt 2) + 1).
+
+    Smooth, so central differences apply. Keeps erf(x / sqrt 2) + 1 for
+    backward and recomputes 0.5 x and x / sqrt 2 from the input.
+    """
     x = astensor(x)
-    return 0.5 * x * (erf(x * (1.0 / np.sqrt(2.0))) + 1.0)
+    s = x.data * _INV_SQRT_2
+    _erf(s, out=s)
+    s += 1.0
+    data = 0.5 * x.data
+    data *= s
+
+    def _bw(g):
+        # the composite's two paths to x: ga (through 0.5 x) reaches x before
+        # gb (through erf)
+        ga = g * s
+        ga *= 0.5
+        x._accumulate(ga)
+        gb = g * (0.5 * x.data)
+        gb *= 2.0
+        gb *= _INV_SQRT_PI
+        e = x.data * _INV_SQRT_2
+        e *= -e
+        np.exp(e, out=e)
+        gb *= e
+        gb *= _INV_SQRT_2
+        x._accumulate(gb)
+
+    return _make(data, (x,), _bw)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = mean(centered * centered, axis=-1, keepdims=True)
-    return gain * (centered / sqrt(var + eps)) + bias
+    """gain * (x - mean) / sqrt(var + eps) + bias over the last axis.
+
+    Keeps the per-row mean and standard deviation for backward and
+    recomputes the centred input from ``x``.
+    """
+    x, gain, bias = astensor(x), astensor(gain), astensor(bias)
+    inv_n = 1.0 / float(x.data.shape[-1])
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu *= inv_n
+    data = x.data - mu
+    sd = (data * data).sum(axis=-1, keepdims=True)
+    sd *= inv_n
+    sd += eps
+    np.sqrt(sd, out=sd)
+    data /= sd
+    try:
+        data *= gain.data
+        data += bias.data
+    except ValueError:
+        raise DimensionError(f"layer_norm: gain {gain.shape} or bias {bias.shape} "
+                             f"does not broadcast to {data.shape}")
+
+    def _bw(g):
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        c = x.data - mu
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * (c / sd), gain.data.shape))
+        if not x.requires_grad:
+            return
+        gn = g * gain.data
+        # variance path, down to the adjoint of the row sum of c * c
+        gs = -gn
+        gs *= c
+        gs /= sd * sd
+        gs = _unbroadcast(gs, sd.shape)
+        gs *= 0.5
+        gs /= sd
+        gs *= inv_n
+        t = gs * c
+        # centred path: gn / sd, then both factors of c * c, in c's buffer
+        gc = np.divide(gn, sd, out=c)
+        gc += t
+        gc += t
+        x._accumulate(gc)
+        # mean path, a second call: a held gradient r must become (r + a) + b
+        gm = _unbroadcast(np.negative(gc, out=gc), mu.shape)
+        gm *= inv_n
+        x._accumulate(np.broadcast_to(gm, x.data.shape))
+
+    return _make(data, (gain, x, bias), _bw)
 
 
 # -- parameter store -----------------------------------------------------

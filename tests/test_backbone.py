@@ -157,6 +157,29 @@ def test_block_matches_dense_reference():
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
+def _taped_nodes(out):
+    """Number of tape nodes ``backward`` would run from ``out``."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_vanilla_block_records_one_node_per_fused_op():
+    # two layer_norms, one gelu and six biased linears are one node each,
+    # 24 nodes in all with the 13 of attention_core and the 2 residual
+    # adds; split back into their composites they record 54
+    from tvadapt.backbone import vanilla_attention
+
+    store = make_store()
+    x = Tensor(rng_for(5, "tape").normal(size=(3, 5, 8)), requires_grad=True)
+    out = vit_block(x, store, "backbone/visual/block1", VCFG.heads, vanilla_attention)
+    assert _taped_nodes(out) == 24
+
+
 # -- encode_video ------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from tvadapt.cli import main
 from tvadapt.counting import count_params
 from tvadapt.data import generate_dataset
 from tvadapt.diagnostics import attention_similarity_map, export_diagnostics
-from tvadapt.exceptions import ConsistencyError
+from tvadapt.exceptions import ConfigError, ConsistencyError
 from tvadapt.model import AdapterModel
 from tvadapt.tensor import no_grad
 
@@ -61,6 +61,24 @@ def test_cli_validation_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--config", bad, "--out", os.path.join(tmp_path, "x.ckpt")]) == 1
     assert "unknown config key" in capsys.readouterr().err
     assert main(["eval", "--ckpt", os.path.join(tmp_path, "missing.ckpt")]) == 1
+
+
+def test_cli_directory_for_a_file_exits_1(tmp_path, capsys):
+    assert main(["eval", "--ckpt", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["count-params", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = os.path.join(tmp_path, "latin1.cfg")
+    with open(bad, "wb") as fh:
+        fh.write("seed = 1  # caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="UTF-8"):
+        cm.load(bad)
+    assert main(["count-params", "--config", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
 
 
 def test_cli_numeric_failure_exits_2(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,10 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import special
 
 from tvadapt import tensor as T
+from tvadapt.backbone import TextConfig, VisualConfig, init_backbone, vanilla_attention, vit_block
 from tvadapt.exceptions import ContractError, DimensionError, NumericError
 from tvadapt.tensor import ParamStore, Tensor, fd_check, no_grad, rng_for
 
@@ -204,8 +206,10 @@ def _node_ops():
 
 
 def test_registered_ops_match_central_differences(monkeypatch):
-    # every node-building op exercised at random points, 1e-4 relative;
-    # value_override is covered by the whole-model nearest-warp FD check
+    # every node-building op exercised at random points, 1e-4 relative,
+    # the fused block ops with every input trainable (the model only
+    # reaches them with frozen weights); value_override is covered by the
+    # whole-model nearest-warp FD check
     made = set()
     make = T._make
 
@@ -221,8 +225,9 @@ def test_registered_ops_match_central_differences(monkeypatch):
         h = T.matmul(a, b)
         row = T.broadcast_to(T.swapaxes(h, 0, 1)[:, 1], (3, 4))  # row 1 of h, repeated
         h = T.softmax(h, axis=1) + row / (c * c + 1.0) - h * 0.3
+        h = T.linear(h, s["w"], s["wb"])
         h = T.gelu(h) + T.exp(c * 0.1) - T.log(c * c + 1.5)
-        h = T.layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        h = T.layer_norm(h, s["gain"], s["bias"])
         h = T.concat([h, h * c], axis=0)
         h = T.take(h, [1, 0, 1], axis=0)
         h = T.clip(h, -0.75, 0.75)
@@ -236,6 +241,10 @@ def test_registered_ops_match_central_differences(monkeypatch):
         store.add("a", Tensor(rng.normal(size=(3, 5))))
         store.add("b", Tensor(rng.normal(size=(5, 4))))
         store.add("c", Tensor(rng.normal(size=(3, 4)) + 3.0))
+        store.add("w", Tensor(rng.normal(size=(4, 4)) * 0.5))
+        store.add("wb", Tensor(rng.normal(size=4)))
+        store.add("gain", Tensor(rng.normal(size=4) + 1.0))
+        store.add("bias", Tensor(rng.normal(size=4)))
         worst = max(worst, fd_check(build, store, eps=1e-5))
     assert worst < 1e-4
     assert made == _node_ops() - {"value_override"}
@@ -347,6 +356,152 @@ def test_take_grad_bitwise_matches_add_at_oracle():
         moved = np.moveaxis(g * 1.0, range(ax, ax + np.ndim(idx)), range(np.ndim(idx)))
         np.add.at(np.moveaxis(want, ax, 0), idx, moved)
         np.testing.assert_array_equal(_bits(p.grad), _bits(want))
+
+
+# -- fused block ops against the tape composites they replace ---------------
+
+
+def _erf_node(a):
+    """The erf tape node the composite GELU was built on."""
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(g * 2.0 * (1.0 / np.sqrt(np.pi)) * np.exp(-a.data * a.data))
+
+    return T._make(special.erf(a.data), (a,), _bw)
+
+
+def _linear_composite(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def _gelu_composite(x):
+    return 0.5 * x * (_erf_node(x * (1.0 / np.sqrt(2.0))) + 1.0)
+
+
+def _layer_norm_composite(x, gain, bias, eps=1e-5):
+    mu = T.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.mean(centered * centered, axis=-1, keepdims=True)
+    return gain * (centered / T.sqrt(var + eps)) + bias
+
+
+def _with_signed_zeros(a, seed):
+    a = np.array(a)
+    flat = a.reshape(-1)
+    picks = rng_for(seed, "zeros").permutation(flat.size)[: max(2, flat.size // 5)]
+    flat[picks[0::2]] = 0.0
+    flat[picks[1::2]] = -0.0
+    return a
+
+
+def _assert_fused_matches_composite(fused, composite, arrays, seed):
+    """Output and every input's gradient, bit for bit, under a signed adjoint."""
+    runs = []
+    for fn in (fused, composite):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*inputs)
+        T.tsum(out * Tensor(_signed_adjoint(out.shape, seed))).backward()
+        runs.append((out.data, [t.grad for t in inputs]))
+    (out_f, grads_f), (out_c, grads_c) = runs
+    np.testing.assert_array_equal(_bits(out_f), _bits(out_c))
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape
+        np.testing.assert_array_equal(_bits(gf), _bits(gc))
+
+
+def _random_shapes(tag):
+    rng = rng_for(6, "fused-shapes", tag)
+    return [tuple(int(n) for n in rng.integers(1, 6, size=ndim)) for ndim in (2, 3, 4, 5, 3, 2)]
+
+
+def test_fused_linear_bitwise_matches_matmul_plus_bias():
+    for n, shape in enumerate(_random_shapes("linear")):
+        rng = rng_for(n, "fused-linear")
+        k, m = shape[-1], int(rng.integers(1, 7))
+        x = _with_signed_zeros(rng.normal(size=shape), n)
+        w = _with_signed_zeros(rng.normal(size=(k, m)), n + 50)
+        b = rng.normal(size=m)
+        _assert_fused_matches_composite(T.linear, _linear_composite, [x, w, b], n)
+    # a batched weight that broadcasts against the leading axes of x
+    rng = rng_for(9, "fused-linear")
+    arrays = [rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=2)]
+    _assert_fused_matches_composite(T.linear, _linear_composite, arrays, 9)
+
+
+def test_fused_gelu_bitwise_matches_erf_composite():
+    for n, shape in enumerate(_random_shapes("gelu")):
+        x = _with_signed_zeros(rng_for(n, "fused-gelu").normal(size=shape) * 2.0, n)
+        _assert_fused_matches_composite(T.gelu, _gelu_composite, [x], n)
+
+
+def test_fused_layer_norm_bitwise_matches_mean_var_composite():
+    for n, shape in enumerate(_random_shapes("layer_norm")):
+        rng = rng_for(n, "fused-ln")
+        x = _with_signed_zeros(rng.normal(size=shape) * 3.0 + 1.0, n)
+        gain = _with_signed_zeros(rng.normal(size=shape[-1:]) + 1.0, n + 50)
+        bias = rng.normal(size=shape[-1:])
+        _assert_fused_matches_composite(T.layer_norm, _layer_norm_composite,
+                                        [x, gain, bias], n)
+    # a constant row (zero variance) and a transposed, non-contiguous input
+    rng = rng_for(7, "fused-ln")
+    x = rng.normal(size=(4, 3, 6))
+    x[1, 2] = -0.0
+    arrays = [np.swapaxes(x, 0, 1), rng.normal(size=6) + 1.0, rng.normal(size=6)]
+    _assert_fused_matches_composite(T.layer_norm, _layer_norm_composite, arrays, 7)
+
+
+def test_fused_ops_bitwise_in_a_residual_topology():
+    # the residual adjoint reaches x before both layer_norm paths do (and
+    # y before both gelu paths), and (r + a) + b differs from r + (a + b):
+    # a fused node that merged its two contributions would round differently
+    def block(ln, gelu):
+        def fn(x, g1, b1, g2, b2):
+            y = x + gelu(ln(x, g1, b1))
+            return ln(y + gelu(y), g2, b2)
+        return fn
+
+    for n, shape in enumerate(_random_shapes("residual")):
+        rng = rng_for(n, "fused-residual")
+        d = shape[-1:]
+        arrays = [_with_signed_zeros(rng.normal(size=shape) * 2.0, n),
+                  rng.normal(size=d) + 1.0, rng.normal(size=d),
+                  rng.normal(size=d) + 1.0, rng.normal(size=d)]
+        _assert_fused_matches_composite(block(T.layer_norm, T.gelu),
+                                        block(_layer_norm_composite, _gelu_composite),
+                                        arrays, n)
+
+
+def test_fused_ops_bitwise_in_a_vit_block(monkeypatch):
+    # h feeds three linears and x two residual adds: the fused nodes must
+    # hand shared inputs their contributions in the composites' order
+    vcfg = VisualConfig(layers=1, dim=8, heads=2, patch=2, frame_h=4, frame_w=4, frames=3)
+    tcfg = TextConfig(layers=1, dim=8, vocab=16, max_words=4, heads=2)
+    prefix = "backbone/visual/block1"
+    rng = rng_for(8, "fused-block")
+    x0 = _with_signed_zeros(rng.normal(size=(2, 3, 5, 8)), 8)
+    adjoint = _signed_adjoint(x0.shape, 8)
+
+    def run():
+        store = ParamStore()
+        init_backbone(store, vcfg, tcfg, 0)
+        params = [t for name, t in store.items() if name.startswith(prefix)]
+        noise = rng_for(9, "fused-block-params")
+        for t in params:
+            t.data = t.data + 0.3 * noise.normal(size=t.shape)
+            t.requires_grad = True
+        x = Tensor(x0, requires_grad=True)
+        out = vit_block(x, store, prefix, vcfg.heads, vanilla_attention)
+        T.tsum(out * Tensor(adjoint)).backward()
+        return [out.data, x.grad] + [t.grad for t in params]
+
+    fused = run()
+    monkeypatch.setattr(T, "linear", _linear_composite)
+    monkeypatch.setattr(T, "gelu", _gelu_composite)
+    monkeypatch.setattr(T, "layer_norm", _layer_norm_composite)
+    composite = run()
+    assert len(fused) == 18
+    for got, want in zip(fused, composite):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_param_store_order_and_counts():
