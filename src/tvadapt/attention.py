@@ -9,10 +9,15 @@ layer. Fractional positions are bilinearly interpolated over the
 which keeps the offsets trainable by gradient descent; exact integer
 positions reduce to direct indexing, so zero offsets reproduce vanilla
 attention bitwise. Unselected patches pass through untouched.
+
+The warp of K and V is one tape node over a per-axis sampling plan,
+bitwise equal to the chain of gather, blend and select ops it replaces
+(see ``warp_kv`` for the summation order its backward repeats).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -36,6 +41,9 @@ class WarpAxes(str, Enum):
     BOTH = "both"
     TEMPORAL_ONLY = "temporal"
     SPATIAL_ONLY = "spatial"
+
+
+WARP_INTERPS = ("bilinear", "nearest")
 
 
 class OffsetParams:
@@ -105,24 +113,48 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
     return mask
 
 
-def _axis_coords(offset_vec, size, enabled):
-    """Clamped sample coordinates along one axis plus interpolation pieces.
+# Sampling plan along one grid axis, broadcasting over it: slot i blends rows
+# lo[i] and hi[i] by frac[i], or takes row lo[i] where exact[i]; nearest[i] is
+# the snapped row; inside is the in-grid mask the clamp passes gradient
+# through, None if the offset takes none.
+_AxisPlan = namedtuple("_AxisPlan", "lo hi frac exact nearest inside")
 
-    Returns (lo_idx, hi_idx, frac Tensor, exact_mask) where the warped
-    field at slot i is (1-frac) * field[lo] + frac * field[hi], and
-    exact_mask marks integer coordinates that must reduce to direct
-    indexing (no interpolation arithmetic at all).
-    """
-    base = np.arange(size, dtype=np.float64)
-    if enabled:
-        coords = T.clip(Tensor(base) + T.reshape(offset_vec, (size,)), 0.0, float(size - 1))
-    else:
-        coords = Tensor(base)
-    lo = np.floor(coords.data).astype(np.intp)
-    hi = np.minimum(lo + 1, size - 1)
-    frac = coords - Tensor(lo.astype(np.float64))
-    exact = coords.data == lo
-    return lo, hi, frac, exact
+
+def _axis_plan(offset, size, enabled, axis):
+    coords = np.arange(size, dtype=np.float64) + (offset.data.reshape(size) if enabled else 0.0)
+    inside = (coords >= 0.0) & (coords <= size - 1)
+    nearest = np.clip(np.rint(coords), 0, size - 1).astype(np.intp)
+    coords = np.clip(coords, 0.0, float(size - 1))
+    lo = np.floor(coords).astype(np.intp)
+    trailing = (size,) + (1,) * (-1 - axis)
+    inside = inside.reshape(offset.shape) if enabled and offset.requires_grad else None
+    return _AxisPlan(lo, np.minimum(lo + 1, size - 1), (coords - lo).reshape(trailing),
+                     (coords == lo).reshape(trailing), nearest, inside)
+
+
+def _blend(field, plan, axis):
+    """The rows at ``lo`` and ``hi`` along ``axis`` and their blend."""
+    a, b = np.take(field, plan.lo, axis=axis), np.take(field, plan.hi, axis=axis)
+    return a, b, np.where(plan.exact, a, (1.0 - plan.frac) * a + plan.frac * b)
+
+
+def _blend_grad(g, a, b, plan, terms):
+    """Adjoints of ``_blend``'s two rows; frac terms (1 - frac, then frac) go to ``terms``."""
+    g_mix = g * ~plan.exact
+    g_lo = g * plan.exact + g_mix * (1.0 - plan.frac)
+    if plan.inside is not None:
+        terms.append(-T._unbroadcast(g_mix * a, plan.frac.shape))
+        terms.append(T._unbroadcast(g_mix * b, plan.frac.shape))
+    return g_lo, g_mix * plan.frac
+
+
+def _scatter(g, idx, axis, shape):
+    """Adjoint of a gather at ``idx``: one slice add per index, in index order."""
+    out = np.zeros(shape)
+    dst, src = np.moveaxis(out, axis, 0), np.moveaxis(g, axis, 0)
+    for i, j in enumerate(idx):
+        dst[j] += src[i]
+    return out
 
 
 def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
@@ -134,40 +166,48 @@ def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
     clamped to the grid; rows outside the selection pass through
     bitwise. ``interp="nearest"`` snaps the value to the nearest grid
     point while keeping the bilinear gradient (straight-through).
+
+    One tape node with parents (k, v, gamma, delta) yields K-hat and V-hat
+    stacked. Its backward repeats the arithmetic and summation order of
+    the composite of primitive ops it replaces: K fully, then V; per
+    field the frame stage, then the patch stage; each field sums its
+    unselected rows, then the scatter to its ``lo`` rows, then to its
+    ``hi`` rows; each offset sums its four blend terms (K through
+    1 - frac, K through frac, V likewise), masked by the in-grid mask.
     """
-    axes = WarpAxes(axes)
+    k, v, axes = T.astensor(k), T.astensor(v), WarpAxes(axes)
+    if interp not in WARP_INTERPS:
+        raise ConfigError(f"unknown warp interpolation {interp!r}")
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_lo, n_hi, n_frac, n_exact = _axis_coords(
-        offsets.gamma, n_n, axes is not WarpAxes.TEMPORAL_ONLY
-    )
-    t_lo, t_hi, t_frac, t_exact = _axis_coords(
-        offsets.delta, t_n, axes is not WarpAxes.SPATIAL_ONLY
-    )
-    fn = T.reshape(n_frac, (n_n, 1))
-    ft = T.reshape(t_frac, (t_n, 1, 1))
-
-    def bilinear(field):
-        g0 = T.take(field, n_lo, axis=-2)
-        g1 = T.take(field, n_hi, axis=-2)
-        stage_n = T.where_const(n_exact[:, None], g0, (1.0 - fn) * g0 + fn * g1)
-        h0 = T.take(stage_n, t_lo, axis=-3)
-        h1 = T.take(stage_n, t_hi, axis=-3)
-        return T.where_const(t_exact[:, None, None], h0, (1.0 - ft) * h0 + ft * h1)
-
-    def nearest(field):
-        gamma = offsets.gamma.data.reshape(-1) if axes is not WarpAxes.TEMPORAL_ONLY else 0.0
-        delta = offsets.delta.data.reshape(-1) if axes is not WarpAxes.SPATIAL_ONLY else 0.0
-        n_idx = np.clip(np.rint(np.arange(n_n) + gamma), 0, n_n - 1).astype(np.intp)
-        t_idx = np.clip(np.rint(np.arange(t_n) + delta), 0, t_n - 1).astype(np.intp)
-        snapped = np.take(np.take(field.data, n_idx, axis=-2), t_idx, axis=-3)
-        # forward takes the snapped value, gradients take the bilinear path
-        return T.value_override(bilinear(field), snapped)
-
-    warp = bilinear if interp == "bilinear" else nearest
+    n_plan = _axis_plan(offsets.gamma, n_n, axes is not WarpAxes.TEMPORAL_ONLY, -2)
+    t_plan = _axis_plan(offsets.delta, t_n, axes is not WarpAxes.SPATIAL_ONLY, -3)
     mask = np.asarray(selection, dtype=bool)[..., None]
-    k_hat = T.where_const(mask, warp(k), k)
-    v_hat = T.where_const(mask, warp(v), v)
-    return k_hat, v_hat
+
+    def warp(field):
+        if interp == "nearest":
+            return np.take(np.take(field, n_plan.nearest, axis=-2), t_plan.nearest, axis=-3)
+        return _blend(_blend(field, n_plan, -2)[2], t_plan, -3)[2]
+
+    data = np.stack([np.where(mask, warp(f.data), f.data) for f in (k, v)])
+
+    def _bw(g):
+        n_terms, t_terms = [], []
+        for field, g_field in zip((k, v), g):
+            a, b, s = _blend(field.data, n_plan, -2)
+            g_lo, g_hi = _blend_grad(g_field * mask, *_blend(s, t_plan, -3)[:2], t_plan, t_terms)
+            g_s = _scatter(g_lo, t_plan.lo, -3, s.shape) + _scatter(g_hi, t_plan.hi, -3, s.shape)
+            g_lo, g_hi = _blend_grad(g_s, a, b, n_plan, n_terms)
+            if field.requires_grad:
+                field._accumulate(g_field * ~mask)
+                field._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
+                field._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
+        for offset, plan, terms in ((offsets.gamma, n_plan, n_terms),
+                                    (offsets.delta, t_plan, t_terms)):
+            if plan.inside is not None:  # the four terms sum left to right
+                offset._accumulate(sum(terms[1:], terms[0]).reshape(offset.shape) * plan.inside)
+
+    w = T._make(data, (k, v, offsets.gamma, offsets.delta), _bw)
+    return w[0], w[1]
 
 
 def asa_block_attention(x_in, q, k, v, heads, offsets, selection, axes=WarpAxes.BOTH,

@@ -32,15 +32,16 @@ class VisualConfig:
     channels: int = 3
 
     def __post_init__(self):
+        for field in ("layers", "dim", "heads", "patch", "frame_h", "frame_w", "frames",
+                      "channels"):
+            if getattr(self, field) < 1:
+                raise ConfigError(f"visual config field {field} must be positive")
         if self.frame_h % self.patch or self.frame_w % self.patch:
             raise ConfigError(
                 f"frame {self.frame_h}x{self.frame_w} not divisible by patch {self.patch}"
             )
         if self.dim % self.heads:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for field in ("layers", "dim", "heads", "patch", "frames", "channels"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"visual config field {field} must be positive")
 
     @property
     def patches(self):
@@ -57,8 +58,8 @@ class TextConfig:
     heads: int = 4
 
     def __post_init__(self):
-        if self.dim < 1 or self.vocab < 2:
-            raise ConfigError("text dim must be positive and vocab must exceed the EOS id")
+        if self.dim < 1 or self.heads < 1 or self.vocab < 2:
+            raise ConfigError("text dim and heads must be positive and vocab must exceed the EOS id")
         if self.dim % self.heads:
             raise ConfigError(f"text dim {self.dim} not divisible by heads {self.heads}")
 
@@ -261,7 +262,7 @@ def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
 
     q = tokens.shape[0]
     seq = np.concatenate([tokens, np.full((q, 1), tcfg.eos_id, dtype=np.intp)], axis=1)
-    x = T.take(store["backbone/text/embed"], seq, axis=0)
+    x = store["backbone/text/embed"][seq]
     x = x + store["backbone/text/pos"][: seq.shape[1], :]
 
     sentence_feats = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from .attention import SelectionMode, WarpAxes
+from .attention import WARP_INTERPS, SelectionMode, WarpAxes
 from .backbone import TextConfig, VisualConfig
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
@@ -98,7 +98,7 @@ class ExperimentConfig:
             )
         if not 0 <= self.top_k <= vcfg.patches:
             raise ConfigError(f"top_k {self.top_k} outside [0, N={vcfg.patches}]")
-        if self.warp_interp not in ("bilinear", "nearest"):
+        if self.warp_interp not in WARP_INTERPS:
             raise ConfigError(f"unknown warp_interp {self.warp_interp!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")

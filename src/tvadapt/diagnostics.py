@@ -70,8 +70,18 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
 def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
     """Write the modulation and similarity-map CSV bundle.
 
-    Returns the written file names (relative to ``out_dir``).
+    Returns the written file names (relative to ``out_dir``). The query
+    is checked before any file is written.
     """
+    if not 0 <= item < len(dataset):
+        raise ConfigError(f"item {item} outside [0, {len(dataset)})")
+    candidates = None
+    if model.config.asa:
+        with no_grad():
+            candidates = model.encode_texts(dataset.tokens).data
+    sim_map = attention_similarity_map(
+        model, dataset.videos[item], candidates=candidates, frame=frame, patch=patch
+    )
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -93,13 +103,6 @@ def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
                 np.linalg.svd(scale, compute_uv=False)[None, :],
             )
 
-    candidates = None
-    if model.config.asa:
-        with no_grad():
-            candidates = model.encode_texts(dataset.tokens).data
-    sim_map = attention_similarity_map(
-        model, dataset.videos[item], candidates=candidates, frame=frame, patch=patch
-    )
     save(f"patch_similarity_item{item}_frame{frame}_patch{patch}.csv", sim_map)
 
     manifest = {

@@ -489,80 +489,6 @@ def getitem(a, key):
     return _make(data, (a,), _bw)
 
 
-def take(a, indices, axis):
-    """Gather slices at integer ``indices`` along ``axis`` (repeats allowed)."""
-    a = astensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(a.data, idx, axis=axis)
-
-    def _bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ax = axis % a.data.ndim
-            dst = np.moveaxis(ga, ax, 0)
-            src = np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim))
-            src = src.reshape((idx.size,) + src.shape[idx.ndim:])
-            # one slice add per index position, in index order: each target
-            # sums its contributions in the same order as np.add.at
-            for i, j in enumerate(idx.reshape(-1)):
-                dst[j] += src[i]
-            a._accumulate(ga)
-
-    return _make(data, (a,), _bw)
-
-
-def where_const(mask, a, b):
-    """Select ``a`` where the constant boolean ``mask`` holds, else ``b``.
-
-    Pure selection: chosen entries pass through bitwise untouched, unlike
-    a mask-weighted sum which can perturb signed zeros.
-    """
-    a, b = astensor(a), astensor(b)
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, a.data, b.data)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * ~mask, b.data.shape))
-
-    return _make(data, (a, b), _bw)
-
-
-def value_override(a, data):
-    """Forward the given values while keeping ``a``'s gradient path.
-
-    Straight-through substitution: the output holds ``data`` exactly,
-    and the full adjoint flows to ``a`` unchanged.
-    """
-    a = astensor(a)
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape != a.data.shape:
-        raise DimensionError(
-            f"value_override: shapes differ, {data.shape} vs {a.data.shape}"
-        )
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return _make(data, (a,), _bw)
-
-
-def clip(a, lo, hi):
-    """Clamp to [lo, hi]; gradient passes inside the (inclusive) bounds."""
-    a = astensor(a)
-    data = np.clip(a.data, lo, hi)
-    passes = (a.data >= lo) & (a.data <= hi)
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * passes)
-
-    return _make(data, (a,), _bw)
-
-
 # -- small composites ----------------------------------------------------
 
 

@@ -247,20 +247,21 @@ def test_warp_unselected_rows_untouched():
 
 
 def test_warp_offset_gradients_pass_fd_at_safe_points():
-    # offsets placed strictly inside grid cells, away from clamps
+    # offsets placed strictly inside grid cells, away from clamps; the
+    # fields are trainable too
     store, off = make_offsets()
     rng = rng_for(13, "fdw")
     off.gamma.data[:] = rng.uniform(0.2, 0.45, size=(PATCHES, 1))
     off.gamma.data[-1, 0] = -0.3  # keep final patch interior
     off.delta.data[:] = rng.uniform(0.2, 0.45, size=(FRAMES, 1))
     off.delta.data[-1, 0] = -0.3
-    k = rng.normal(size=(FRAMES, PATCHES, DIM))
-    v = rng.normal(size=(FRAMES, PATCHES, DIM))
+    store.add("k", Tensor(rng.normal(size=(FRAMES, PATCHES, DIM))))
+    store.add("v", Tensor(rng.normal(size=(FRAMES, PATCHES, DIM))))
     mask = rng.random((FRAMES, PATCHES)) < 0.8
     probe = rng.normal(size=(FRAMES, PATCHES, DIM))
 
     def fn(s):
-        k_hat, v_hat = warp_kv(Tensor(k), Tensor(v), off, mask)
+        k_hat, v_hat = warp_kv(s["k"], s["v"], off, mask)
         return T.tsum(k_hat * Tensor(probe)) + T.tsum(v_hat * v_hat)
 
     assert fd_check(fn, store, eps=1e-5) < 1e-4
@@ -289,6 +290,154 @@ def test_warp_nearest_mode_snaps_with_live_gradient():
     np.testing.assert_array_equal(k_hat.data, k.data)  # 0.4 rounds to 0
     T.tsum(k_hat * k_hat).backward()
     assert off.gamma.grad is not None and np.abs(off.gamma.grad).max() > 0
+
+
+def test_warp_rejects_unknown_interpolation():
+    store, off = make_offsets()
+    k = Tensor(rng_for(21, "interp").normal(size=(FRAMES, PATCHES, DIM)))
+    mask = np.ones((FRAMES, PATCHES), bool)
+    for interp in ("Bilinear", "cubic", None):
+        with pytest.raises(ConfigError):
+            warp_kv(k, k, off, mask, interp=interp)
+
+
+# -- the warp node against the composite of tape ops it replaces ---------------
+
+
+def _take(a, idx, axis):
+    """Gather along ``axis``; backward adds one slice per index, in index order."""
+    def _bw(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            dst, src = np.moveaxis(ga, axis, 0), np.moveaxis(g, axis, 0)
+            for i, j in enumerate(idx):
+                dst[j] += src[i]
+            a._accumulate(ga)
+
+    return T._make(np.take(a.data, idx, axis=axis), (a,), _bw)
+
+
+def _where_const(mask, a, b):
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(T._unbroadcast(g * mask, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(T._unbroadcast(g * ~mask, b.data.shape))
+
+    return T._make(np.where(mask, a.data, b.data), (a, b), _bw)
+
+
+def _value_override(a, data):
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(g)
+
+    return T._make(data, (a,), _bw)
+
+
+def _clip(a, lo, hi):
+    passes = (a.data >= lo) & (a.data <= hi)
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(g * passes)
+
+    return T._make(np.clip(a.data, lo, hi), (a,), _bw)
+
+
+def _composite_axis(offset, size, enabled):
+    coords = Tensor(np.arange(size, dtype=np.float64))
+    if enabled:
+        coords = _clip(coords + T.reshape(offset, (size,)), 0.0, float(size - 1))
+    lo = np.floor(coords.data).astype(np.intp)
+    frac = coords - Tensor(lo.astype(np.float64))
+    return lo, np.minimum(lo + 1, size - 1), frac, coords.data == lo
+
+
+def composite_warp_kv(k, v, offsets, selection, axes, interp):
+    """The warp as a chain of primitive tape ops: the reference that the
+    one-node ``warp_kv`` must match bit for bit."""
+    t_n, n_n = k.shape[-3], k.shape[-2]
+    n_on, t_on = axes is not WarpAxes.TEMPORAL_ONLY, axes is not WarpAxes.SPATIAL_ONLY
+    n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n, n_on)
+    t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n, t_on)
+    fn = T.reshape(n_frac, (n_n, 1))
+    ft = T.reshape(t_frac, (t_n, 1, 1))
+
+    def bilinear(field):
+        g0, g1 = _take(field, n_lo, -2), _take(field, n_hi, -2)
+        stage_n = _where_const(n_exact[:, None], g0, (1.0 - fn) * g0 + fn * g1)
+        h0, h1 = _take(stage_n, t_lo, -3), _take(stage_n, t_hi, -3)
+        return _where_const(t_exact[:, None, None], h0, (1.0 - ft) * h0 + ft * h1)
+
+    def nearest(field):
+        gamma = offsets.gamma.data.reshape(-1) if n_on else 0.0
+        delta = offsets.delta.data.reshape(-1) if t_on else 0.0
+        n_idx = np.clip(np.rint(np.arange(n_n) + gamma), 0, n_n - 1).astype(np.intp)
+        t_idx = np.clip(np.rint(np.arange(t_n) + delta), 0, t_n - 1).astype(np.intp)
+        snapped = np.take(np.take(field.data, n_idx, axis=-2), t_idx, axis=-3)
+        return _value_override(bilinear(field), snapped)
+
+    warp = bilinear if interp == "bilinear" else nearest
+    mask = np.asarray(selection, dtype=bool)[..., None]
+    return _where_const(mask, warp(k), k), _where_const(mask, warp(v), v)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _warp_case(warp, fields, axes, interp, gamma, delta):
+    """Outputs and gradients of one warp under a loss with signed-zero adjoints.
+
+    ``fields``: "leaves" (K and V trainable leaves), "shared" (both built
+    from one upstream leaf, so the order K and V add into it shows) or
+    "frozen_k" (K without gradient, as at the first adapted layer).
+    """
+    rng = rng_for(22, "oracle")
+    store, off = make_offsets()
+    off.gamma.data[:] = gamma
+    off.delta.data[:] = delta
+    shape = (2, FRAMES, PATCHES, DIM)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = Tensor(rng.normal(size=shape), requires_grad=fields == "leaves")
+    v = Tensor(rng.normal(size=shape), requires_grad=fields == "leaves")
+    if fields == "shared":
+        k, v = x * 1.5, x * x
+    elif fields == "frozen_k":
+        v = x * 2.0
+    mask = rng.random((2, FRAMES, PATCHES)) < 0.6
+    p, q = rng.normal(size=shape), rng.normal(size=shape)
+    p[..., ::3] *= 0.0
+    q[..., 1::3] *= -0.0
+    k_hat, v_hat = warp(k, v, off, mask, axes, interp)
+    T.tsum(k_hat * Tensor(p) + v_hat * Tensor(q) + x * x).backward()
+    return [k_hat.data, v_hat.data, x.grad, off.gamma.grad, off.delta.grad, k.grad, v.grad]
+
+
+@pytest.mark.parametrize("interp", ["bilinear", "nearest"])
+@pytest.mark.parametrize("axes", list(WarpAxes))
+def test_warp_node_bitwise_matches_composite(axes, interp):
+    rng = rng_for(23, "oracle-offsets")
+    offsets = {
+        "zero": (np.zeros((PATCHES, 1)), np.zeros((FRAMES, 1))),
+        "integer": (rng.integers(-2, 3, size=(PATCHES, 1)).astype(float),
+                    rng.integers(-2, 3, size=(FRAMES, 1)).astype(float)),
+        "fractional": (rng.uniform(-0.9, 0.9, size=(PATCHES, 1)),
+                       rng.uniform(-0.9, 0.9, size=(FRAMES, 1))),
+        # most coordinates clamped, so scatters hit one edge row repeatedly
+        "beyond_grid": (rng.normal(size=(PATCHES, 1)) * 3.0,
+                        rng.normal(size=(FRAMES, 1)) * 3.0),
+    }
+    for name, (gamma, delta) in offsets.items():
+        for fields in ("leaves", "shared", "frozen_k"):
+            got = _warp_case(warp_kv, fields, axes, interp, gamma, delta)
+            want = _warp_case(composite_warp_kv, fields, axes, interp, gamma, delta)
+            for i, (a, b) in enumerate(zip(got, want)):
+                case = (name, fields, i)
+                assert (a is None) == (b is None), case
+                if a is not None:
+                    assert (_bits(a) == _bits(b)).all(), case
 
 
 # -- attention ------------------------------------------------------------------

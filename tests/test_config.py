@@ -3,6 +3,7 @@
 import pytest
 
 from tvadapt import config as cm
+from tvadapt.cli import main
 from tvadapt.exceptions import ConfigError
 
 
@@ -84,3 +85,13 @@ def test_vit_b32_shaped_preset_dimensions():
 def test_effective_data_seed():
     assert cm.toy_config(seed=3).effective_data_seed == 3
     assert cm.toy_config(seed=3, data_seed=11).effective_data_seed == 11
+
+
+@pytest.mark.parametrize("field", ["heads_v", "heads_t", "patch"])
+def test_zero_divisor_fields_rejected_before_divisibility_checks(field, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="positive"):
+        cm.loads(f"{field} = 0\n")
+    path = tmp_path / "zero.cfg"
+    path.write_text(f"{field} = 0\n")
+    assert main(["count-params", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

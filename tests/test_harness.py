@@ -9,6 +9,7 @@ import pytest
 from tvadapt import config as cm
 from tvadapt import diagnostics
 from tvadapt.ablation import SUITES, format_table, perfect_step, rows_to_json, run_suite
+from tvadapt.checkpoint import save_checkpoint
 from tvadapt.cli import main
 from tvadapt.counting import count_params
 from tvadapt.data import generate_dataset
@@ -216,6 +217,19 @@ def test_count_params_consistency_guard():
             count_params(cfg)
     finally:
         counting.closed_forms = original
+
+def test_cli_export_diag_rejects_bad_query_before_writing(tmp_path, capsys):
+    cfg = cm.toy_config(pairs=4)
+    ckpt = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(ckpt, AdapterModel(cfg), steps=0)
+    for flag, value in (("--item", "99"), ("--item", "-1"), ("--frame", "99"),
+                        ("--patch", "-1")):
+        out_dir = os.path.join(tmp_path, f"diag{flag}{value}")
+        argv = ["export-diag", "--ckpt", ckpt, "--out-dir", out_dir, flag, value]
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+        assert not os.path.exists(out_dir) or os.listdir(out_dir) == [], argv
+
 
 
 # -- diagnostics -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Engine tests: forward oracles, broadcast rules, and gradient checks."""
 
+import ast
 import inspect
+import pathlib
 import threading
 
 import numpy as np
@@ -208,8 +210,7 @@ def _node_ops():
 def test_registered_ops_match_central_differences(monkeypatch):
     # every node-building op exercised at random points, 1e-4 relative,
     # the fused block ops with every input trainable (the model only
-    # reaches them with frozen weights); value_override is covered by the
-    # whole-model nearest-warp FD check
+    # reaches them with frozen weights)
     made = set()
     make = T._make
 
@@ -229,9 +230,6 @@ def test_registered_ops_match_central_differences(monkeypatch):
         h = T.gelu(h) + T.exp(c * 0.1) - T.log(c * c + 1.5)
         h = T.layer_norm(h, s["gain"], s["bias"])
         h = T.concat([h, h * c], axis=0)
-        h = T.take(h, [1, 0, 1], axis=0)
-        h = T.clip(h, -0.75, 0.75)
-        h = T.where_const(np.arange(4) % 2 == 0, h, h * 2.0)
         h = T.l2_normalize(h, axis=-1)
         return T.tsum(h * h * h) + T.logsumexp(T.reshape(h, (-1,)), axis=0)
 
@@ -247,7 +245,46 @@ def test_registered_ops_match_central_differences(monkeypatch):
         store.add("bias", Tensor(rng.normal(size=4)))
         worst = max(worst, fd_check(build, store, eps=1e-5))
     assert worst < 1e-4
-    assert made == _node_ops() - {"value_override"}
+    assert made == _node_ops()
+
+
+def _tensor_calls(tree, local):
+    """(name, calling function) for each call of a ``tensor.py`` function.
+
+    Inside ``tensor.py`` (``local``) its functions are called by bare name;
+    elsewhere as ``T.name`` or by a name imported from ``.tensor``.
+    """
+    bare = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tensor" and node.level == 1:
+            bare |= {alias.asname or alias.name for alias in node.names}
+    calls = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if isinstance(func, ast.Name) and (local or func.id in bare):
+                calls.add((func.id, owner))
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "T":
+                calls.add((func.attr, owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return calls
+
+
+def test_every_node_op_has_a_caller_in_the_package():
+    # an op that loses its last caller in src/ is dead code and must go,
+    # together with its coverage entry
+    calls = set()
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= _tensor_calls(tree, local=path.name == "tensor.py")
+    uncalled = {op for op in _node_ops() if not any(n == op and o != op for n, o in calls)}
+    assert uncalled == set()
 
 
 def test_getitem_fancy_grad_scatter():
@@ -259,14 +296,6 @@ def test_getitem_fancy_grad_scatter():
     want[0, 2] = 1.0
     want[1, 0] = 2.0  # repeated index accumulates
     np.testing.assert_array_equal(p.grad, want)
-
-
-def test_take_repeated_indices_grad():
-    p = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.take(p, [2, 2, 0], axis=0)
-    assert out.shape == (3, 2)
-    T.tsum(out).backward()
-    np.testing.assert_array_equal(p.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
 def test_backward_releases_interior_nodes():
@@ -333,28 +362,6 @@ def test_getitem_grad_bitwise_matches_add_at_oracle():
         # the product's adjoint is g itself (times 1.0); add.at onto zeros
         want = np.zeros_like(x)
         np.add.at(want, key, g * 1.0)
-        np.testing.assert_array_equal(_bits(p.grad), _bits(want))
-
-
-def test_take_grad_bitwise_matches_add_at_oracle():
-    x = rng_for(5, "tk").normal(size=(16, 6, 4, 32))
-    cases = [
-        (np.array([0, 0, 1, 2]), -2),  # clamped: first index repeats
-        (np.array([1, 2, 3, 3]), -2),  # clamped at the top edge
-        (np.array([5, 0, 5, 2, 5, 1]), 1),
-        (np.array([[2, 0], [2, 2]]), 0),  # 2-D indices
-        (np.array([[1, 3, 1]]), -1),
-        (np.intp(3), 2),  # scalar index drops the axis
-    ]
-    for n, (idx, axis) in enumerate(cases):
-        p = Tensor(x, requires_grad=True)
-        out = T.take(p, idx, axis=axis)
-        g = _signed_adjoint(out.shape, 10 + n)
-        T.tsum(out * Tensor(g)).backward()
-        want = np.zeros_like(x)
-        ax = axis % x.ndim
-        moved = np.moveaxis(g * 1.0, range(ax, ax + np.ndim(idx)), range(np.ndim(idx)))
-        np.add.at(np.moveaxis(want, ax, 0), idx, moved)
         np.testing.assert_array_equal(_bits(p.grad), _bits(want))
 
 
