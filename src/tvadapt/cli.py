@@ -115,9 +115,11 @@ def _cmd_gen_data(args):
     if not np.isfinite(dataset.videos).all():
         raise NumericError("generated videos contain non-finite values")
     if args.out:
-        np.savez(args.out, videos=dataset.videos, tokens=dataset.tokens,
+        # np.savez appends ".npz" to a path that lacks it
+        path = args.out if args.out.endswith(".npz") else args.out + ".npz"
+        np.savez(path, videos=dataset.videos, tokens=dataset.tokens,
                  latents=dataset.latents, seed=dataset.seed)
-        print(f"dataset written to {args.out}")
+        print(f"dataset written to {path}")
     print(
         f"pairs={len(dataset)} video shape={dataset.videos.shape[1:]} "
         f"caption words={dataset.tokens.shape[1]} seed={args.seed}"

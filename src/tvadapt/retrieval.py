@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError, ContractError, NumericError
 from .tensor import Tensor
 
 
@@ -107,13 +107,17 @@ def rank_queries(sim, direction):
 
     video->text ranks the texts for each video row; text->video ranks
     the videos for each text column. Needs a bijective pairing, i.e. a
-    square matrix with one ground-truth column per row.
+    square matrix with one ground-truth column per row. Non-finite
+    scores raise ``NumericError``: a NaN compares false with everything,
+    so it would rank its ground truth first.
     """
     s = sim.scores
     if len(sim.video_to_text) != s.shape[0] or s.shape[0] != s.shape[1]:
         raise ContractError(
             f"ranking needs a square matrix with a full pairing, got {s.shape}"
         )
+    if not np.isfinite(s).all():
+        raise NumericError(f"non-finite similarity scores, cannot rank {direction}")
     if direction == "video->text":
         return _ranks(s, sim.video_to_text)
     if direction == "text->video":

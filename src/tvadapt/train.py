@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 
+from .attention import SelectionMode
 from .exceptions import ContractError, NumericError
 from .model import AdapterModel
-from .retrieval import SimilarityMatrix, dsl, metrics_report
+from .retrieval import SimilarityMatrix, contrastive_loss, dsl, metrics_report
 from .tensor import no_grad, rng_for
 
 
@@ -53,7 +54,12 @@ def evaluate_model(model, dataset, use_dsl=False, dsl_inv_temp=100.0, ks=(1, 5, 
     with no_grad():
         z = model.encode_texts(dataset.tokens)
         v = model.encode_videos(dataset.videos, candidates=z.data, sel_key=("eval",))
-    sim = SimilarityMatrix(v.data @ z.data.T)
+    return score_reports(v.data @ z.data.T, use_dsl, dsl_inv_temp, ks)
+
+
+def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0, ks=(1, 5, 10)):
+    """MetricsReports for both retrieval directions of a (V, Q) score matrix."""
+    sim = SimilarityMatrix(scores)
     reports = {
         "video->text": metrics_report(sim, "video->text", ks),
         "text->video": metrics_report(sim, "text->video", ks),
@@ -86,6 +92,17 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
     epoch with the mean loss and both retrieval reports. Deterministic
     for a fixed config: batch order, random selection, and init all key
     off config.seed.
+
+    When one batch holds every pair and patch selection is deterministic
+    (ASA off, or any selection but ``random``), the per-epoch evaluation
+    and the next step's forward score the same pairs at the same
+    parameters with the same selection. The evaluation then runs that
+    step's taped forward once, reads the epoch's reports off its scores
+    (bitwise those of ``evaluate_model``), and the step only adds the
+    loss. Otherwise, and after the last step, ``eval_each_epoch`` calls
+    ``evaluate_model`` as usual. ``progress`` receives each epoch's
+    entry; it may read the model but must not change its parameters,
+    because the carried-over scores were computed before it ran.
     """
     if model is None:
         model = AdapterModel(config)
@@ -99,6 +116,12 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
     history = []
     loss_log = []
     step = 0
+    # one full batch (order is arange(n)) and a selection drawn the same at
+    # train and eval keys: the epoch's evaluation is the next step's forward
+    reuse_forward = eval_each_epoch and batch >= n and not (
+        config.asa and config.selection == SelectionMode.RANDOM
+    )
+    carried = None  # the next step's taped scores, computed by the evaluation
     for epoch in range(1, config.epochs + 1):
         if step >= total_steps:
             break
@@ -110,10 +133,14 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
         for start in range(0, n, batch):
             if step >= total_steps:
                 break
-            idx = order[start : start + batch]
-            loss = model.batch_loss(
-                dataset.videos[idx], dataset.tokens[idx], sel_key=("train", step)
-            )
+            if carried is None:
+                idx = order[start : start + batch]
+                loss = model.batch_loss(
+                    dataset.videos[idx], dataset.tokens[idx], sel_key=("train", step)
+                )
+            else:
+                loss = contrastive_loss(carried, model.log_tau)
+                carried = None
             if not loss.requires_grad and model.store.trainable_count:
                 raise ContractError(
                     f"loss at step {step} carries no tape (called under no_grad?); "
@@ -130,7 +157,12 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
             opt.step(model.store, lr_at(step, total_steps, config.lr, config.warmup))
             step += 1
         entry = {"epoch": epoch, "steps": step, "loss": float(np.mean(epoch_losses))}
-        if eval_each_epoch:
+        if reuse_forward and step < total_steps:
+            carried, _, _ = model.batch_scores(
+                dataset.videos, dataset.tokens, sel_key=("train", step)
+            )
+            entry["reports"] = score_reports(carried.data)
+        elif eval_each_epoch:
             entry["reports"] = evaluate_model(model, dataset)
         history.append(entry)
         if progress is not None:

@@ -39,7 +39,8 @@ def test_cli_train_eval_roundtrip(tmp_path, capsys):
     assert main(["eval", "--ckpt", ckpt, "--dsl", "--json", json_path]) == 0
     out = capsys.readouterr().out
     assert "video->text" in out and "[dsl]" in out
-    payload = json.loads(open(json_path).read())
+    with open(json_path) as fh:
+        payload = json.load(fh)
     assert "video->text" in payload and "r@1" in payload["video->text"]
 
 
@@ -102,10 +103,14 @@ def test_cli_count_params_and_gen_data(tmp_path, capsys):
     assert main(["count-params"]) == 0
     out = capsys.readouterr().out
     assert "lorm_visual" in out and "fraction" in out
-    npz = os.path.join(tmp_path, "data.npz")
-    assert main(["gen-data", "--seed", "2", "--pairs", "4", "--out", npz]) == 0
-    blob = np.load(npz)
-    assert blob["videos"].shape[0] == 4 and blob["tokens"].shape[0] == 4
+    for out, written in (("data.npz", "data.npz"), ("bare", "bare.npz")):
+        path = os.path.join(tmp_path, out)
+        assert main(["gen-data", "--seed", "2", "--pairs", "4", "--out", path]) == 0
+        written = os.path.join(tmp_path, written)
+        assert f"dataset written to {written}\n" in capsys.readouterr().out
+        with np.load(written) as blob:
+            assert blob["videos"].shape[0] == 4 and blob["tokens"].shape[0] == 4
+    assert sorted(os.listdir(tmp_path)) == ["bare.npz", "data.npz"]
 
 
 def test_cli_export_diag(tmp_path, capsys):
@@ -125,7 +130,8 @@ def test_cli_ablate_writes_table_and_json(tmp_path, capsys):
     assert main(["ablate", "--suite", "warp", "--config", cfg_path, "--out", out_json]) == 0
     out = capsys.readouterr().out
     assert "temporal_only" in out and "spatial_only" in out
-    rows = json.loads(open(out_json).read())
+    with open(out_json) as fh:
+        rows = json.load(fh)
     assert len(rows) == 3
 
 

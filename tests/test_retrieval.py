@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvadapt import tensor as T
-from tvadapt.exceptions import ConfigError, ContractError
+from tvadapt.exceptions import ConfigError, ContractError, NumericError
 from tvadapt.retrieval import (
     MetricsReport,
     SimilarityMatrix,
@@ -188,6 +188,15 @@ def test_pessimistic_ties_count_against_ground_truth():
     rep = metrics_report(sim, "video->text")
     assert rep.r_at[1] == pytest.approx(1 / 3)
     assert rep.mdr == 2.0 and rep.mnr == pytest.approx(np.mean(ranks))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("direction", ["video->text", "text->video"])
+def test_non_finite_scores_raise_naming_the_direction(bad, direction):
+    scores = np.eye(4) + 0.01
+    scores[1, 2] = bad
+    with pytest.raises(NumericError, match=direction):
+        metrics_report(SimilarityMatrix(scores), direction)
 
 
 def test_metrics_report_shape():

@@ -1,6 +1,7 @@
 """Training-loop and checkpoint tests."""
 
 import hashlib
+import importlib
 import os
 import sys
 import threading
@@ -21,8 +22,11 @@ from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ContractError, NumericError, VersionError
 from tvadapt.model import AdapterModel
+from tvadapt.retrieval import metrics_report
 from tvadapt.tensor import no_grad, rng_for
 from tvadapt.train import Adam, evaluate_model, lr_at, train
+
+train_module = importlib.import_module("tvadapt.train")  # the package rebinds .train
 
 CFG = toy_config(pairs=6, batch_size=6, epochs=8, lr=1e-2)
 DATA = generate_dataset(CFG.seed, CFG.pairs, CFG)
@@ -110,12 +114,137 @@ def test_adam_moves_only_trainable():
     assert not np.allclose(model.proj_w.data, before_proj)
 
 
+def reference_train(config, dataset, model, max_steps=None, progress=None):
+    """The loop without forward reuse: each step runs its own forward, and
+    every epoch ends with a separate ``evaluate_model``."""
+    n = len(dataset)
+    batch = min(config.batch_size, n)
+    total = config.epochs * -(-n // batch)
+    if max_steps is not None:
+        total = min(total, max_steps)
+    opt, history, step = Adam(), [], 0
+    for epoch in range(1, config.epochs + 1):
+        if step >= total:
+            break
+        if batch >= n:
+            order = np.arange(n)
+        else:
+            order = rng_for(config.seed, "order", epoch).permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            if step >= total:
+                break
+            idx = order[start : start + batch]
+            loss = model.batch_loss(dataset.videos[idx], dataset.tokens[idx],
+                                    sel_key=("train", step))
+            losses.append(loss.item())
+            model.store.zero_grad()
+            loss.backward()
+            opt.step(model.store, lr_at(step, total, config.lr, config.warmup))
+            step += 1
+        entry = {"epoch": epoch, "steps": step, "loss": float(np.mean(losses)),
+                 "reports": evaluate_model(model, dataset)}
+        history.append(entry)
+        if progress is not None:
+            progress(entry)
+    return model, history, step
+
+
+class _Stop(Exception):
+    pass
+
+
+def run_summary(loop, config, max_steps=None, stop_at=None):
+    """Everything a training run hands back, as bits, for one loop, plus the
+    score matrix behind every report (R@K alone is too coarse to tell two
+    patch selections apart)."""
+    model = AdapterModel(config)
+    if config.asa:  # at zero offsets the warp is the identity and selection is moot
+        rng = rng_for(7, "offsets")
+        for offset in (model.offsets.gamma, model.offsets.delta):
+            offset.data[:] = rng.uniform(0.15, 0.45, size=offset.shape)
+    seen, ranked = [], []
+
+    def report(sim, direction, ks):
+        ranked.append((direction, sim.scores.tobytes()))
+        return metrics_report(sim, direction, ks)
+
+    def progress(entry):
+        seen.append(entry)
+        if entry["epoch"] == stop_at:
+            raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_module, "metrics_report", report)
+        try:
+            _, history, steps = loop(config, DATA, model=model, max_steps=max_steps,
+                                     progress=progress)
+        except _Stop:
+            history, steps = seen, seen[-1]["steps"]
+    assert [e["epoch"] for e in seen] == [e["epoch"] for e in history]
+    return {
+        "steps": steps,
+        "store": model.store.hash_bytes(),
+        "history": [
+            (e["epoch"], e["steps"], np.float64(e["loss"]).view(np.uint64),
+             {k: r.to_dict() for k, r in e["reports"].items()})
+            for e in history
+        ],
+        "ranked": ranked,
+    }
+
+
+REUSE_CFG = replace(CFG, epochs=5)
+
+
+@pytest.mark.parametrize("config, max_steps, stop_at", [
+    pytest.param(REUSE_CFG, None, None, id="text_top_k-full-batch"),
+    pytest.param(replace(REUSE_CFG, asa=False), None, None, id="asa-off"),
+    pytest.param(replace(REUSE_CFG, selection="random"), None, None, id="random-fallback"),
+    pytest.param(replace(REUSE_CFG, batch_size=4), None, None, id="batch-lt-pairs-fallback"),
+    pytest.param(REUSE_CFG, 3, None, id="max-steps"),
+    pytest.param(REUSE_CFG, None, 2, id="progress-raises"),
+])
+def test_full_batch_forward_reuse_matches_reference_loop(config, max_steps, stop_at):
+    got = run_summary(train, config, max_steps, stop_at)
+    want = run_summary(reference_train, config, max_steps, stop_at)
+    assert got == want
+    assert len(got["history"]) == (stop_at or min(config.epochs, max_steps or config.epochs))
+
+
+def test_full_batch_epoch_runs_one_sentence_pick(monkeypatch):
+    calls = []
+    pick = AdapterModel._pick_sentences
+
+    def counted(self, videos, candidates):
+        calls.append(len(videos))
+        return pick(self, videos, candidates)
+
+    monkeypatch.setattr(AdapterModel, "_pick_sentences", counted)
+    train(REUSE_CFG, DATA)
+    # one prepass per step, plus the evaluation after the last step
+    assert calls == [len(DATA)] * (REUSE_CFG.epochs + 1)
+
+
 def test_evaluate_includes_dsl_rows_when_asked():
     model = AdapterModel(CFG)
     reports = evaluate_model(model, DATA, use_dsl=True)
     assert set(reports) == {
         "video->text", "text->video", "video->text (dsl)", "text->video (dsl)",
     }
+
+
+def test_non_finite_scores_raise_instead_of_perfect_reports(tmp_path, capsys):
+    model = AdapterModel(CFG)
+    model.proj_w.data[0, 0] = np.nan
+    with pytest.raises(NumericError, match="video->text"):
+        evaluate_model(model, DATA, use_dsl=True)
+    path = str(tmp_path / "nan.ckpt")
+    save_checkpoint(path, model)
+    assert main(["eval", "--ckpt", path, "--dsl"]) == 2
+    captured = capsys.readouterr()
+    assert "R@1" not in captured.out
+    assert captured.err.startswith("numeric failure:") and "non-finite" in captured.err
 
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
@@ -141,7 +270,8 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     model = AdapterModel(CFG)
     good = os.path.join(tmp_path, "good.ckpt")
     save_checkpoint(good, model)
-    blob = bytearray(open(good, "rb").read())
+    with open(good, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[4] = 99  # version field
     with open(good, "wb") as fh:
         fh.write(bytes(blob))
