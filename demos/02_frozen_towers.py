@@ -37,22 +37,28 @@ tokens = np.array([3, 17, 42])
 print("\n=== video path ===")
 x0 = patchify(video, store, vcfg)
 print("patchify output:", x0.shape, " (frames, CLS+patches, dim)")
-features, f_last = encode_video(video, store, vcfg)
+# the tower returns only the frame CLS rows; a modulate hook that passes its
+# input on unchanged sees every block's output
+features = []
+record = {layer: lambda x: features.append(x) or x for layer in range(1, vcfg.layers + 1)}
+f_last = encode_video(video, store, vcfg, modulate=record)
 print(f"{len(features)} per-layer features; final frame CLS sequence {f_last.shape}")
 x = features[-1]
 print("CLS token:", x[..., 0, :].shape, " patch tokens:", x[..., 1:, :].shape)
 
 print("\nfrozen purity: two encodes are bitwise equal:",
-      (encode_video(video, store, vcfg)[1].data == f_last.data).all())
+      (encode_video(video, store, vcfg).data == f_last.data).all())
 
 perm = np.array([5, 4, 3, 2, 1, 0])
-_, f_perm = encode_video(video[perm], store, vcfg)
+f_perm = encode_video(video[perm], store, vcfg)
 print("frame permutation equivariance (no cross-frame mixing):",
       (f_perm.data == f_last.data[perm]).all())
 
 print("\n=== text path ===")
-sent_feats, z = encode_text(tokens, store, tcfg)
-print("per-layer sentence features:", [tuple(s.shape) for s in sent_feats])
+sent_feats = []
+record = {layer: lambda w: sent_feats.append(w) or w for layer in range(1, tcfg.layers + 1)}
+z = encode_text(tokens, store, tcfg, modulate=record)
+print("per-layer sentence (EOS) rows:", [tuple(s.shape) for s in sent_feats])
 print("final sentence feature:", z.shape, " (read at the EOS position)")
-_, z_empty = encode_text(np.array([], dtype=int), store, tcfg)
+z_empty = encode_text(np.array([], dtype=int), store, tcfg)
 print("empty caption still encodes (EOS only):", z_empty.shape)

@@ -49,8 +49,9 @@ WARP_INTERPS = ("bilinear", "nearest")
 class OffsetParams:
     """Layer-shared patch offsets gamma (N x 1) and frame offsets delta (T x 1).
 
-    Values are unconstrained reals, zero at init; restricting the warp to
-    one axis freezes the other axis's offsets at zero.
+    Values are unconstrained reals, zero at init. ``axes`` is the warp's
+    one record of which grid axes move: restricting the warp to one axis
+    freezes the other axis's offsets at zero.
     """
 
     def __init__(self, store, patches, frames, axes=WarpAxes.BOTH):
@@ -157,15 +158,17 @@ def _scatter(g, idx, axis, shape):
     return out
 
 
-def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
+def warp_kv(k, v, offsets, selection, interp="bilinear"):
     """Resample key/value fields at offset grid positions for selected patches.
 
     k, v: (..., T, N, D); ``selection``: boolean (..., T, N) mask of the
     patches to warp. For n in S_t the output row is the field at
     (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
     clamped to the grid; rows outside the selection pass through
-    bitwise. ``interp="nearest"`` snaps the value to the nearest grid
-    point while keeping the bilinear gradient (straight-through).
+    bitwise. Only the axes in ``offsets.axes`` move; the other axis
+    keeps its grid position. ``interp="nearest"`` snaps the value to the
+    nearest grid point while keeping the bilinear gradient
+    (straight-through).
 
     One tape node with parents (k, v, gamma, delta) yields K-hat and V-hat
     stacked. Its backward repeats the arithmetic and summation order of
@@ -175,12 +178,12 @@ def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
     ``hi`` rows; each offset sums its four blend terms (K through
     1 - frac, K through frac, V likewise), masked by the in-grid mask.
     """
-    k, v, axes = T.astensor(k), T.astensor(v), WarpAxes(axes)
+    k, v = T.astensor(k), T.astensor(v)
     if interp not in WARP_INTERPS:
         raise ConfigError(f"unknown warp interpolation {interp!r}")
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_plan = _axis_plan(offsets.gamma, n_n, axes is not WarpAxes.TEMPORAL_ONLY, -2)
-    t_plan = _axis_plan(offsets.delta, t_n, axes is not WarpAxes.SPATIAL_ONLY, -3)
+    n_plan = _axis_plan(offsets.gamma, n_n, offsets.axes is not WarpAxes.TEMPORAL_ONLY, -2)
+    t_plan = _axis_plan(offsets.delta, t_n, offsets.axes is not WarpAxes.SPATIAL_ONLY, -3)
     mask = np.asarray(selection, dtype=bool)[..., None]
 
     def warp(field):
@@ -210,15 +213,14 @@ def warp_kv(k, v, offsets, selection, axes=WarpAxes.BOTH, interp="bilinear"):
     return w[0], w[1]
 
 
-def asa_block_attention(x_in, q, k, v, heads, offsets, selection, axes=WarpAxes.BOTH,
-                        interp="bilinear"):
+def asa_block_attention(x_in, q, k, v, heads, offsets, selection, interp="bilinear"):
     """Drop-in block attention: warp patch K/V rows, keep the CLS row.
 
     q, k, v: (..., T, N+1, D) projected tokens from the frozen block;
     ``selection`` is the (..., T, N) patch mask. With zero offsets the
     result is bitwise identical to vanilla attention on the same inputs.
     """
-    k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection, axes, interp)
+    k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection, interp)
     k_hat = T.concat([k[..., :1, :], k_hat_p], axis=-2)
     v_hat = T.concat([v[..., :1, :], v_hat_p], axis=-2)
     return attention_core(q, k_hat, v_hat, heads)

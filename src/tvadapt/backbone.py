@@ -206,30 +206,32 @@ def patchify(video, store, vcfg):
     return x + store["backbone/visual/pos"]
 
 
+def _check_hook_layers(layers, *hook_maps):
+    for hooks in hook_maps:
+        for layer in hooks:
+            if not 1 <= layer <= layers:
+                raise ConfigError(f"hook layer {layer} outside [1, {layers}]")
+
+
 def encode_video(video, store, vcfg, modulate=None, attention=None):
     """Run the video tower, applying per-layer adapter hooks.
 
     ``modulate`` maps layer index -> callable(x) applied to the block
     output before it feeds the next block; ``attention`` maps layer
-    index -> replacement attention operation. Returns the per-layer
-    features (..., T, N+1, D), after each layer's hook, and the final
-    frame CLS sequence (..., T, D).
+    index -> replacement attention operation. Returns the final frame
+    CLS sequence (..., T, D), the only rows the heads read; a caller that
+    needs a block's internals reads them through its hooks.
     """
     modulate = modulate or {}
     attention = attention or {}
-    for hooks in (modulate, attention):
-        for layer in hooks:
-            if not 1 <= layer <= vcfg.layers:
-                raise ConfigError(f"hook layer {layer} outside [1, {vcfg.layers}]")
+    _check_hook_layers(vcfg.layers, modulate, attention)
     x = patchify(video, store, vcfg)
-    features = []
     for layer in range(1, vcfg.layers + 1):
         fn = attention.get(layer, vanilla_attention)
         x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn)
         if layer in modulate:
             x = modulate[layer](x)
-        features.append(x)
-    return features, x[..., 0, :]
+    return x[..., 0, :]
 
 
 def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
@@ -239,17 +241,13 @@ def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
     ``modulate`` maps layer index -> callable(w) applied to the sentence
     (EOS) feature after each block; word features are left alone unless
     the word-level ablation hook ``modulate_tokens`` is supplied.
-    Returns per-layer sentence features and the final (Q, D_t) feature.
+    Returns the final (Q, D_t) sentence feature, the EOS row.
     """
     modulate = modulate or {}
     modulate_tokens = modulate_tokens or {}
-    for hooks in (modulate, modulate_tokens):
-        for layer in hooks:
-            if not 1 <= layer <= tcfg.layers:
-                raise ConfigError(f"hook layer {layer} outside [1, {tcfg.layers}]")
+    _check_hook_layers(tcfg.layers, modulate, modulate_tokens)
     tokens = np.asarray(tokens, dtype=np.intp)
-    single = tokens.ndim == 1
-    if single:
+    if tokens.ndim == 1:
         tokens = tokens[None, :]
     if tokens.ndim != 2:
         raise InputError(f"tokens must be 1-D or 2-D, got shape {tokens.shape}")
@@ -265,7 +263,6 @@ def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
     x = store["backbone/text/embed"][seq]
     x = x + store["backbone/text/pos"][: seq.shape[1], :]
 
-    sentence_feats = []
     for layer in range(1, tcfg.layers + 1):
         x = vit_block(x, store, f"backbone/text/block{layer}", tcfg.heads, vanilla_attention)
         if layer in modulate_tokens:
@@ -273,5 +270,4 @@ def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
         if layer in modulate:
             w = modulate[layer](x[:, -1:, :])
             x = T.concat([x[:, :-1, :], w], axis=1)
-        sentence_feats.append(x[:, -1, :])
-    return sentence_feats, x[:, -1, :]
+    return x[:, -1, :]

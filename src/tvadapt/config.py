@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .attention import WARP_INTERPS, SelectionMode, WarpAxes
@@ -100,16 +101,16 @@ class ExperimentConfig:
             raise ConfigError(f"top_k {self.top_k} outside [0, N={vcfg.patches}]")
         if self.warp_interp not in WARP_INTERPS:
             raise ConfigError(f"unknown warp_interp {self.warp_interp!r}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.warmup <= 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1]")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.pairs < 2:
             raise ConfigError("need at least 2 synthetic pairs")
-        if self.dsl_inv_temp <= 0:
-            raise ConfigError("dsl_inv_temp must be positive")
+        if not 0 < self.dsl_inv_temp < math.inf:
+            raise ConfigError(f"dsl_inv_temp must be positive and finite, got {self.dsl_inv_temp}")
         if self.text_lowrank and not self.text_modulation:
             raise ConfigError("text_lowrank requires text_modulation")
         if self.text_lowrank and not 1 <= self.text_rank <= min(self.max_words + 1, self.dim_t):

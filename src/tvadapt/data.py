@@ -35,13 +35,6 @@ class SyntheticDataset:
     def __len__(self):
         return self.videos.shape[0]
 
-    def subset(self, idx):
-        idx = np.asarray(idx)
-        return SyntheticDataset(
-            videos=self.videos[idx], tokens=self.tokens[idx],
-            latents=self.latents[idx], seed=self.seed,
-        )
-
 
 _WORDS = 4
 _LATENT = 8

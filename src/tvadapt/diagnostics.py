@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import warp_kv
-from .backbone import patchify
+from .backbone import encode_video, vanilla_attention
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
 from .tensor import no_grad
@@ -25,46 +25,45 @@ from .tensor import no_grad
 def attention_similarity_map(model, video, candidates=None, layer=None, frame=0, patch=0):
     """(T, N) per-frame attention of one query patch over all patches.
 
-    Uses the projected queries/keys of ``layer`` (default: the final
-    adapted layer; single-head, full-dimension scale): row t is
-    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D), where k_hat
-    warps the keys with the patch mask the forward pass drew at
-    ``layer`` (unwarped at a layer without ASA). With zero offsets row
-    ``frame`` equals the vanilla patch-attention row of that frame.
+    Runs the model's own video forward with a probe at ``layer`` (default:
+    the final adapted layer; ``encode_video`` rejects one outside the
+    tower). The probe calls that layer's attention hook once, so random
+    masks are drawn in layer order as in the model, and reads the block's
+    projected queries and keys and the patch mask the hook drew. Row t is
+    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D) (single head,
+    full-dimension scale), where k_hat warps the keys with that mask
+    (unwarped at a layer without ASA). With zero offsets row ``frame``
+    equals the vanilla patch-attention row of that frame.
     """
     cfg = model.config
     vcfg = model.vcfg
     layer = layer if layer is not None else cfg.visual_adapter_layers()[-1]
-    if not 1 <= layer <= vcfg.layers:
-        raise ConfigError(f"layer {layer} outside [1, {vcfg.layers}]")
     if not 0 <= frame < vcfg.frames or not 0 <= patch < vcfg.patches:
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
-        drawn = []  # the mask of each ASA layer, in layer order
+        plan = model.selection_plan(video[None], candidates, ("diag",)) if cfg.asa else None
+        seen = {}
 
         def select(x_in):
-            drawn.append(plan(x_in))
-            return drawn[-1]
+            seen["mask"] = plan(x_in)  # the latest ASA layer's draw
+            return seen["mask"]
 
-        if cfg.asa:
-            plan = model.selection_plan(video[None], candidates, sel_key=("diag",))
-        features, _ = model.encode_video_features(video[None], select)
-        x = features[layer - 2][0] if layer > 1 else patchify(video, model.store, vcfg)
+        attention = model.attention_hooks(select)
+        hook = attention.get(layer, vanilla_attention)
 
-        p = lambda name: model.store[f"backbone/visual/block{layer}/{name}"]
-        h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
-        q = T.linear(h, p("wq"), p("bq")).data[:, 1:, :]
-        k = T.linear(h, p("wk"), p("bk"))
+        def probe(x_in, q, k, v, heads):
+            out = hook(x_in, q, k, v, heads)  # an ASA hook draws this layer's mask
+            k_hat = k.data[0, :, 1:, :]
+            if layer in attention:
+                k_hat = warp_kv(k_hat, k_hat, model.offsets, seen["mask"][0],
+                                interp=cfg.warp_interp)[0].data
+            seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
+            return out
 
-        k_patches = k[:, 1:, :]
-        masks = dict(zip(cfg.visual_adapter_layers(), drawn))
-        if layer in masks:
-            k_patches, _ = warp_kv(k_patches, k_patches, model.offsets, masks[layer][0],
-                                   axes=cfg.warp_axes, interp=cfg.warp_interp)
-
-    scores = np.einsum("d,tnd->tn", q[frame, patch], k_patches.data) / np.sqrt(vcfg.dim)
-    return T.softmax(scores, axis=1).data
+        encode_video(video[None], model.store, vcfg, modulate=model._video_hooks(),
+                     attention={**attention, layer: probe})
+    return T.softmax(seen["scores"] / np.sqrt(vcfg.dim), axis=1).data
 
 
 def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):

@@ -103,8 +103,8 @@ class AdapterModel:
     def encode_texts(self, tokens):
         """Normalized sentence embeddings (Q, D_t) for a token batch."""
         hooks, token_hooks = self._text_hooks()
-        _, z = encode_text(tokens, self.store, self.tcfg, modulate=hooks,
-                           modulate_tokens=token_hooks)
+        z = encode_text(tokens, self.store, self.tcfg, modulate=hooks,
+                        modulate_tokens=token_hooks)
         return text_embedding(z)
 
     def _pick_sentences(self, videos, candidates):
@@ -121,7 +121,7 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            _, f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks())
+            f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks())
         pooled = f_last.data.mean(axis=-2)
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
@@ -153,24 +153,20 @@ class AdapterModel:
             )
         return select
 
-    def encode_video_features(self, videos, select):
-        """Per-layer features and final frame features, all hooks applied.
+    def attention_hooks(self, select):
+        """The video tower's attention hook map: ASA at every adapted layer.
 
         ``select`` is the patch-selection function from ``selection_plan``,
-        called once per ASA layer on its block input; unused with ASA off.
+        called once per ASA layer on its block input. Empty with ASA off.
         """
-        cfg = self.config
-        attention = {}
-        if cfg.asa:
-            def attend(x_in, q, k, v, heads):
-                return asa_block_attention(
-                    x_in, q, k, v, heads, self.offsets, select(x_in.data),
-                    axes=cfg.warp_axes, interp=cfg.warp_interp,
-                )
+        if not self.config.asa:
+            return {}
 
-            attention = {layer: attend for layer in cfg.visual_adapter_layers()}
-        return encode_video(videos, self.store, self.vcfg,
-                            modulate=self._video_hooks(), attention=attention)
+        def attend(x_in, q, k, v, heads):
+            return asa_block_attention(x_in, q, k, v, heads, self.offsets, select(x_in.data),
+                                       interp=self.config.warp_interp)
+
+        return {layer: attend for layer in self.config.visual_adapter_layers()}
 
     def encode_videos(self, videos, candidates=None, sel_key=("eval",)):
         """Normalized video embeddings (V, D_t).
@@ -179,13 +175,11 @@ class AdapterModel:
         text-conditioned selection -- the batch's sentences in training,
         the full query set at evaluation.
         """
-        videos = np.asarray(videos, dtype=np.float64)
-        if videos.ndim == 4:
-            videos = videos[None]
         select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        _, f_last = self.encode_video_features(videos, select)
+        f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks(),
+                              attention=self.attention_hooks(select))
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
-        return T.reshape(emb, (videos.shape[0], self.tcfg.dim))
+        return T.reshape(emb, (-1, self.tcfg.dim))
 
     # -- objective -------------------------------------------------------------
 

@@ -183,6 +183,10 @@ class Tensor:
     def __getitem__(self, key):
         return getitem(self, key)
 
+    def __iter__(self):
+        # without this, __getitem__ would make a Tensor unpack row by row
+        raise TypeError(f"a Tensor of shape {self.shape} is not iterable; iterate over .data")
+
 
 def _released(g):
     """Backward of an interior node whose graph was already consumed."""
@@ -401,13 +405,11 @@ def softmax(a, axis):
     return _make(data, (a,), _bw)
 
 
-def logsumexp(a, axis, keepdims=False):
+def logsumexp(a, axis):
     """log-sum-exp with a detached max shift; gradient is the softmax."""
     a = astensor(a)
     m = a.data.max(axis=axis, keepdims=True)
     body = log(tsum(exp(a - Tensor(m)), axis=axis, keepdims=True)) + Tensor(m)
-    if keepdims:
-        return body
     return reshape(body, np.squeeze(body.data, axis=axis).shape)
 
 

@@ -39,8 +39,6 @@ class Adam:
 
 def lr_at(step, total_steps, base_lr, warmup_frac):
     """Linear warmup over the first fraction, then cosine decay to zero."""
-    if total_steps <= 0:
-        return base_lr
     warm = int(round(total_steps * warmup_frac))
     if step < warm:
         return base_lr * (step + 1) / warm
@@ -49,25 +47,25 @@ def lr_at(step, total_steps, base_lr, warmup_frac):
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def evaluate_model(model, dataset, use_dsl=False, dsl_inv_temp=100.0, ks=(1, 5, 10)):
+def evaluate_model(model, dataset, use_dsl=False, dsl_inv_temp=100.0):
     """MetricsReports for both retrieval directions (optionally with DSL)."""
     with no_grad():
         z = model.encode_texts(dataset.tokens)
         v = model.encode_videos(dataset.videos, candidates=z.data, sel_key=("eval",))
-    return score_reports(v.data @ z.data.T, use_dsl, dsl_inv_temp, ks)
+    return score_reports(v.data @ z.data.T, use_dsl, dsl_inv_temp)
 
 
-def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0, ks=(1, 5, 10)):
+def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0):
     """MetricsReports for both retrieval directions of a (V, Q) score matrix."""
     sim = SimilarityMatrix(scores)
     reports = {
-        "video->text": metrics_report(sim, "video->text", ks),
-        "text->video": metrics_report(sim, "text->video", ks),
+        "video->text": metrics_report(sim, "video->text"),
+        "text->video": metrics_report(sim, "text->video"),
     }
     if use_dsl:
         rescored = dsl(sim, inv_temp=dsl_inv_temp)
-        reports["video->text (dsl)"] = metrics_report(rescored, "video->text", ks)
-        reports["text->video (dsl)"] = metrics_report(rescored, "text->video", ks)
+        reports["video->text (dsl)"] = metrics_report(rescored, "video->text")
+        reports["text->video (dsl)"] = metrics_report(rescored, "text->video")
     return reports
 
 

@@ -55,8 +55,7 @@ def pick_model():
 def loop_probes(model, videos):
     """Proj(mean over frames of the last-layer frame features), by explicit loops."""
     with no_grad():
-        _, f_last = encode_video(videos, model.store, model.vcfg,
-                                 modulate=model._video_hooks())
+        f_last = encode_video(videos, model.store, model.vcfg, modulate=model._video_hooks())
     probes = []
     for feats in f_last.data:
         pooled = sum(feats[t] for t in range(feats.shape[0])) / feats.shape[0]
@@ -276,7 +275,7 @@ def test_warp_axis_restriction_freezes_other_axis():
     off.delta.data[:] = 2.0
     off.gamma.data[:] = 0.0
     k = Tensor(rng_for(14, "ax").normal(size=(FRAMES, PATCHES, DIM)))
-    k_hat, _ = warp_kv(k, k, off, np.ones((FRAMES, PATCHES), bool), axes=WarpAxes.SPATIAL_ONLY)
+    k_hat, _ = warp_kv(k, k, off, np.ones((FRAMES, PATCHES), bool))
     assert (k_hat.data == k.data).all()
 
 
@@ -354,11 +353,12 @@ def _composite_axis(offset, size, enabled):
     return lo, np.minimum(lo + 1, size - 1), frac, coords.data == lo
 
 
-def composite_warp_kv(k, v, offsets, selection, axes, interp):
+def composite_warp_kv(k, v, offsets, selection, interp):
     """The warp as a chain of primitive tape ops: the reference that the
     one-node ``warp_kv`` must match bit for bit."""
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_on, t_on = axes is not WarpAxes.TEMPORAL_ONLY, axes is not WarpAxes.SPATIAL_ONLY
+    n_on = offsets.axes is not WarpAxes.TEMPORAL_ONLY
+    t_on = offsets.axes is not WarpAxes.SPATIAL_ONLY
     n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n, n_on)
     t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n, t_on)
     fn = T.reshape(n_frac, (n_n, 1))
@@ -395,7 +395,7 @@ def _warp_case(warp, fields, axes, interp, gamma, delta):
     "frozen_k" (K without gradient, as at the first adapted layer).
     """
     rng = rng_for(22, "oracle")
-    store, off = make_offsets()
+    store, off = make_offsets(axes)
     off.gamma.data[:] = gamma
     off.delta.data[:] = delta
     shape = (2, FRAMES, PATCHES, DIM)
@@ -410,7 +410,7 @@ def _warp_case(warp, fields, axes, interp, gamma, delta):
     p, q = rng.normal(size=shape), rng.normal(size=shape)
     p[..., ::3] *= 0.0
     q[..., 1::3] *= -0.0
-    k_hat, v_hat = warp(k, v, off, mask, axes, interp)
+    k_hat, v_hat = warp(k, v, off, mask, interp)
     T.tsum(k_hat * Tensor(p) + v_hat * Tensor(q) + x * x).backward()
     return [k_hat.data, v_hat.data, x.grad, off.gamma.grad, off.delta.grad, k.grad, v.grad]
 

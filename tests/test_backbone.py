@@ -29,6 +29,12 @@ def make_store(seed=0):
     return store
 
 
+def recording_hooks(layers):
+    """Identity modulate hooks at every layer, and the list of what each one saw."""
+    seen = []
+    return {layer: lambda x: seen.append(x) or x for layer in range(1, layers + 1)}, seen
+
+
 # -- reference implementations (explicit loops, no engine code) -----------
 
 
@@ -135,8 +141,13 @@ def test_encode_with_all_blocks_zeroed_returns_patchify_output():
         for name in block_params(store, prefix):
             store[f"{prefix}/{name}"].data[:] = 0.0
     video = rng_for(21, "zeroall").normal(size=(3, 4, 4, 1))
-    feats, _ = encode_video(video, store, VCFG)
-    np.testing.assert_array_equal(feats[-1].data, patchify(video, store, VCFG).data)
+    hooks, feats = recording_hooks(VCFG.layers)
+    f = encode_video(video, store, VCFG, modulate=hooks)
+    x0 = patchify(video, store, VCFG).data
+    assert len(feats) == VCFG.layers
+    for x in feats:
+        np.testing.assert_array_equal(x.data, x0)
+    np.testing.assert_array_equal(f.data, x0[..., 0, :])
 
 
 def test_single_token_attention_weight_is_one():
@@ -186,21 +197,28 @@ def test_vanilla_block_records_one_node_per_fused_op():
 def test_encode_video_purity_and_shapes():
     store = make_store()
     video = rng_for(4, "vid").normal(size=(3, 4, 4, 1))
-    feats1, f1 = encode_video(video, store, VCFG)
-    feats2, f2 = encode_video(video, store, VCFG)
+    hooks1, feats1 = recording_hooks(VCFG.layers)
+    hooks2, feats2 = recording_hooks(VCFG.layers)
+    f1 = encode_video(video, store, VCFG, modulate=hooks1)
+    f2 = encode_video(video, store, VCFG, modulate=hooks2)
     assert len(feats1) == VCFG.layers
     for x in feats1:
         assert x.shape == (3, VCFG.patches + 1, 8)
+    assert f1.shape == (3, 8)
     np.testing.assert_array_equal(f1.data, f2.data)
-    np.testing.assert_array_equal(feats1[-1].data, feats2[-1].data)
+    for x1, x2 in zip(feats1, feats2):
+        np.testing.assert_array_equal(x1.data, x2.data)
 
 
 def test_encode_video_frame_permutation_equivariance():
     store = make_store()
     video = rng_for(5, "perm").normal(size=(3, 4, 4, 1))
     perm = np.array([2, 0, 1])
-    feats, _ = encode_video(video, store, VCFG)
-    feats_p, _ = encode_video(video[perm], store, VCFG)
+    hooks, feats = recording_hooks(VCFG.layers)
+    hooks_p, feats_p = recording_hooks(VCFG.layers)
+    encode_video(video, store, VCFG, modulate=hooks)
+    encode_video(video[perm], store, VCFG, modulate=hooks_p)
+    assert len(feats) == len(feats_p) == VCFG.layers
     for x, x_p in zip(feats, feats_p):
         np.testing.assert_array_equal(x_p.data, x.data[perm])
 
@@ -208,9 +226,9 @@ def test_encode_video_frame_permutation_equivariance():
 def test_encode_video_batched_matches_single():
     store = make_store()
     videos = rng_for(6, "batch").normal(size=(2, 3, 4, 4, 1))
-    _, f_batch = encode_video(videos, store, VCFG)
+    f_batch = encode_video(videos, store, VCFG)
     for i in range(2):
-        _, f_one = encode_video(videos[i], store, VCFG)
+        f_one = encode_video(videos[i], store, VCFG)
         np.testing.assert_allclose(f_batch.data[i], f_one.data, atol=1e-12)
 
 
@@ -226,16 +244,17 @@ def test_encode_video_rejects_bad_hook_layer():
 
 def test_encode_text_empty_caption():
     store = make_store()
-    feats, z = encode_text(np.array([], dtype=int), store, TCFG)
+    hooks, feats = recording_hooks(TCFG.layers)
+    z = encode_text(np.array([], dtype=int), store, TCFG, modulate=hooks)
     assert z.shape == (1, 8)
-    assert len(feats) == TCFG.layers
+    assert [w.shape for w in feats] == [(1, 1, 8)] * TCFG.layers  # the EOS row at every layer
 
 
 def test_encode_text_determinism():
     store = make_store()
     tokens = np.array([3, 1, 4])
-    _, z1 = encode_text(tokens, store, TCFG)
-    _, z2 = encode_text(tokens, store, TCFG)
+    z1 = encode_text(tokens, store, TCFG)
+    z2 = encode_text(tokens, store, TCFG)
     np.testing.assert_array_equal(z1.data, z2.data)
 
 
@@ -250,7 +269,7 @@ def test_encode_text_rejects_overlong_and_bad_ids():
 def test_encode_text_matches_dense_reference():
     store = make_store()
     tokens = np.array([3, 1, 4])
-    _, z = encode_text(tokens, store, TCFG)
+    z = encode_text(tokens, store, TCFG)
 
     seq = np.concatenate([tokens, [TCFG.eos_id]])
     x = store["backbone/text/embed"].data[seq] + store["backbone/text/pos"].data[: len(seq)]
@@ -268,8 +287,8 @@ def test_text_modulation_hook_sees_only_the_sentence_row():
         seen.append(w.shape)
         return w * 2.0
 
-    _, z_plain = encode_text(tokens, store, TCFG)
-    _, z_hooked = encode_text(tokens, store, TCFG, modulate={TCFG.layers: hook})
+    z_plain = encode_text(tokens, store, TCFG)
+    z_hooked = encode_text(tokens, store, TCFG, modulate={TCFG.layers: hook})
     assert seen == [(2, 1, 8)]  # one EOS row per caption, nothing else
     np.testing.assert_allclose(z_hooked.data, 2.0 * z_plain.data, atol=0)
 
@@ -277,9 +296,9 @@ def test_text_modulation_hook_sees_only_the_sentence_row():
 def test_encode_text_batch_matches_single():
     store = make_store()
     tokens = np.array([[3, 1, 4], [0, 7, 2]])
-    _, z = encode_text(tokens, store, TCFG)
+    z = encode_text(tokens, store, TCFG)
     for i in range(2):
-        _, zi = encode_text(tokens[i], store, TCFG)
+        zi = encode_text(tokens[i], store, TCFG)
         np.testing.assert_allclose(z.data[i], zi.data[0], atol=1e-12)
 
 
@@ -291,7 +310,7 @@ def test_freeze_blocks_backbone_grads_but_not_adapters():
     freeze_backbone(store)
     adapter = store.add("adapter/scale", Tensor(np.ones((1, 8))))
     video = rng_for(7, "fz").normal(size=(3, 4, 4, 1))
-    _, f = encode_video(video, store, VCFG, modulate={1: lambda x: x * adapter})
+    f = encode_video(video, store, VCFG, modulate={1: lambda x: x * adapter})
     T.tsum(f * f).backward()
     assert adapter.grad is not None
     for name, t in store.items():

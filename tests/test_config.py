@@ -95,3 +95,17 @@ def test_zero_divisor_fields_rejected_before_divisibility_checks(field, tmp_path
     path.write_text(f"{field} = 0\n")
     assert main(["count-params", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["lr", "dsl_inv_temp"])
+def test_non_finite_floats_rejected(field, value, tmp_path, capsys):
+    # a NaN or infinite lr or DSL temperature used to load, and training
+    # (or ranking) then died on non-finite numbers
+    with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+        cm.loads(f"{field} = {value}\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {value}\nepochs = 1\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "m.ckpt").exists()

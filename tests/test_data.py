@@ -57,11 +57,3 @@ def test_paired_similarity_beats_random_under_frozen_towers():
     data = generate_dataset(cfg.seed, 100, cfg)
     advantage = _frozen_alignment(cfg, data.videos, data.tokens)
     assert advantage.mean() > 0.0
-
-
-def test_subset_slices_all_fields():
-    cfg = toy_config()
-    data = generate_dataset(3, 6, cfg)
-    sub = data.subset([0, 2])
-    assert len(sub) == 2
-    assert (sub.tokens[1] == data.tokens[2]).all()

@@ -1,7 +1,9 @@
 """Harness tests: CLI surface, ablation suites, diagnostics exports."""
 
+import ast
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from tvadapt import config as cm
 from tvadapt import diagnostics
 from tvadapt.ablation import SUITES, format_table, perfect_step, rows_to_json, run_suite
+from tvadapt.backbone import encode_video
 from tvadapt.checkpoint import save_checkpoint
 from tvadapt.cli import main
 from tvadapt.counting import count_params
@@ -332,7 +335,8 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
         return drawn[-1]
 
     with no_grad():
-        model.encode_video_features(video[None], select)
+        encode_video(video[None], model.store, model.vcfg, modulate=model._video_hooks(),
+                     attention=model.attention_hooks(select))
     assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
 
     seen = []
@@ -353,3 +357,30 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
     seen.clear()
     attention_similarity_map(light, video, layer=3)
     assert seen == []
+
+
+def test_similarity_map_rejects_a_query_outside_the_tower():
+    cfg = cm.toy_config(pairs=4)
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    with no_grad():
+        cands = model.encode_texts(data.tokens).data
+    for query in (dict(layer=0), dict(layer=cfg.layers + 1), dict(frame=cfg.frames),
+                  dict(patch=-1)):
+        with pytest.raises(ConfigError):
+            attention_similarity_map(model, data.videos[0], candidates=cands, **query)
+
+
+def test_similarity_map_copies_no_block_computation():
+    # the map reads q and k from the forward's own block through a hook;
+    # re-running LayerNorm, the projections or the stem here would be a
+    # second copy of the tower that can drift from the model
+    tree = ast.parse(pathlib.Path(diagnostics.__file__).read_text(encoding="utf-8"))
+    called = {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+    assert called & {"layer_norm", "linear", "patchify"} == set()
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [s for s in strings if "backbone/visual/block" in s]

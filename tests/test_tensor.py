@@ -581,3 +581,14 @@ def test_no_grad_is_per_thread_when_exits_cross():
     assert seen == {"a_inside": False, "a_after": True,
                     "b_inside_after_a_exit": False, "b_after": True}
     assert recording()
+
+
+def test_tensor_refuses_to_iterate():
+    # with only __getitem__, Python would unpack a Tensor row by row: a
+    # stale ``_, z = encode_text(...)`` on two captions would bind z to the
+    # second caption instead of failing
+    t = Tensor(np.zeros((2, 3)))
+    with pytest.raises(TypeError, match=r"shape \(2, 3\)"):
+        _, z = t
+    with pytest.raises(TypeError):
+        list(t)

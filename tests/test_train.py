@@ -22,6 +22,7 @@ from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ContractError, NumericError, VersionError
 from tvadapt.model import AdapterModel
+from tvadapt.modulation import DecomposeMode
 from tvadapt.retrieval import metrics_report
 from tvadapt.tensor import no_grad, rng_for
 from tvadapt.train import Adam, evaluate_model, lr_at, train
@@ -80,6 +81,41 @@ def test_training_is_bitwise_deterministic():
 def test_backbone_bytes_unchanged_by_training():
     model, _, _ = train(CFG, DATA, eval_each_epoch=False)
     assert model.store.hash_bytes("backbone/") == AdapterModel(CFG).store.hash_bytes("backbone/")
+
+
+SHORT_RUNS = [dict(decompose=mode.value) for mode in DecomposeMode] + [
+    dict(warp_interp="nearest", offsets="fractional"),
+]
+
+
+@pytest.mark.parametrize("case", SHORT_RUNS, ids=lambda c: "-".join(map(str, c.values())))
+def test_short_run_is_finite_falling_and_repeatable(case):
+    # zero offsets never move (their exact-path gradient is 0), so from zero
+    # both warp interps would train alike: the nearest run starts off-grid
+    case = dict(case)
+    fractional = case.pop("offsets", None) == "fractional"
+    cfg = replace(CFG, epochs=4, **case)
+
+    def run():
+        model = AdapterModel(cfg)
+        if fractional:
+            rng = rng_for(8, "short-run")
+            for offset in (model.offsets.gamma, model.offsets.delta):
+                offset.data[:] = rng.uniform(0.15, 0.45, size=offset.shape)
+        start = model.store.hash_bytes("adapter/asa/")
+        _, history, steps = train(cfg, DATA, model=model, eval_each_epoch=False)
+        return [h["loss"] for h in history], steps, model.store, start
+
+    losses, steps, store, start = run()
+    assert steps == cfg.epochs  # one full-batch step per epoch
+    assert np.isfinite(losses).all()
+    assert all(np.isfinite(t.data).all() for _, t in store.trainable_items())
+    assert losses[-1] < losses[0]
+    if fractional:
+        assert store.hash_bytes("adapter/asa/") != start  # the offsets train
+    losses2, _, store2, _ = run()
+    assert np.array(losses).tobytes() == np.array(losses2).tobytes()
+    assert store.hash_bytes() == store2.hash_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -165,9 +201,9 @@ def run_summary(loop, config, max_steps=None, stop_at=None):
             offset.data[:] = rng.uniform(0.15, 0.45, size=offset.shape)
     seen, ranked = [], []
 
-    def report(sim, direction, ks):
+    def report(sim, direction):
         ranked.append((direction, sim.scores.tobytes()))
-        return metrics_report(sim, direction, ks)
+        return metrics_report(sim, direction)
 
     def progress(entry):
         seen.append(entry)
