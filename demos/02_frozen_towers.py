@@ -43,8 +43,11 @@ features = []
 record = {layer: lambda x: features.append(x) or x for layer in range(1, vcfg.layers + 1)}
 f_last = encode_video(video, store, vcfg, modulate=record)
 print(f"{len(features)} per-layer features; final frame CLS sequence {f_last.shape}")
-x = features[-1]
-print("CLS token:", x[..., 0, :].shape, " patch tokens:", x[..., 1:, :].shape)
+x = features[-2]
+print(f"layer {vcfg.layers - 1}: CLS token:", x[..., 0, :].shape,
+      " patch tokens:", x[..., 1:, :].shape)
+print(f"layer {vcfg.layers}: CLS rows only:", features[-1].shape,
+      " (the last block computes no patch token after attention)")
 
 print("\nfrozen purity: two encodes are bitwise equal:",
       (encode_video(video, store, vcfg).data == f_last.data).all())

@@ -160,12 +160,18 @@ def vanilla_attention(x_in, q, k, v, heads):
     return attention_core(q, k, v, heads)
 
 
-def vit_block(x, store, prefix, heads, attention_fn):
+def vit_block(x, store, prefix, heads, attention_fn, row=None):
     """Pre-norm residual block: x + Attn(LN(x)), then + MLP(LN(.)).
 
     ``attention_fn(x_in, q, k, v, heads)`` receives the block input
     (pre-norm) alongside the projected triplet so that replacement
     attention operations can score patches on the raw features.
+
+    With ``row`` set, attention still sees every token, but ``wo``, the
+    residual, ``ln2`` and the MLP run on token ``row`` alone, and the
+    block returns that row as (..., 1, D). The rows enter those products
+    as (..., D) operands: a size-1 token axis there would make M=1
+    products, which BLAS computes with other kernels and other bits.
     """
     p = lambda name: store[f"{prefix}/{name}"]
     h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
@@ -173,10 +179,13 @@ def vit_block(x, store, prefix, heads, attention_fn):
     k = T.linear(h, p("wk"), p("bk"))
     v = T.linear(h, p("wv"), p("bv"))
     ctx = attention_fn(x, q, k, v, heads)
+    if row is not None:
+        x, ctx = x[..., row, :], ctx[..., row, :]
     x = x + T.linear(ctx, p("wo"), p("bo"))
     h = T.layer_norm(x, p("ln2_g"), p("ln2_b"))
     h = T.linear(T.gelu(T.linear(h, p("mlp_w1"), p("mlp_b1"))), p("mlp_w2"), p("mlp_b2"))
-    return x + h
+    x = x + h
+    return x if row is None else x[..., None, :]
 
 
 def patchify(video, store, vcfg):
@@ -221,6 +230,10 @@ def encode_video(video, store, vcfg, modulate=None, attention=None):
     index -> replacement attention operation. Returns the final frame
     CLS sequence (..., T, D), the only rows the heads read; a caller that
     needs a block's internals reads them through its hooks.
+
+    The last block computes only those CLS rows after attention, so the
+    last layer's ``modulate`` hook receives (..., T, 1, D) rather than
+    (..., T, N+1, D); every attention hook still sees all N+1 tokens.
     """
     modulate = modulate or {}
     attention = attention or {}
@@ -228,7 +241,8 @@ def encode_video(video, store, vcfg, modulate=None, attention=None):
     x = patchify(video, store, vcfg)
     for layer in range(1, vcfg.layers + 1):
         fn = attention.get(layer, vanilla_attention)
-        x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn)
+        row = 0 if layer == vcfg.layers else None
+        x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn, row=row)
         if layer in modulate:
             x = modulate[layer](x)
     return x[..., 0, :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from .exceptions import VersionError
+from .exceptions import ConfigError, VersionError
 from .model import AdapterModel
 
 MAGIC = b"RAPC"
@@ -34,6 +34,8 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model, steps=0):
+    """Write a checkpoint; a config that fails validation raises ``ConfigError`` first."""
+    model.config.validate()
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
@@ -57,7 +59,11 @@ def save_checkpoint(path, model, steps=0):
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint file; a truncated or corrupt one raises ``VersionError``."""
+    """Parse a checkpoint file.
+
+    A truncated or corrupt file raises ``VersionError``; an intact one
+    whose stored config fails validation raises ``ConfigError``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -91,6 +97,8 @@ def load_checkpoint(path):
             data = np.frombuffer(view, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
             params[name] = (data.reshape(shape).astype(np.float64), bool(frozen))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: stored config is invalid: {err}") from None
     except (struct.error, ValueError, UnicodeDecodeError) as err:
         raise VersionError(f"{path}: truncated or corrupt checkpoint ({err})") from None
     if offset != len(view):

@@ -113,7 +113,12 @@ class VideoModulation:
         return tuple(out)
 
     def apply(self, layer, x):
-        """Affine calibration of block output x: u = scale * x + shift."""
+        """Affine calibration of block output x: u = scale * x + shift.
+
+        x is (..., T, N+1, D), or (..., T, 1, D) at the video tower's last
+        layer, which computes only the CLS rows; per-token factors then
+        apply their token-0 row.
+        """
         if self.mode is DecomposeMode.NONE or layer not in self.layers:
             return x
         c, s = self.compose(layer)
@@ -121,6 +126,8 @@ class VideoModulation:
             # one (T, D) row per frame, broadcast over its N+1 tokens
             c = T.reshape(c, (self.frames, 1, self.dim))
             s = T.reshape(s, (self.frames, 1, self.dim))
+        elif x.shape[-2] == 1:
+            c, s = c[:, :1, :], s[:, :1, :]
         return c * x + s
 
 

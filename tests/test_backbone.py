@@ -145,8 +145,10 @@ def test_encode_with_all_blocks_zeroed_returns_patchify_output():
     f = encode_video(video, store, VCFG, modulate=hooks)
     x0 = patchify(video, store, VCFG).data
     assert len(feats) == VCFG.layers
-    for x in feats:
+    for x in feats[:-1]:
         np.testing.assert_array_equal(x.data, x0)
+    # the last block computes only the CLS rows
+    np.testing.assert_array_equal(feats[-1].data, x0[..., :1, :])
     np.testing.assert_array_equal(f.data, x0[..., 0, :])
 
 
@@ -202,8 +204,10 @@ def test_encode_video_purity_and_shapes():
     f1 = encode_video(video, store, VCFG, modulate=hooks1)
     f2 = encode_video(video, store, VCFG, modulate=hooks2)
     assert len(feats1) == VCFG.layers
-    for x in feats1:
+    for x in feats1[:-1]:
         assert x.shape == (3, VCFG.patches + 1, 8)
+    # the last block computes only the CLS rows
+    assert feats1[-1].shape == (3, 1, 8)
     assert f1.shape == (3, 8)
     np.testing.assert_array_equal(f1.data, f2.data)
     for x1, x2 in zip(feats1, feats2):

@@ -20,7 +20,7 @@ from tvadapt.checkpoint import (
 from tvadapt.cli import main
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
-from tvadapt.exceptions import ContractError, NumericError, VersionError
+from tvadapt.exceptions import ConfigError, ContractError, NumericError, VersionError
 from tvadapt.model import AdapterModel
 from tvadapt.modulation import DecomposeMode
 from tvadapt.retrieval import metrics_report
@@ -343,6 +343,32 @@ def test_truncated_or_padded_checkpoint_is_a_version_error(tmp_path, capsys):
     padded.write_bytes(blob + b"\x00")
     with pytest.raises(VersionError):
         load_checkpoint(str(padded))
+
+
+def test_invalid_stored_config_is_a_config_error(tmp_path, capsys):
+    cfg = replace(CFG)
+    model = AdapterModel(cfg)
+    cfg.dsl_inv_temp = float("nan")  # a dataclass field, so nothing validates it here
+    nan_path = tmp_path / "nan.ckpt"
+    with pytest.raises(ConfigError, match="dsl_inv_temp"):
+        save_checkpoint(str(nan_path), model)
+    assert not nan_path.exists()
+
+    # an intact file whose stored config fails validation: same length, digest re-sealed
+    cfg.dsl_inv_temp = CFG.dsl_inv_temp
+    save_checkpoint(str(nan_path), model)
+    blob = bytearray(nan_path.read_bytes())
+    field = b"dsl_inv_temp = 100.0\n"
+    at = blob.index(field)
+    blob[at:at + len(field)] = b"dsl_inv_temp = nan  \n"
+    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
+    nan_path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="dsl_inv_temp must be positive and finite, got nan"):
+        load_checkpoint(str(nan_path))
+    assert main(["eval", "--ckpt", str(nan_path), "--dsl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {nan_path}: stored config is invalid: dsl_inv_temp")
+    assert "corrupt" not in err and "Traceback" not in err
 
 
 def test_flipped_payload_bit_is_a_version_error(tmp_path, capsys):
