@@ -37,10 +37,10 @@ tokens = np.array([3, 17, 42])
 print("\n=== video path ===")
 x0 = patchify(video, store, vcfg)
 print("patchify output:", x0.shape, " (frames, CLS+patches, dim)")
-# the tower returns only the frame CLS rows; a modulate hook that passes its
-# input on unchanged sees every block's output
+# the tower returns only the frame CLS rows; a modulate(layer, x) hook that
+# passes its input on unchanged sees every block's output
 features = []
-record = {layer: lambda x: features.append(x) or x for layer in range(1, vcfg.layers + 1)}
+record = lambda layer, x: features.append(x) or x
 f_last = encode_video(video, store, vcfg, modulate=record)
 print(f"{len(features)} per-layer features; final frame CLS sequence {f_last.shape}")
 x = features[-2]
@@ -58,10 +58,11 @@ print("frame permutation equivariance (no cross-frame mixing):",
       (f_perm.data == f_last.data[perm]).all())
 
 print("\n=== text path ===")
-sent_feats = []
-record = {layer: lambda w: sent_feats.append(w) or w for layer in range(1, tcfg.layers + 1)}
+# the same hook contract: the text tower hands it every row of each block
+text_feats = []
+record = lambda layer, x: text_feats.append(x) or x
 z = encode_text(tokens, store, tcfg, modulate=record)
-print("per-layer sentence (EOS) rows:", [tuple(s.shape) for s in sent_feats])
+print("per-layer block outputs (words + EOS):", [tuple(x.shape) for x in text_feats])
 print("final sentence feature:", z.shape, " (read at the EOS position)")
 z_empty = encode_text(np.array([], dtype=int), store, tcfg)
 print("empty caption still encodes (EOS only):", z_empty.shape)

@@ -9,11 +9,7 @@ and the alternative decomposition modes.
 
 import numpy as np
 
-from tvadapt.modulation import (
-    DecomposeMode,
-    VideoModulation,
-    identity_init,
-)
+from tvadapt.modulation import VideoModulation, identity_init
 from tvadapt.tensor import ParamStore, Tensor, rng_for
 
 FRAMES, TOKENS, DIM, RANK = 6, 5, 32, 3
@@ -50,7 +46,7 @@ for mode in ("temporal", "spatial_temporal", "spatial_temporal_layer", "none"):
     st = ParamStore()
     m = VideoModulation(st, mode, [1, 2], RANK, FRAMES, TOKENS, DIM, seed=0)
     n = st.num_elements(trainable=True)
-    shape = "-" if m.mode is DecomposeMode.NONE else tuple(m.compose(1)[0].shape)
+    shape = tuple(m.compose(1)[0].shape) if m.layers else "-"  # "none" holds no layers
     print(f"{mode:<24} params {n:>6,}   composed shape {shape}")
 
 print("\nidentity_init restores the identity after any parameter drift:")

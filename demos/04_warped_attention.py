@@ -28,9 +28,9 @@ u[0, :, 0] = [3.0, 1.0, 4.0, 2.0]  # relevance scores live on channel 0
 proj = np.zeros((DIM, 3))
 proj[0, 0] = 1.0
 w_star = np.array([1.0, 0.0, 0.0])
-sel = selection_masks("text_top_k", 2, u, w_star=w_star, proj_w=proj)
+sel = selection_masks("text_top_k", 2, u, w_star=w_star, proj_w=proj, proj_b=np.zeros(3))
 print("scores [3,1,4,2], K=2 -> selected patches:", np.flatnonzero(sel[0]).tolist())
-sel = selection_masks("text_bottom_k", 2, u, w_star=w_star, proj_w=proj)
+sel = selection_masks("text_bottom_k", 2, u, w_star=w_star, proj_w=proj, proj_b=np.zeros(3))
 print("bottom-K instead ->", np.flatnonzero(sel[0]).tolist())
 
 print("\n=== warping ===")

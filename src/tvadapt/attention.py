@@ -72,7 +72,8 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
     """Boolean (..., T, N) mask of patches to warp.
 
     ``u_patches``: detached (..., T, N, D) patch features. Text modes
-    score Proj(u) against ``w_star`` (..., D_t); vision modes score u
+    score Proj(u) = u @ proj_w + proj_b against ``w_star`` (..., D_t),
+    so they need all three; vision modes score u
     against the frame CLS feature (..., T, D). Scoring is value-only:
     selection is hard and carries no gradient. Ties break toward the
     lower patch index; random mode draws K per frame without replacement
@@ -97,9 +98,7 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
         return mask
 
     if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
-        probe = u @ proj_w
-        if proj_b is not None:
-            probe = probe + proj_b
+        probe = u @ proj_w + proj_b
         w = np.broadcast_to(np.asarray(w_star), (*lead, probe.shape[-1]))
         scores = np.einsum("...tnd,...d->...tn", probe, w)
         descending = mode is SelectionMode.TEXT_TOP_K

@@ -4,9 +4,10 @@ Each video frame is patchified, given a CLS token and positional
 embedding, and pushed through pre-norm attention/MLP blocks that treat
 frames independently. The text tower embeds integer tokens, appends an
 EOS token, and reads the sentence feature at the EOS position. All
-weights are frozen stand-ins for a pretrained model; adapters attach at
-per-layer hook points (a feature-modulation hook after each block and a
-pluggable attention operation inside each block).
+weights are frozen stand-ins for a pretrained model. Adapters attach
+through two hooks: one ``modulate(layer, x) -> x`` callable, which
+both towers call on every block's output, and in the video tower a
+per-layer map of replacement attention operations inside the blocks.
 """
 
 from __future__ import annotations
@@ -215,51 +216,42 @@ def patchify(video, store, vcfg):
     return x + store["backbone/visual/pos"]
 
 
-def _check_hook_layers(layers, *hook_maps):
-    for hooks in hook_maps:
-        for layer in hooks:
-            if not 1 <= layer <= layers:
-                raise ConfigError(f"hook layer {layer} outside [1, {layers}]")
-
-
 def encode_video(video, store, vcfg, modulate=None, attention=None):
     """Run the video tower, applying per-layer adapter hooks.
 
-    ``modulate`` maps layer index -> callable(x) applied to the block
-    output before it feeds the next block; ``attention`` maps layer
-    index -> replacement attention operation. Returns the final frame
-    CLS sequence (..., T, D), the only rows the heads read; a caller that
+    ``modulate(layer, x)`` is called on every block's output, and what
+    it returns feeds the next block; ``attention`` maps layer index ->
+    replacement attention operation. Returns the final frame CLS
+    sequence (..., T, D), the only rows the heads read; a caller that
     needs a block's internals reads them through its hooks.
 
-    The last block computes only those CLS rows after attention, so the
-    last layer's ``modulate`` hook receives (..., T, 1, D) rather than
+    The last block computes only those CLS rows after attention, so
+    ``modulate`` receives (..., T, 1, D) there rather than
     (..., T, N+1, D); every attention hook still sees all N+1 tokens.
     """
-    modulate = modulate or {}
     attention = attention or {}
-    _check_hook_layers(vcfg.layers, modulate, attention)
+    for layer in attention:
+        if not 1 <= layer <= vcfg.layers:
+            raise ConfigError(f"hook layer {layer} outside [1, {vcfg.layers}]")
     x = patchify(video, store, vcfg)
     for layer in range(1, vcfg.layers + 1):
         fn = attention.get(layer, vanilla_attention)
         row = 0 if layer == vcfg.layers else None
         x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn, row=row)
-        if layer in modulate:
-            x = modulate[layer](x)
+        if modulate is not None:
+            x = modulate(layer, x)
     return x[..., 0, :]
 
 
-def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
+def encode_text(tokens, store, tcfg, modulate=None):
     """Run the text tower over integer tokens (EOS appended internally).
 
     Accepts one caption (1-D) or a batch of equal-length captions (2-D).
-    ``modulate`` maps layer index -> callable(w) applied to the sentence
-    (EOS) feature after each block; word features are left alone unless
-    the word-level ablation hook ``modulate_tokens`` is supplied.
-    Returns the final (Q, D_t) sentence feature, the EOS row.
+    ``modulate(layer, x)`` is called on every block's whole output
+    (Q, S, D), word rows and the EOS row alike, and what it returns
+    feeds the next block. Returns the final (Q, D_t) sentence feature,
+    the EOS row.
     """
-    modulate = modulate or {}
-    modulate_tokens = modulate_tokens or {}
-    _check_hook_layers(tcfg.layers, modulate, modulate_tokens)
     tokens = np.asarray(tokens, dtype=np.intp)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
@@ -279,9 +271,6 @@ def encode_text(tokens, store, tcfg, modulate=None, modulate_tokens=None):
 
     for layer in range(1, tcfg.layers + 1):
         x = vit_block(x, store, f"backbone/text/block{layer}", tcfg.heads, vanilla_attention)
-        if layer in modulate_tokens:
-            x = modulate_tokens[layer](x)
-        if layer in modulate:
-            w = modulate[layer](x[:, -1:, :])
-            x = T.concat([x[:, :-1, :], w], axis=1)
+        if modulate is not None:
+            x = modulate(layer, x)
     return x[:, -1, :]

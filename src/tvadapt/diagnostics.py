@@ -18,7 +18,6 @@ from . import tensor as T
 from .attention import warp_kv
 from .backbone import encode_video, vanilla_attention
 from .exceptions import ConfigError
-from .modulation import DecomposeMode
 from .tensor import no_grad
 
 
@@ -61,7 +60,7 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 
-        encode_video(video[None], model.store, vcfg, modulate=model._video_hooks(),
+        encode_video(video[None], model.store, vcfg, modulate=model.video_mod.apply,
                      attention={**attention, layer: probe})
     return T.softmax(seen["scores"] / np.sqrt(vcfg.dim), axis=1).data
 
@@ -89,18 +88,17 @@ def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
         np.savetxt(path, np.asarray(array), delimiter=",")
         written.append(name)
 
-    if model.video_mod.mode is not DecomposeMode.NONE:
-        for layer in model.video_mod.layers:
-            with no_grad():
-                scale, shift = model.video_mod.compose(layer)
-            scale = scale.data.reshape(model.vcfg.frames, -1)
-            shift = shift.data.reshape(model.vcfg.frames, -1)
-            save(f"modulation_scale_layer{layer}.csv", scale)
-            save(f"modulation_shift_layer{layer}.csv", shift)
-            save(
-                f"modulation_scale_layer{layer}_singular_values.csv",
-                np.linalg.svd(scale, compute_uv=False)[None, :],
-            )
+    for layer in model.video_mod.layers:
+        with no_grad():
+            scale, shift = model.video_mod.compose(layer)
+        scale = scale.data.reshape(model.vcfg.frames, -1)
+        shift = shift.data.reshape(model.vcfg.frames, -1)
+        save(f"modulation_scale_layer{layer}.csv", scale)
+        save(f"modulation_shift_layer{layer}.csv", shift)
+        save(
+            f"modulation_scale_layer{layer}_singular_values.csv",
+            np.linalg.svd(scale, compute_uv=False)[None, :],
+        )
 
     save(f"patch_similarity_item{item}_frame{frame}_patch{patch}.csv", sim_map)
 

@@ -24,7 +24,7 @@ from .attention import (
 )
 from .backbone import encode_text, encode_video, freeze_backbone, init_backbone
 from .exceptions import InputError
-from .modulation import DecomposeMode, TextModulation, VideoModulation
+from .modulation import TextModulation, VideoModulation
 from .retrieval import similarity, contrastive_loss, text_embedding, video_embedding
 from .tensor import ParamStore, Tensor, no_grad, rng_for
 
@@ -79,33 +79,10 @@ class AdapterModel:
 
     # -- encoding ------------------------------------------------------------
 
-    def _video_hooks(self):
-        if self.video_mod.mode is DecomposeMode.NONE:
-            return {}
-        return {
-            layer: (lambda x, l=layer: self.video_mod.apply(l, x))
-            for layer in self.video_mod.layers
-        }
-
-    def _text_hooks(self):
-        hooks = {
-            layer: (lambda w, l=layer: self.text_mod.apply(l, w))
-            for layer in self.text_mod.layers
-        }
-        token_hooks = {}
-        if self.config.text_lowrank:
-            token_hooks = {
-                layer: (lambda x, l=layer: self.text_mod.apply_wordlevel(l, x))
-                for layer in self.text_mod.layers
-            }
-        return hooks, token_hooks
-
     def encode_texts(self, tokens):
         """Normalized sentence embeddings (Q, D_t) for a token batch."""
-        hooks, token_hooks = self._text_hooks()
-        z = encode_text(tokens, self.store, self.tcfg, modulate=hooks,
-                        modulate_tokens=token_hooks)
-        return text_embedding(z)
+        return text_embedding(encode_text(tokens, self.store, self.tcfg,
+                                          modulate=self.text_mod.apply))
 
     def _pick_sentences(self, videos, candidates):
         """Index of the most video-aligned candidate per video (no grad).
@@ -121,7 +98,7 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks())
+            f_last = encode_video(videos, self.store, self.vcfg, modulate=self.video_mod.apply)
         pooled = f_last.data.mean(axis=-2)
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
@@ -176,7 +153,7 @@ class AdapterModel:
         the full query set at evaluation.
         """
         select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        f_last = encode_video(videos, self.store, self.vcfg, modulate=self._video_hooks(),
+        f_last = encode_video(videos, self.store, self.vcfg, modulate=self.video_mod.apply,
                               attention=self.attention_hooks(select))
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))

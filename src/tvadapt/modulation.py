@@ -5,12 +5,17 @@ each factorized along the temporal axis as a rank-R product
 (c = c_a . c_b with c_a: T x R, c_b: R x D), applied multiplicatively
 and additively to the block output: u = c * x + s, with one modulation
 row per frame shared by all N+1 tokens of that frame. The text tower
-gets a full-rank sentence-level pair (1 x D_t) per layer; word features
-are never modulated.
+gets a full-rank sentence-level pair (1 x D_t) per layer, applied to the
+sentence (EOS) row only; word features are never modulated, except by
+the word-level low-rank ablation.
+
+Both classes are the towers' modulation hooks: ``apply(layer, x)``
+takes a block's whole output and returns it modulated, or ``x`` itself
+at a layer without an adapter.
 
 Alternative decompositions (per-token spatial-temporal factors, and a
 single factorization shared across layers) are provided as ablation
-modes, plus an off mode that leaves features untouched. Initialization
+modes, plus an off mode that holds no layers. Initialization
 is exact-identity: the composed scale is bitwise ones and the composed
 shift bitwise zeros, so a freshly attached adapter preserves the frozen
 model's function.
@@ -39,7 +44,7 @@ class VideoModulation:
 
     def __init__(self, store, mode, layers, rank, frames, tokens, dim, seed):
         self.mode = DecomposeMode(mode)
-        self.layers = sorted(layers)
+        self.layers = [] if self.mode is DecomposeMode.NONE else sorted(layers)
         self.rank = rank
         self.frames = frames
         self.tokens = tokens
@@ -84,8 +89,6 @@ class VideoModulation:
 
         Temporal mode: (T, D) each. Per-token modes: (T, N+1, D) each.
         """
-        if self.mode is DecomposeMode.NONE:
-            raise ConfigError("compose called with modulation disabled")
         if layer not in self.layers:
             raise ConfigError(f"layer {layer} has no modulation attached")
         if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
@@ -119,7 +122,7 @@ class VideoModulation:
         layer, which computes only the CLS rows; per-token factors then
         apply their token-0 row.
         """
-        if self.mode is DecomposeMode.NONE or layer not in self.layers:
+        if layer not in self.layers:
             return x
         c, s = self.compose(layer)
         if self.mode is DecomposeMode.TEMPORAL:
@@ -158,21 +161,23 @@ class TextModulation:
             self.params[layer] = entry
         identity_init(self)
 
-    def apply(self, layer, w):
-        if layer not in self.params:
-            return w
-        entry = self.params[layer]
-        return entry["c_t"] * w + entry["s_t"]
+    def apply(self, layer, x):
+        """Modulate text block output x (..., S, D), EOS row last.
 
-    def apply_wordlevel(self, layer, x):
-        """Word-level low-rank variant (ablation flag only)."""
-        if not self.lowrank or layer not in self.params:
+        The sentence row w becomes c_t * w + s_t; the word rows pass
+        through, unless ``lowrank`` first scales and shifts every row
+        by its position (the word-level ablation).
+        """
+        if layer not in self.params:
             return x
         entry = self.params[layer]
-        n = x.shape[-2]
-        cw = T.matmul(entry["w_a"], entry["w_b"])[:n]
-        sw = T.matmul(entry["v_a"], entry["v_b"])[:n]
-        return cw * x + sw
+        if self.lowrank:
+            n = x.shape[-2]
+            cw = T.matmul(entry["w_a"], entry["w_b"])[:n]
+            sw = T.matmul(entry["v_a"], entry["v_b"])[:n]
+            x = cw * x + sw
+        w = entry["c_t"] * x[..., -1:, :] + entry["s_t"]
+        return T.concat([x[..., :-1, :], w], axis=-2)
 
 
 def identity_init(mod):

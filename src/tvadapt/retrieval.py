@@ -33,7 +33,13 @@ class SimilarityMatrix:
         if self.video_to_text is None:
             n = min(self.scores.shape)
             self.video_to_text = np.arange(n)
-        self.video_to_text = np.asarray(self.video_to_text, dtype=np.intp)
+        pairing = np.asarray(self.video_to_text)
+        if (pairing.ndim != 1 or pairing.dtype.kind not in "iu"
+                or (np.sort(pairing) != np.arange(pairing.size)).any()):
+            raise ContractError(
+                f"video->text pairing is not a permutation of range({pairing.size})"
+            )
+        self.video_to_text = pairing.astype(np.intp, copy=False)
 
 
 @dataclass
@@ -60,13 +66,10 @@ class MetricsReport:
         return "  ".join(cells)
 
 
-def video_embedding(frame_feats, proj_w, proj_b=None):
+def video_embedding(frame_feats, proj_w, proj_b):
     """Mean-pool frame features over T, project to D_t, L2-normalize."""
     pooled = T.mean(frame_feats, axis=-2, keepdims=True)
-    out = T.matmul(pooled, proj_w)
-    if proj_b is not None:
-        out = out + proj_b
-    return T.l2_normalize(out, axis=-1)
+    return T.l2_normalize(T.matmul(pooled, proj_w) + proj_b, axis=-1)
 
 
 def text_embedding(sentence_feats):

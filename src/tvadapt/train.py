@@ -15,8 +15,9 @@ from .tensor import no_grad, rng_for
 
 
 class Adam:
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m = {}
         self.v = {}
         self.t = 0
@@ -50,9 +51,8 @@ def lr_at(step, total_steps, base_lr, warmup_frac):
 def evaluate_model(model, dataset, use_dsl=False, dsl_inv_temp=100.0):
     """MetricsReports for both retrieval directions (optionally with DSL)."""
     with no_grad():
-        z = model.encode_texts(dataset.tokens)
-        v = model.encode_videos(dataset.videos, candidates=z.data, sel_key=("eval",))
-    return score_reports(v.data @ z.data.T, use_dsl, dsl_inv_temp)
+        scores, _, _ = model.batch_scores(dataset.videos, dataset.tokens)
+    return score_reports(scores.data, use_dsl, dsl_inv_temp)
 
 
 def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0):

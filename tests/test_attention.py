@@ -55,7 +55,7 @@ def pick_model():
 def loop_probes(model, videos):
     """Proj(mean over frames of the last-layer frame features), by explicit loops."""
     with no_grad():
-        f_last = encode_video(videos, model.store, model.vcfg, modulate=model._video_hooks())
+        f_last = encode_video(videos, model.store, model.vcfg, modulate=model.video_mod.apply)
     probes = []
     for feats in f_last.data:
         pooled = sum(feats[t] for t in range(feats.shape[0])) / feats.shape[0]
@@ -116,14 +116,14 @@ def test_pick_sentences_rejects_wrong_width():
 
 
 def crafted_frame(scores):
-    # one-frame (1, N, D) features whose Proj(u) . w* scores equal the given values
+    # one-frame (1, N, D) features whose Proj(u) . w* scores equal the given
+    # values, and the text-mode arguments that score them
     n = len(scores)
     u = np.zeros((1, n, DIM))
     u[0, :, 0] = scores
     proj = np.zeros((DIM, 3))
     proj[0, 0] = 1.0
-    w_star = np.array([1.0, 0.0, 0.0])
-    return u, proj, w_star
+    return u, dict(w_star=np.array([1.0, 0.0, 0.0]), proj_w=proj, proj_b=np.zeros(3))
 
 
 def selected(mask):
@@ -131,22 +131,22 @@ def selected(mask):
 
 
 def test_select_patches_exhaustive_and_empty():
-    u, proj, w = crafted_frame([3.0, 1.0, 4.0, 2.0])
-    mask = selection_masks("text_top_k", 4, u, w_star=w, proj_w=proj)
+    u, text = crafted_frame([3.0, 1.0, 4.0, 2.0])
+    mask = selection_masks("text_top_k", 4, u, **text)
     assert selected(mask) == [0, 1, 2, 3]
-    mask = selection_masks("text_top_k", 0, u, w_star=w, proj_w=proj)
+    mask = selection_masks("text_top_k", 0, u, **text)
     assert selected(mask) == []
 
 
 def test_select_patches_topk_sort_oracle():
-    u, proj, w = crafted_frame([3.0, 1.0, 4.0, 2.0])
-    assert selected(selection_masks("text_top_k", 2, u, w_star=w, proj_w=proj)) == [0, 2]
-    assert selected(selection_masks("text_bottom_k", 2, u, w_star=w, proj_w=proj)) == [1, 3]
+    u, text = crafted_frame([3.0, 1.0, 4.0, 2.0])
+    assert selected(selection_masks("text_top_k", 2, u, **text)) == [0, 2]
+    assert selected(selection_masks("text_bottom_k", 2, u, **text)) == [1, 3]
 
 
 def test_select_patches_tie_breaks_low_index():
-    u, proj, w = crafted_frame([1.0, 1.0, 1.0, 0.0])
-    assert selected(selection_masks("text_top_k", 2, u, w_star=w, proj_w=proj)) == [0, 1]
+    u, text = crafted_frame([1.0, 1.0, 1.0, 0.0])
+    assert selected(selection_masks("text_top_k", 2, u, **text)) == [0, 1]
 
 
 def test_select_patches_vision_modes():

@@ -14,6 +14,7 @@ from tvadapt.backbone import (
     freeze_backbone,
     init_backbone,
     patchify,
+    vanilla_attention,
     vit_block,
 )
 from tvadapt.exceptions import ConfigError, InputError
@@ -29,10 +30,10 @@ def make_store(seed=0):
     return store
 
 
-def recording_hooks(layers):
-    """Identity modulate hooks at every layer, and the list of what each one saw."""
+def recording_hook():
+    """An identity modulate hook, and the list of what it saw at each layer."""
     seen = []
-    return {layer: lambda x: seen.append(x) or x for layer in range(1, layers + 1)}, seen
+    return lambda layer, x: seen.append(x) or x, seen
 
 
 # -- reference implementations (explicit loops, no engine code) -----------
@@ -141,8 +142,8 @@ def test_encode_with_all_blocks_zeroed_returns_patchify_output():
         for name in block_params(store, prefix):
             store[f"{prefix}/{name}"].data[:] = 0.0
     video = rng_for(21, "zeroall").normal(size=(3, 4, 4, 1))
-    hooks, feats = recording_hooks(VCFG.layers)
-    f = encode_video(video, store, VCFG, modulate=hooks)
+    record, feats = recording_hook()
+    f = encode_video(video, store, VCFG, modulate=record)
     x0 = patchify(video, store, VCFG).data
     assert len(feats) == VCFG.layers
     for x in feats[:-1]:
@@ -163,8 +164,6 @@ def test_block_matches_dense_reference():
     store = make_store()
     prefix = "backbone/visual/block1"
     x = rng_for(3, "ref").normal(size=(3, 5, 8))
-    from tvadapt.backbone import vanilla_attention
-
     got = vit_block(Tensor(x), store, prefix, VCFG.heads, vanilla_attention)
     want = ref_block(x, block_params(store, prefix), VCFG.heads)
     np.testing.assert_allclose(got.data, want, atol=1e-12)
@@ -185,8 +184,6 @@ def test_vanilla_block_records_one_node_per_fused_op():
     # two layer_norms, one gelu and six biased linears are one node each,
     # 24 nodes in all with the 13 of attention_core and the 2 residual
     # adds; split back into their composites they record 54
-    from tvadapt.backbone import vanilla_attention
-
     store = make_store()
     x = Tensor(rng_for(5, "tape").normal(size=(3, 5, 8)), requires_grad=True)
     out = vit_block(x, store, "backbone/visual/block1", VCFG.heads, vanilla_attention)
@@ -199,10 +196,10 @@ def test_vanilla_block_records_one_node_per_fused_op():
 def test_encode_video_purity_and_shapes():
     store = make_store()
     video = rng_for(4, "vid").normal(size=(3, 4, 4, 1))
-    hooks1, feats1 = recording_hooks(VCFG.layers)
-    hooks2, feats2 = recording_hooks(VCFG.layers)
-    f1 = encode_video(video, store, VCFG, modulate=hooks1)
-    f2 = encode_video(video, store, VCFG, modulate=hooks2)
+    record1, feats1 = recording_hook()
+    record2, feats2 = recording_hook()
+    f1 = encode_video(video, store, VCFG, modulate=record1)
+    f2 = encode_video(video, store, VCFG, modulate=record2)
     assert len(feats1) == VCFG.layers
     for x in feats1[:-1]:
         assert x.shape == (3, VCFG.patches + 1, 8)
@@ -218,10 +215,10 @@ def test_encode_video_frame_permutation_equivariance():
     store = make_store()
     video = rng_for(5, "perm").normal(size=(3, 4, 4, 1))
     perm = np.array([2, 0, 1])
-    hooks, feats = recording_hooks(VCFG.layers)
-    hooks_p, feats_p = recording_hooks(VCFG.layers)
-    encode_video(video, store, VCFG, modulate=hooks)
-    encode_video(video[perm], store, VCFG, modulate=hooks_p)
+    record, feats = recording_hook()
+    record_p, feats_p = recording_hook()
+    encode_video(video, store, VCFG, modulate=record)
+    encode_video(video[perm], store, VCFG, modulate=record_p)
     assert len(feats) == len(feats_p) == VCFG.layers
     for x, x_p in zip(feats, feats_p):
         np.testing.assert_array_equal(x_p.data, x.data[perm])
@@ -239,8 +236,9 @@ def test_encode_video_batched_matches_single():
 def test_encode_video_rejects_bad_hook_layer():
     store = make_store()
     video = np.zeros((3, 4, 4, 1))
-    with pytest.raises(ConfigError):
-        encode_video(video, store, VCFG, modulate={5: lambda x: x})
+    for layer in (0, VCFG.layers + 1):
+        with pytest.raises(ConfigError):
+            encode_video(video, store, VCFG, attention={layer: vanilla_attention})
 
 
 # -- encode_text -------------------------------------------------------------
@@ -248,10 +246,10 @@ def test_encode_video_rejects_bad_hook_layer():
 
 def test_encode_text_empty_caption():
     store = make_store()
-    hooks, feats = recording_hooks(TCFG.layers)
-    z = encode_text(np.array([], dtype=int), store, TCFG, modulate=hooks)
+    record, feats = recording_hook()
+    z = encode_text(np.array([], dtype=int), store, TCFG, modulate=record)
     assert z.shape == (1, 8)
-    assert [w.shape for w in feats] == [(1, 1, 8)] * TCFG.layers  # the EOS row at every layer
+    assert [x.shape for x in feats] == [(1, 1, 8)] * TCFG.layers  # the EOS row alone
 
 
 def test_encode_text_determinism():
@@ -282,18 +280,18 @@ def test_encode_text_matches_dense_reference():
     np.testing.assert_allclose(z.data[0], x[-1], atol=1e-12)
 
 
-def test_text_modulation_hook_sees_only_the_sentence_row():
+def test_text_modulate_hook_sees_every_row_of_every_block():
     store = make_store()
     tokens = np.array([[3, 1, 4], [0, 7, 2]])
     seen = []
 
-    def hook(w):
-        seen.append(w.shape)
-        return w * 2.0
+    def hook(layer, x):
+        seen.append((layer, x.shape))
+        return x * 2.0 if layer == TCFG.layers else x
 
     z_plain = encode_text(tokens, store, TCFG)
-    z_hooked = encode_text(tokens, store, TCFG, modulate={TCFG.layers: hook})
-    assert seen == [(2, 1, 8)]  # one EOS row per caption, nothing else
+    z_hooked = encode_text(tokens, store, TCFG, modulate=hook)
+    assert seen == [(1, (2, 4, 8)), (2, (2, 4, 8))]  # three words and the EOS row
     np.testing.assert_allclose(z_hooked.data, 2.0 * z_plain.data, atol=0)
 
 
@@ -314,7 +312,8 @@ def test_freeze_blocks_backbone_grads_but_not_adapters():
     freeze_backbone(store)
     adapter = store.add("adapter/scale", Tensor(np.ones((1, 8))))
     video = rng_for(7, "fz").normal(size=(3, 4, 4, 1))
-    f = encode_video(video, store, VCFG, modulate={1: lambda x: x * adapter})
+    f = encode_video(video, store, VCFG,
+                     modulate=lambda layer, x: x * adapter if layer == 1 else x)
     T.tsum(f * f).backward()
     assert adapter.grad is not None
     for name, t in store.items():

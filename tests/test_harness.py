@@ -1,6 +1,8 @@
 """Harness tests: CLI surface, ablation suites, diagnostics exports."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -335,7 +337,7 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
         return drawn[-1]
 
     with no_grad():
-        encode_video(video[None], model.store, model.vcfg, modulate=model._video_hooks(),
+        encode_video(video[None], model.store, model.vcfg, modulate=model.video_mod.apply,
                      attention=model.attention_hooks(select))
     assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
 
@@ -384,3 +386,36 @@ def test_similarity_map_copies_no_block_computation():
     strings = [node.value for node in ast.walk(tree)
                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert not [s for s in strings if "backbone/visual/block" in s]
+
+
+# -- benchmark tracer -----------------------------------------------------------
+
+
+def _resolve(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_benchmark_tracer_patches_existing_names_and_restores_them():
+    # perfbench/tracer.py patches these names from outside the package, so a
+    # renamed or deleted name would otherwise fail only a traced benchmark run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = {(module, attr): _resolve(module, attr) for _, module, attr in tracer.SPANS}
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        patched = list(tr._patches)
+        for key, original in originals.items():
+            assert _resolve(*key) is not original, key
+    finally:
+        tr.uninstall()
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
+    for key, original in originals.items():
+        assert _resolve(*key) is original, key

@@ -45,7 +45,6 @@ def full_rows_last_block(x, store, prefix, heads, attention_fn):
 
 def encode_video_full_rows(video, store, vcfg, modulate=None, attention=None):
     """``encode_video`` with the full-rows last block and its hook on every row."""
-    modulate = modulate or {}
     attention = attention or {}
     x = patchify(video, store, vcfg)
     for layer in range(1, vcfg.layers + 1):
@@ -55,8 +54,8 @@ def encode_video_full_rows(video, store, vcfg, modulate=None, attention=None):
             x = vit_block(x, store, prefix, vcfg.heads, fn)
         else:
             x = full_rows_last_block(x, store, prefix, vcfg.heads, fn)
-        if layer in modulate:
-            x = modulate[layer](x)
+        if modulate is not None:
+            x = modulate(layer, x)
     return x[..., 0, :]
 
 

@@ -207,8 +207,69 @@ def test_word_level_lowrank_flag():
     store = ParamStore()
     tm = TextModulation(store, [1], DIM, seed=0, lowrank=True, rank=2, positions=TOKENS)
     x = Tensor(rng_for(12, "wl").normal(size=(2, 4, DIM)))
-    np.testing.assert_array_equal(tm.apply_wordlevel(1, x).data, x.data)  # identity at init
+    np.testing.assert_array_equal(tm.apply(1, x).data, x.data)  # identity at init
     tm.params[1]["w_a"].data[:] = rng_for(13, "wl").normal(size=(TOKENS, 2))
-    out = tm.apply_wordlevel(1, x)
+    out = tm.apply(1, x)
     assert out.shape == x.shape
-    assert not np.allclose(out.data, x.data)
+    assert not np.allclose(out.data[:, :-1], x.data[:, :-1])  # the word rows move too
+
+
+def two_hook_text_modulation(tm, layer, x):
+    """Text modulation as the tower once applied it: a word-level hook on
+    the whole block output, then a sentence hook on the sliced EOS row,
+    concatenated back."""
+    if layer not in tm.params:
+        return x
+    entry = tm.params[layer]
+    if tm.lowrank:
+        n = x.shape[-2]
+        cw = T.matmul(entry["w_a"], entry["w_b"])[:n]
+        sw = T.matmul(entry["v_a"], entry["v_b"])[:n]
+        x = cw * x + sw
+    w = entry["c_t"] * x[:, -1:, :] + entry["s_t"]
+    return T.concat([x[:, :-1, :], w], axis=1)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("layers", [[], [1, 2]])
+def test_text_apply_bitwise_as_two_hook_composition(layers, lowrank):
+    # ``layers=[]`` is text modulation off; at perturbed parameters the one
+    # hook must give the old composition's output and gradients as bits
+    runs = []
+    for apply in (None, two_hook_text_modulation):
+        store = ParamStore()
+        tm = TextModulation(store, layers, DIM, seed=0, lowrank=lowrank, rank=2,
+                            positions=TOKENS)
+        for name, t in store.items():
+            t.data += rng_for(14, "two-hook", name).normal(size=t.shape) * 0.1
+        x = Tensor(rng_for(15, "two-hook").normal(size=(3, 4, DIM)), requires_grad=True)
+        out = x
+        for layer in (1, 2, 3):
+            out = tm.apply(layer, out) if apply is None else apply(tm, layer, out)
+        T.tsum(out * rng_for(16, "two-hook").normal(size=out.shape)).backward()
+        runs.append((out.data, x.grad, {name: t.grad for name, t in store.items()}))
+    (out, gx, grads), (want_out, want_gx, want_grads) = runs
+    assert (_bits(out) == _bits(want_out)).all()
+    assert (_bits(gx) == _bits(want_gx)).all()
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert (_bits(grads[name]) == _bits(want_grads[name])).all(), name
+    if not lowrank:
+        x = Tensor(rng_for(17, "two-hook").normal(size=(3, 4, DIM)))
+        np.testing.assert_array_equal(tm.apply(1, x).data[:, :-1], x.data[:, :-1])
+
+
+def test_apply_returns_its_input_where_nothing_is_adapted():
+    x = Tensor(rng_for(18, "pass").normal(size=(FRAMES, TOKENS, DIM)))
+    _, mod = make_video_mod(layers=(1,))
+    assert mod.apply(2, x) is x
+    _, mod = make_video_mod(mode="none", layers=(1, 2))
+    assert mod.layers == []
+    assert mod.apply(1, x) is x
+    tm = TextModulation(ParamStore(), [1], DIM, seed=0, lowrank=True, rank=2, positions=TOKENS)
+    assert tm.apply(2, x) is x
+    assert TextModulation(ParamStore(), [], DIM, seed=0).apply(1, x) is x

@@ -39,8 +39,8 @@ def test_video_embedding_identical_frames_and_norm():
     w = Tensor(rng.normal(size=(6, 4)))
     frame = rng.normal(size=(1, 6))
     stack = Tensor(np.repeat(frame, 3, axis=0))
-    multi = video_embedding(stack, w)
-    single = video_embedding(Tensor(frame), w)
+    multi = video_embedding(stack, w, np.zeros(4))
+    single = video_embedding(Tensor(frame), w, np.zeros(4))
     np.testing.assert_allclose(multi.data, single.data, atol=1e-12)
     assert abs(np.linalg.norm(multi.data) - 1.0) < 1e-12
 
@@ -129,6 +129,13 @@ def test_recall_identity_dominant_and_antidiagonal():
 def test_recall_rejects_bad_k():
     with pytest.raises(ConfigError):
         metrics_report(SimilarityMatrix(np.eye(2)), "video->text", ks=(1, 0))
+
+
+@pytest.mark.parametrize("pairing", [[0, 0, 2], [0, 1, 5], [-1, 0, 1], [[0, 1, 2]],
+                                     [0.9, 1.0, 2.0]])
+def test_similarity_matrix_rejects_a_pairing_that_is_not_a_permutation(pairing):
+    with pytest.raises(ContractError):
+        SimilarityMatrix(np.eye(3), video_to_text=pairing)
 
 
 def test_ranking_rejects_rectangular_matrices():
