@@ -43,9 +43,6 @@ class WarpAxes(str, Enum):
     SPATIAL_ONLY = "spatial"
 
 
-WARP_INTERPS = ("bilinear", "nearest")
-
-
 class OffsetParams:
     """Layer-shared patch offsets gamma (N x 1) and frame offsets delta (T x 1).
 
@@ -114,22 +111,20 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
 
 
 # Sampling plan along one grid axis, broadcasting over it: slot i blends rows
-# lo[i] and hi[i] by frac[i], or takes row lo[i] where exact[i]; nearest[i] is
-# the snapped row; inside is the in-grid mask the clamp passes gradient
-# through, None if the offset takes none.
-_AxisPlan = namedtuple("_AxisPlan", "lo hi frac exact nearest inside")
+# lo[i] and hi[i] by frac[i], or takes row lo[i] where exact[i]; inside is the
+# in-grid mask the clamp passes gradient through, None if the offset takes none.
+_AxisPlan = namedtuple("_AxisPlan", "lo hi frac exact inside")
 
 
 def _axis_plan(offset, size, enabled, axis):
     coords = np.arange(size, dtype=np.float64) + (offset.data.reshape(size) if enabled else 0.0)
     inside = (coords >= 0.0) & (coords <= size - 1)
-    nearest = np.clip(np.rint(coords), 0, size - 1).astype(np.intp)
     coords = np.clip(coords, 0.0, float(size - 1))
     lo = np.floor(coords).astype(np.intp)
     trailing = (size,) + (1,) * (-1 - axis)
     inside = inside.reshape(offset.shape) if enabled and offset.requires_grad else None
     return _AxisPlan(lo, np.minimum(lo + 1, size - 1), (coords - lo).reshape(trailing),
-                     (coords == lo).reshape(trailing), nearest, inside)
+                     (coords == lo).reshape(trailing), inside)
 
 
 def _blend(field, plan, axis):
@@ -157,7 +152,7 @@ def _scatter(g, idx, axis, shape):
     return out
 
 
-def warp_kv(k, v, offsets, selection, interp="bilinear"):
+def warp_kv(k, v, offsets, selection):
     """Resample key/value fields at offset grid positions for selected patches.
 
     k, v: (..., T, N, D); ``selection``: boolean (..., T, N) mask of the
@@ -165,9 +160,7 @@ def warp_kv(k, v, offsets, selection, interp="bilinear"):
     (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
     clamped to the grid; rows outside the selection pass through
     bitwise. Only the axes in ``offsets.axes`` move; the other axis
-    keeps its grid position. ``interp="nearest"`` snaps the value to the
-    nearest grid point while keeping the bilinear gradient
-    (straight-through).
+    keeps its grid position.
 
     One tape node with parents (k, v, gamma, delta) yields K-hat and V-hat
     stacked. Its backward repeats the arithmetic and summation order of
@@ -178,19 +171,12 @@ def warp_kv(k, v, offsets, selection, interp="bilinear"):
     1 - frac, K through frac, V likewise), masked by the in-grid mask.
     """
     k, v = T.astensor(k), T.astensor(v)
-    if interp not in WARP_INTERPS:
-        raise ConfigError(f"unknown warp interpolation {interp!r}")
     t_n, n_n = k.shape[-3], k.shape[-2]
     n_plan = _axis_plan(offsets.gamma, n_n, offsets.axes is not WarpAxes.TEMPORAL_ONLY, -2)
     t_plan = _axis_plan(offsets.delta, t_n, offsets.axes is not WarpAxes.SPATIAL_ONLY, -3)
     mask = np.asarray(selection, dtype=bool)[..., None]
-
-    def warp(field):
-        if interp == "nearest":
-            return np.take(np.take(field, n_plan.nearest, axis=-2), t_plan.nearest, axis=-3)
-        return _blend(_blend(field, n_plan, -2)[2], t_plan, -3)[2]
-
-    data = np.stack([np.where(mask, warp(f.data), f.data) for f in (k, v)])
+    data = np.stack([np.where(mask, _blend(_blend(f.data, n_plan, -2)[2], t_plan, -3)[2], f.data)
+                     for f in (k, v)])
 
     def _bw(g):
         n_terms, t_terms = [], []
@@ -212,14 +198,14 @@ def warp_kv(k, v, offsets, selection, interp="bilinear"):
     return w[0], w[1]
 
 
-def asa_block_attention(x_in, q, k, v, heads, offsets, selection, interp="bilinear"):
+def asa_block_attention(x_in, q, k, v, heads, offsets, selection):
     """Drop-in block attention: warp patch K/V rows, keep the CLS row.
 
     q, k, v: (..., T, N+1, D) projected tokens from the frozen block;
     ``selection`` is the (..., T, N) patch mask. With zero offsets the
     result is bitwise identical to vanilla attention on the same inputs.
     """
-    k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection, interp)
+    k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection)
     k_hat = T.concat([k[..., :1, :], k_hat_p], axis=-2)
     v_hat = T.concat([v[..., :1, :], v_hat_p], axis=-2)
     return attention_core(q, k_hat, v_hat, heads)

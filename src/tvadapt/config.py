@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .attention import WARP_INTERPS, SelectionMode, WarpAxes
+from .attention import SelectionMode, WarpAxes
 from .backbone import TextConfig, VisualConfig
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
@@ -36,7 +36,6 @@ class ExperimentConfig:
     warp_axes: str = "both"
     decompose: str = "temporal"
     adapter_layers: str = "all"
-    warp_interp: str = "bilinear"
     asa: bool = True
     text_modulation: bool = True
     text_lowrank: bool = False
@@ -99,8 +98,6 @@ class ExperimentConfig:
             )
         if not 0 <= self.top_k <= vcfg.patches:
             raise ConfigError(f"top_k {self.top_k} outside [0, N={vcfg.patches}]")
-        if self.warp_interp not in WARP_INTERPS:
-            raise ConfigError(f"unknown warp_interp {self.warp_interp!r}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.warmup <= 1.0:

@@ -55,8 +55,7 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
             out = hook(x_in, q, k, v, heads)  # an ASA hook draws this layer's mask
             k_hat = k.data[0, :, 1:, :]
             if layer in attention:
-                k_hat = warp_kv(k_hat, k_hat, model.offsets, seen["mask"][0],
-                                interp=cfg.warp_interp)[0].data
+                k_hat = warp_kv(k_hat, k_hat, model.offsets, seen["mask"][0])[0].data
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 

@@ -140,8 +140,7 @@ class AdapterModel:
             return {}
 
         def attend(x_in, q, k, v, heads):
-            return asa_block_attention(x_in, q, k, v, heads, self.offsets, select(x_in.data),
-                                       interp=self.config.warp_interp)
+            return asa_block_attention(x_in, q, k, v, heads, self.offsets, select(x_in.data))
 
         return {layer: attend for layer in self.config.visual_adapter_layers()}
 

@@ -279,27 +279,6 @@ def test_warp_axis_restriction_freezes_other_axis():
     assert (k_hat.data == k.data).all()
 
 
-def test_warp_nearest_mode_snaps_with_live_gradient():
-    store, off = make_offsets()
-    off.gamma.data[:] = 0.4
-    rng = rng_for(15, "near")
-    k = Tensor(rng.normal(size=(FRAMES, PATCHES, DIM)))
-    mask = np.ones((FRAMES, PATCHES), bool)
-    k_hat, _ = warp_kv(k, k, off, mask, interp="nearest")
-    np.testing.assert_array_equal(k_hat.data, k.data)  # 0.4 rounds to 0
-    T.tsum(k_hat * k_hat).backward()
-    assert off.gamma.grad is not None and np.abs(off.gamma.grad).max() > 0
-
-
-def test_warp_rejects_unknown_interpolation():
-    store, off = make_offsets()
-    k = Tensor(rng_for(21, "interp").normal(size=(FRAMES, PATCHES, DIM)))
-    mask = np.ones((FRAMES, PATCHES), bool)
-    for interp in ("Bilinear", "cubic", None):
-        with pytest.raises(ConfigError):
-            warp_kv(k, k, off, mask, interp=interp)
-
-
 # -- the warp node against the composite of tape ops it replaces ---------------
 
 
@@ -326,14 +305,6 @@ def _where_const(mask, a, b):
     return T._make(np.where(mask, a.data, b.data), (a, b), _bw)
 
 
-def _value_override(a, data):
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return T._make(data, (a,), _bw)
-
-
 def _clip(a, lo, hi):
     passes = (a.data >= lo) & (a.data <= hi)
 
@@ -353,7 +324,7 @@ def _composite_axis(offset, size, enabled):
     return lo, np.minimum(lo + 1, size - 1), frac, coords.data == lo
 
 
-def composite_warp_kv(k, v, offsets, selection, interp):
+def composite_warp_kv(k, v, offsets, selection):
     """The warp as a chain of primitive tape ops: the reference that the
     one-node ``warp_kv`` must match bit for bit."""
     t_n, n_n = k.shape[-3], k.shape[-2]
@@ -370,24 +341,15 @@ def composite_warp_kv(k, v, offsets, selection, interp):
         h0, h1 = _take(stage_n, t_lo, -3), _take(stage_n, t_hi, -3)
         return _where_const(t_exact[:, None, None], h0, (1.0 - ft) * h0 + ft * h1)
 
-    def nearest(field):
-        gamma = offsets.gamma.data.reshape(-1) if n_on else 0.0
-        delta = offsets.delta.data.reshape(-1) if t_on else 0.0
-        n_idx = np.clip(np.rint(np.arange(n_n) + gamma), 0, n_n - 1).astype(np.intp)
-        t_idx = np.clip(np.rint(np.arange(t_n) + delta), 0, t_n - 1).astype(np.intp)
-        snapped = np.take(np.take(field.data, n_idx, axis=-2), t_idx, axis=-3)
-        return _value_override(bilinear(field), snapped)
-
-    warp = bilinear if interp == "bilinear" else nearest
     mask = np.asarray(selection, dtype=bool)[..., None]
-    return _where_const(mask, warp(k), k), _where_const(mask, warp(v), v)
+    return _where_const(mask, bilinear(k), k), _where_const(mask, bilinear(v), v)
 
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def _warp_case(warp, fields, axes, interp, gamma, delta):
+def _warp_case(warp, fields, axes, gamma, delta):
     """Outputs and gradients of one warp under a loss with signed-zero adjoints.
 
     ``fields``: "leaves" (K and V trainable leaves), "shared" (both built
@@ -410,14 +372,13 @@ def _warp_case(warp, fields, axes, interp, gamma, delta):
     p, q = rng.normal(size=shape), rng.normal(size=shape)
     p[..., ::3] *= 0.0
     q[..., 1::3] *= -0.0
-    k_hat, v_hat = warp(k, v, off, mask, interp)
+    k_hat, v_hat = warp(k, v, off, mask)
     T.tsum(k_hat * Tensor(p) + v_hat * Tensor(q) + x * x).backward()
     return [k_hat.data, v_hat.data, x.grad, off.gamma.grad, off.delta.grad, k.grad, v.grad]
 
 
-@pytest.mark.parametrize("interp", ["bilinear", "nearest"])
 @pytest.mark.parametrize("axes", list(WarpAxes))
-def test_warp_node_bitwise_matches_composite(axes, interp):
+def test_warp_node_bitwise_matches_composite(axes):
     rng = rng_for(23, "oracle-offsets")
     offsets = {
         "zero": (np.zeros((PATCHES, 1)), np.zeros((FRAMES, 1))),
@@ -431,8 +392,8 @@ def test_warp_node_bitwise_matches_composite(axes, interp):
     }
     for name, (gamma, delta) in offsets.items():
         for fields in ("leaves", "shared", "frozen_k"):
-            got = _warp_case(warp_kv, fields, axes, interp, gamma, delta)
-            want = _warp_case(composite_warp_kv, fields, axes, interp, gamma, delta)
+            got = _warp_case(warp_kv, fields, axes, gamma, delta)
+            want = _warp_case(composite_warp_kv, fields, axes, gamma, delta)
             for i, (a, b) in enumerate(zip(got, want)):
                 case = (name, fields, i)
                 assert (a is None) == (b is None), case

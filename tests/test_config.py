@@ -49,8 +49,8 @@ def test_validation_rules():
         cm.toy_config(warmup=1.5)
     with pytest.raises(ConfigError):
         cm.toy_config(pairs=1)
-    with pytest.raises(ConfigError):
-        cm.toy_config(warp_interp="cubic")
+    with pytest.raises(ConfigError, match="unknown config key 'warp_interp'"):
+        cm.loads("warp_interp = bilinear\n")  # a removed key
     with pytest.raises(ConfigError):
         cm.toy_config(text_lowrank=True, text_modulation=False)
     with pytest.raises(ConfigError):

@@ -20,8 +20,7 @@ from tvadapt.model import AdapterModel
 from tvadapt.tensor import rng_for
 
 MODES = ("temporal", "spatial_temporal", "spatial_temporal_layer", "none")
-ASA = {"off": dict(asa=False), "bilinear": dict(warp_interp="bilinear"),
-       "nearest": dict(warp_interp="nearest")}
+ASA = {"off": dict(asa=False), "bilinear": dict()}
 SHAPES = {
     "toy": toy_config(),  # 8x8 frames, patch 4: N+1 = 5
     "wide": toy_config(layers=4, dim_v=64, frame_h=12, frame_w=12, patch=4, frames=8,
@@ -128,7 +127,7 @@ def test_row_only_last_block_bitwise_for_every_mode(decompose, asa, adapter_laye
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_row_only_last_block_bitwise_for_every_batch_shape(shape, count, monkeypatch):
     # the wide workload's setting, then per-token factors with the warp
-    for decompose, asa in (("temporal", "off"), ("spatial_temporal", "nearest")):
+    for decompose, asa in (("temporal", "off"), ("spatial_temporal", "bilinear")):
         cfg = replace(SHAPES[shape], decompose=decompose, **ASA[asa])
         videos = _videos(cfg, count, shape)
         _assert_bitwise_as_full_rows(cfg, videos, monkeypatch)

@@ -192,24 +192,3 @@ def test_whole_model_gradients_pass_fd_for_identity_built_modes(overrides):
         return model.batch_loss(data.videos, data.tokens, sel_key=("fd",))
 
     assert fd_check(fn, model.store, eps=1e-5) < 1e-4
-
-
-def test_whole_model_gradients_pass_fd_for_nearest_warp():
-    # integer offsets are the only points where the snapped forward pass has
-    # a derivative (zero in the offsets) for the straight-through backward to
-    # match; bilinear has a kink at these points, so the check is nearest-only
-    cfg = toy_config(pairs=2, batch_size=2, layers=2, text_layers=2, train_head=False,
-                     warp_interp="nearest")
-    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
-    model = AdapterModel(cfg)
-    rng = rng_for(8, "fd-nearest")
-    for name, t in model.store.trainable_items():
-        if name.startswith("adapter/asa/"):
-            t.data[:] = rng.integers(-1, 2, size=t.shape)
-        else:
-            t.data += rng.normal(size=t.shape) * 0.3
-
-    def fn(store):
-        return model.batch_loss(data.videos, data.tokens, sel_key=("fd",))
-
-    assert fd_check(fn, model.store, eps=1e-5) < 1e-4

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import os
+import struct
 import sys
 import threading
 from dataclasses import replace
@@ -84,14 +85,14 @@ def test_backbone_bytes_unchanged_by_training():
 
 
 SHORT_RUNS = [dict(decompose=mode.value) for mode in DecomposeMode] + [
-    dict(warp_interp="nearest", offsets="fractional"),
+    dict(offsets="fractional"),
 ]
 
 
 @pytest.mark.parametrize("case", SHORT_RUNS, ids=lambda c: "-".join(map(str, c.values())))
 def test_short_run_is_finite_falling_and_repeatable(case):
-    # zero offsets never move (their exact-path gradient is 0), so from zero
-    # both warp interps would train alike: the nearest run starts off-grid
+    # zero offsets never move (their exact-path gradient is 0), so the
+    # fractional run starts them off-grid to check that the offsets train
     case = dict(case)
     fractional = case.pop("offsets", None) == "fractional"
     cfg = replace(CFG, epochs=4, **case)
@@ -369,6 +370,22 @@ def test_invalid_stored_config_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {nan_path}: stored config is invalid: dsl_inv_temp")
     assert "corrupt" not in err and "Traceback" not in err
+
+    # a stored config naming the removed warp-interpolation key: length and digest re-sealed
+    stale_path = tmp_path / "stale.ckpt"
+    save_checkpoint(str(stale_path), model)
+    blob = bytearray(stale_path.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    line = b"warp_interp = bilinear\n"
+    blob[12 + cfg_len:12 + cfg_len] = line
+    struct.pack_into("<I", blob, 8, cfg_len + len(line))
+    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
+    stale_path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="unknown config key 'warp_interp'"):
+        load_checkpoint(str(stale_path))
+    assert main(["eval", "--ckpt", str(stale_path)]) == 1
+    err = capsys.readouterr().err
+    assert "warp_interp" in err and "corrupt" not in err and "Traceback" not in err
 
 
 def test_flipped_payload_bit_is_a_version_error(tmp_path, capsys):
