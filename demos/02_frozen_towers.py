@@ -13,7 +13,6 @@ from tvadapt.backbone import (
     VisualConfig,
     encode_text,
     encode_video,
-    freeze_backbone,
     init_backbone,
     patchify,
 )
@@ -26,8 +25,7 @@ print(f"visual tower: {vcfg.layers} layers, dim {vcfg.dim}, "
       f"{vcfg.patches} patches/frame, {vcfg.frames} frames")
 
 store = ParamStore()
-init_backbone(store, vcfg, tcfg, seed=0)
-freeze_backbone(store)
+init_backbone(store, vcfg, tcfg, seed=0)  # registers every tensor frozen
 print(f"backbone parameters: {store.num_elements(prefix='backbone/'):,} "
       f"({len(store)} tensors, {store.trainable_count} trainable)")
 

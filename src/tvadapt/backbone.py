@@ -131,11 +131,6 @@ def init_backbone(store, vcfg, tcfg, seed):
     _init_blocks(store, "backbone/text", tcfg.layers, tcfg.dim, seed)
 
 
-def freeze_backbone(store):
-    """Flag every backbone entry frozen so backward never touches it."""
-    store.freeze("backbone/")
-
-
 def attention_core(q, k, v, heads):
     """Scaled dot-product attention over the second-to-last axis.
 

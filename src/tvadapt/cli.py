@@ -67,8 +67,7 @@ def _cmd_eval(args):
     data_seed = args.data_seed if args.data_seed is not None else cfg.effective_data_seed
     pairs = args.pairs if args.pairs is not None else cfg.pairs
     dataset = generate_dataset(data_seed, pairs, cfg)
-    use_dsl = args.dsl or cfg.dsl
-    reports = evaluate_model(model, dataset, use_dsl=use_dsl, dsl_inv_temp=cfg.dsl_inv_temp)
+    reports = evaluate_model(model, dataset, use_dsl=args.dsl)
     _print_reports(reports)
     if args.json:
         payload = {name: rep.to_dict() for name, rep in reports.items()}

@@ -39,8 +39,6 @@ class ExperimentConfig:
     asa: bool = True
     text_modulation: bool = True
     text_lowrank: bool = False
-    text_rank: int = 3
-    train_head: bool = True
     # optimizer
     lr: float = 1e-4
     warmup: float = 0.1
@@ -49,9 +47,6 @@ class ExperimentConfig:
     # synthetic data
     pairs: int = 16
     data_seed: int = -1
-    # inference post-processing
-    dsl: bool = False
-    dsl_inv_temp: float = 100.0
 
     def __post_init__(self):
         self.validate()
@@ -106,14 +101,10 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.pairs < 2:
             raise ConfigError("need at least 2 synthetic pairs")
-        if not 0 < self.dsl_inv_temp < math.inf:
-            raise ConfigError(f"dsl_inv_temp must be positive and finite, got {self.dsl_inv_temp}")
         if self.text_lowrank and not self.text_modulation:
             raise ConfigError("text_lowrank requires text_modulation")
-        if self.text_lowrank and not 1 <= self.text_rank <= min(self.max_words + 1, self.dim_t):
-            raise ConfigError(
-                f"text_rank {self.text_rank} outside [1, min(words+1, D_t)]"
-            )
+        if self.text_lowrank and not 1 <= self.rank <= min(self.max_words + 1, self.dim_t):
+            raise ConfigError(f"rank {self.rank} outside [1, min(words+1, D_t)] for text_lowrank")
         self.visual_adapter_layers()
         self.text_adapter_layers()
 
@@ -181,22 +172,19 @@ def loads(text):
 
 
 def load(path):
+    """Read a config file; every ``ConfigError`` names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return loads(fh.read())
     except UnicodeDecodeError as err:
-        raise ConfigError(f"config {path} is not UTF-8 text: byte {err.start} cannot be decoded")
-    return loads(text)
+        raise ConfigError(f"{path}: not UTF-8 text: byte {err.start} cannot be decoded") from None
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def dumps(config):
     lines = [f"{name} = {value}" for name, value in asdict(config).items()]
     return "\n".join(lines) + "\n"
-
-
-def save(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(config))
 
 
 def toy_config(**overrides):

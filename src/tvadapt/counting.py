@@ -65,7 +65,7 @@ def closed_forms(config):
         lorm_text = text_layers * 2 * tcfg.dim
         if config.text_lowrank:
             lorm_text += text_layers * 2 * (
-                (tcfg.max_words + 1) * config.text_rank + config.text_rank * tcfg.dim
+                (tcfg.max_words + 1) * config.rank + config.rank * tcfg.dim
             )
 
     offsets = 0
@@ -76,13 +76,12 @@ def closed_forms(config):
         if axes is not WarpAxes.SPATIAL_ONLY:
             offsets += vcfg.frames
 
-    head_trainable = config.train_head
     return {
         "lorm_visual": lorm_visual,
         "lorm_text": lorm_text,
         "asa_offsets": offsets,
-        "proj": (vcfg.dim * tcfg.dim + tcfg.dim) if head_trainable else 0,
-        "temperature": 1 if head_trainable else 0,
+        "proj": vcfg.dim * tcfg.dim + tcfg.dim,
+        "temperature": 1,
     }
 
 

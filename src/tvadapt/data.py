@@ -90,6 +90,10 @@ def generate_dataset(seed, pairs, config):
     """Deterministic paired dataset of ``pairs`` videos and captions."""
     if pairs < 2:
         raise InputError(f"need at least 2 pairs, got {pairs}")
+    captions = (config.vocab - 1) ** _WORDS  # the last id is EOS
+    if captions < 2 * pairs:
+        raise InputError(f"{pairs} pairs need {2 * pairs} distinct {_WORDS}-word captions, "
+                         f"but vocab {config.vocab} gives only {captions}")
     vcfg = config.visual()
     rng = rng_for(seed, "dataset")
     patterns = rng_for(seed, "dataset", "patterns").normal(

@@ -22,7 +22,7 @@ from .attention import (
     asa_block_attention,
     selection_masks,
 )
-from .backbone import encode_text, encode_video, freeze_backbone, init_backbone
+from .backbone import encode_text, encode_video, init_backbone
 from .exceptions import InputError
 from .modulation import TextModulation, VideoModulation
 from .retrieval import similarity, contrastive_loss, text_embedding, video_embedding
@@ -51,7 +51,7 @@ def build_adapters(config, store):
     text_layers = config.text_adapter_layers() if config.text_modulation else []
     text_mod = TextModulation(
         store, text_layers, tcfg.dim, config.seed,
-        lowrank=config.text_lowrank, rank=config.text_rank, positions=tcfg.max_words + 1,
+        lowrank=config.text_lowrank, rank=config.rank, positions=tcfg.max_words + 1,
     )
     offsets = None
     if config.asa:
@@ -60,9 +60,6 @@ def build_adapters(config, store):
     proj_w = store.add("adapter/proj/w", Tensor(rng.normal(size=(vcfg.dim, tcfg.dim)) / np.sqrt(vcfg.dim)))
     proj_b = store.add("adapter/proj/b", Tensor(np.zeros(tcfg.dim)))
     log_tau = store.add("adapter/temperature/log_tau", Tensor(np.array([2.0])))
-    if not config.train_head:
-        store.freeze("adapter/proj/")
-        store.freeze("adapter/temperature/")
     return video_mod, text_mod, offsets, proj_w, proj_b, log_tau
 
 
@@ -73,7 +70,6 @@ class AdapterModel:
         self.tcfg = config.text()
         self.store = ParamStore()
         init_backbone(self.store, self.vcfg, self.tcfg, config.seed)
-        freeze_backbone(self.store)
         (self.video_mod, self.text_mod, self.offsets,
          self.proj_w, self.proj_b, self.log_tau) = build_adapters(config, self.store)
 

@@ -665,13 +665,6 @@ class ParamStore:
                 total += t.data.size
         return total
 
-    def freeze(self, prefix=""):
-        """Flag every entry under ``prefix`` frozen; grads are dropped."""
-        for name, t in self.items():
-            if name.startswith(prefix):
-                t.requires_grad = False
-                t.grad = None
-
     def zero_grad(self):
         for _, t in self.items():
             t.grad = None

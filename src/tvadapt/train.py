@@ -48,14 +48,14 @@ def lr_at(step, total_steps, base_lr, warmup_frac):
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def evaluate_model(model, dataset, use_dsl=False, dsl_inv_temp=100.0):
+def evaluate_model(model, dataset, use_dsl=False):
     """MetricsReports for both retrieval directions (optionally with DSL)."""
     with no_grad():
         scores, _, _ = model.batch_scores(dataset.videos, dataset.tokens)
-    return score_reports(scores.data, use_dsl, dsl_inv_temp)
+    return score_reports(scores.data, use_dsl)
 
 
-def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0):
+def score_reports(scores, use_dsl=False):
     """MetricsReports for both retrieval directions of a (V, Q) score matrix."""
     sim = SimilarityMatrix(scores)
     reports = {
@@ -63,7 +63,7 @@ def score_reports(scores, use_dsl=False, dsl_inv_temp=100.0):
         "text->video": metrics_report(sim, "text->video"),
     }
     if use_dsl:
-        rescored = dsl(sim, inv_temp=dsl_inv_temp)
+        rescored = dsl(sim)
         reports["video->text (dsl)"] = metrics_report(rescored, "video->text")
         reports["text->video (dsl)"] = metrics_report(rescored, "text->video")
     return reports

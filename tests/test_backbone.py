@@ -11,7 +11,6 @@ from tvadapt.backbone import (
     attention_core,
     encode_text,
     encode_video,
-    freeze_backbone,
     init_backbone,
     patchify,
     vanilla_attention,
@@ -308,8 +307,7 @@ def test_encode_text_batch_matches_single():
 
 
 def test_freeze_blocks_backbone_grads_but_not_adapters():
-    store = make_store()
-    freeze_backbone(store)
+    store = make_store()  # init_backbone registers every tensor frozen
     adapter = store.add("adapter/scale", Tensor(np.ones((1, 8))))
     video = rng_for(7, "fz").normal(size=(3, 4, 4, 1))
     f = encode_video(video, store, VCFG,
@@ -323,7 +321,6 @@ def test_freeze_blocks_backbone_grads_but_not_adapters():
 
 def test_trainable_count_matches_enumeration():
     store = make_store()
-    freeze_backbone(store)
     store.add("adapter/a", Tensor(np.zeros((2, 3))))
     store.add("adapter/b", Tensor(np.zeros(5)))
     assert store.num_elements(trainable=True) == 11

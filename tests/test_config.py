@@ -8,7 +8,7 @@ from tvadapt.exceptions import ConfigError
 
 
 def test_roundtrip_through_flat_format():
-    cfg = cm.toy_config(lr=0.003, selection="random", epochs=7, dsl=True)
+    cfg = cm.toy_config(lr=0.003, selection="random", epochs=7, text_lowrank=True)
     again = cm.loads(cm.dumps(cfg))
     assert again == cfg
 
@@ -29,7 +29,7 @@ def test_duplicate_and_malformed_lines_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         cm.loads("seed: 1\n")
     with pytest.raises(ConfigError, match="boolean"):
-        cm.loads("dsl = maybe\n")
+        cm.loads("asa = maybe\n")
     with pytest.raises(ConfigError, match="integer"):
         cm.loads("seed = 1.5\n")
 
@@ -49,12 +49,22 @@ def test_validation_rules():
         cm.toy_config(warmup=1.5)
     with pytest.raises(ConfigError):
         cm.toy_config(pairs=1)
-    with pytest.raises(ConfigError, match="unknown config key 'warp_interp'"):
-        cm.loads("warp_interp = bilinear\n")  # a removed key
     with pytest.raises(ConfigError):
         cm.toy_config(text_lowrank=True, text_modulation=False)
-    with pytest.raises(ConfigError):
-        cm.toy_config(text_lowrank=True, text_rank=0)
+    with pytest.raises(ConfigError, match="text_lowrank"):
+        cm.toy_config(text_lowrank=True, decompose="none", rank=0)
+    with pytest.raises(ConfigError, match="text_lowrank"):
+        cm.toy_config(text_lowrank=True, decompose="none", rank=10)  # exceeds words + 1 = 9
+    assert cm.toy_config(text_lowrank=True, decompose="none", rank=9).rank == 9
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train_head", "true"), ("dsl", "true"), ("dsl_inv_temp", "100.0"), ("text_rank", "3"),
+    ("warp_interp", "bilinear"),
+])
+def test_removed_keys_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        cm.loads(f"{key} = {value}\n")
 
 
 def test_adapter_layer_sets():
@@ -98,10 +108,10 @@ def test_zero_divisor_fields_rejected_before_divisibility_checks(field, tmp_path
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("field", ["lr", "dsl_inv_temp"])
+@pytest.mark.parametrize("field", ["lr"])
 def test_non_finite_floats_rejected(field, value, tmp_path, capsys):
-    # a NaN or infinite lr or DSL temperature used to load, and training
-    # (or ranking) then died on non-finite numbers
+    # a NaN or infinite lr used to load, and training then died on
+    # non-finite numbers
     with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
         cm.loads(f"{field} = {value}\n")
     path = tmp_path / "bad.cfg"

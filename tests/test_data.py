@@ -33,6 +33,16 @@ def test_minimal_two_pair_dataset():
         generate_dataset(0, 1, cfg)
 
 
+def test_too_small_vocab_raises_instead_of_looping():
+    # vocab 3 leaves 2 usable ids, so 2 ** 4 = 16 distinct captions: enough
+    # candidates for 8 pairs, not for 9 (the draw loop used to spin forever)
+    cfg = toy_config(vocab=3, pairs=9)
+    with pytest.raises(InputError, match="18 distinct 4-word captions, but vocab 3 gives only 16"):
+        generate_dataset(0, 9, cfg)
+    data = generate_dataset(0, 8, cfg)
+    assert len({tuple(row) for row in data.tokens}) == 8
+
+
 def test_captions_are_unique_and_in_vocab():
     cfg = toy_config()
     data = generate_dataset(1, 24, cfg)

@@ -178,10 +178,11 @@ def test_identity_init_holds_across_random_configurations():
     {"text_lowrank": True},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_whole_model_gradients_pass_fd_for_identity_built_modes(overrides):
-    cfg = toy_config(pairs=2, batch_size=2, layers=2, text_layers=2, asa=False,
-                     train_head=False, **overrides)
+    cfg = toy_config(pairs=2, batch_size=2, layers=2, text_layers=2, asa=False, **overrides)
     data = generate_dataset(cfg.seed, cfg.pairs, cfg)
     model = AdapterModel(cfg)
+    for t in (model.proj_w, model.proj_b, model.log_tau):  # check the modulation alone
+        t.requires_grad = False
     rng = rng_for(8, "fd-modes")
     # a generic point: 0.3-scale noise leaves no gradient coordinate near
     # fd_check's 1e-8 floor, where central differences are all rounding

@@ -520,8 +520,6 @@ def test_param_store_order_and_counts():
     assert store.trainable_count == 2 and len(store) == 3
     assert store.num_elements(trainable=True) == 7
     assert store.num_elements(prefix="a/") == 8
-    store.freeze("a/")
-    assert store.num_elements(trainable=True) == 2
     with pytest.raises(ContractError):
         store.add("a/b", Tensor(np.zeros(1)))
 

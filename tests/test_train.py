@@ -47,9 +47,11 @@ def test_zero_epochs_returns_initialization(tmp_path):
 
 
 def test_frozen_only_config_keeps_loss_constant():
-    cfg = replace(CFG, decompose="none", asa=False, text_modulation=False,
-                  train_head=False, epochs=4)
-    model, history, _ = train(cfg, DATA, eval_each_epoch=False)
+    cfg = replace(CFG, decompose="none", asa=False, text_modulation=False, epochs=4)
+    model = AdapterModel(cfg)
+    for t in (model.proj_w, model.proj_b, model.log_tau):
+        t.requires_grad = False
+    model, history, _ = train(cfg, DATA, model=model, eval_each_epoch=False)
     losses = [h["loss"] for h in history]
     assert max(losses) == min(losses)
     assert model.store.num_elements(trainable=True) == 0
@@ -349,43 +351,44 @@ def test_truncated_or_padded_checkpoint_is_a_version_error(tmp_path, capsys):
 def test_invalid_stored_config_is_a_config_error(tmp_path, capsys):
     cfg = replace(CFG)
     model = AdapterModel(cfg)
-    cfg.dsl_inv_temp = float("nan")  # a dataclass field, so nothing validates it here
+    cfg.lr = float("nan")  # a dataclass field, so nothing validates it here
     nan_path = tmp_path / "nan.ckpt"
-    with pytest.raises(ConfigError, match="dsl_inv_temp"):
+    with pytest.raises(ConfigError, match="lr must be positive and finite"):
         save_checkpoint(str(nan_path), model)
     assert not nan_path.exists()
 
     # an intact file whose stored config fails validation: same length, digest re-sealed
-    cfg.dsl_inv_temp = CFG.dsl_inv_temp
+    cfg.lr = CFG.lr
     save_checkpoint(str(nan_path), model)
     blob = bytearray(nan_path.read_bytes())
-    field = b"dsl_inv_temp = 100.0\n"
+    field = b"lr = 0.01\n"
     at = blob.index(field)
-    blob[at:at + len(field)] = b"dsl_inv_temp = nan  \n"
+    blob[at:at + len(field)] = b"lr = nan \n"
     blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
     nan_path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="dsl_inv_temp must be positive and finite, got nan"):
+    with pytest.raises(ConfigError, match="lr must be positive and finite, got nan"):
         load_checkpoint(str(nan_path))
     assert main(["eval", "--ckpt", str(nan_path), "--dsl"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {nan_path}: stored config is invalid: dsl_inv_temp")
+    assert err.startswith(f"error: {nan_path}: stored config is invalid: lr")
     assert "corrupt" not in err and "Traceback" not in err
 
-    # a stored config naming the removed warp-interpolation key: length and digest re-sealed
+    # stored configs naming removed keys: length and digest re-sealed
     stale_path = tmp_path / "stale.ckpt"
-    save_checkpoint(str(stale_path), model)
-    blob = bytearray(stale_path.read_bytes())
-    (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    line = b"warp_interp = bilinear\n"
-    blob[12 + cfg_len:12 + cfg_len] = line
-    struct.pack_into("<I", blob, 8, cfg_len + len(line))
-    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
-    stale_path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="unknown config key 'warp_interp'"):
-        load_checkpoint(str(stale_path))
-    assert main(["eval", "--ckpt", str(stale_path)]) == 1
-    err = capsys.readouterr().err
-    assert "warp_interp" in err and "corrupt" not in err and "Traceback" not in err
+    for line in (b"warp_interp = bilinear\n", b"dsl_inv_temp = 100.0\n"):
+        save_checkpoint(str(stale_path), model)
+        blob = bytearray(stale_path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        blob[12 + cfg_len:12 + cfg_len] = line
+        struct.pack_into("<I", blob, 8, cfg_len + len(line))
+        blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
+        stale_path.write_bytes(bytes(blob))
+        key = line.split(b" ")[0].decode()
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_checkpoint(str(stale_path))
+        assert main(["eval", "--ckpt", str(stale_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "corrupt" not in err and "Traceback" not in err
 
 
 def test_flipped_payload_bit_is_a_version_error(tmp_path, capsys):
