@@ -4,7 +4,9 @@ Two bundles back the usual qualitative figures: (a) per-layer composed
 scale/shift matrices plus their singular values, which show how much of
 the temporal variation the rank-R factorization carries; (b) for one
 query patch of one video, its per-frame attention distribution over all
-patches of every frame under the current (possibly warped) keys.
+patches of every frame under the current (possibly warped) keys. The
+map reads the model's own forward through an attention-hook probe, with
+the patch mask that the model's selection plan serves for that layer.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
 
     Runs the model's own video forward with a probe at ``layer`` (default:
     the final adapted layer; ``encode_video`` rejects one outside the
-    tower). The probe calls that layer's attention hook once, so random
-    masks are drawn in layer order as in the model, and reads the block's
-    projected queries and keys and the patch mask the hook drew. Row t is
-    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D) (single head,
-    full-dimension scale), where k_hat warps the keys with that mask
-    (unwarped at a layer without ASA). With zero offsets row ``frame``
-    equals the vanilla patch-attention row of that frame.
+    tower). The probe calls that layer's attention hook once and reads
+    the block's projected queries and keys and the patch mask the hook's
+    ``select`` served for that layer, which in random mode is the draw
+    the model's plan made for it. Row t is softmax_n of
+    q[frame, patch] . k_hat[t, n] / sqrt(D) (single head, full-dimension
+    scale), where k_hat warps the keys with that mask (unwarped at a
+    layer without ASA). With zero offsets row ``frame`` equals the
+    vanilla patch-attention row of that frame.
     """
     cfg = model.config
     vcfg = model.vcfg
@@ -42,20 +45,21 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
 
     with no_grad():
         plan = model.selection_plan(video[None], candidates, ("diag",)) if cfg.asa else None
-        seen = {}
+        masks = {}
 
-        def select(x_in):
-            seen["mask"] = plan(x_in)  # the latest ASA layer's draw
-            return seen["mask"]
+        def select(asa_layer, x_in, rows):
+            masks[asa_layer] = plan(asa_layer, x_in, rows)
+            return masks[asa_layer]
 
         attention = model.attention_hooks(select)
         hook = attention.get(layer, vanilla_attention)
+        seen = {}
 
         def probe(x_in, q, k, v, heads):
-            out = hook(x_in, q, k, v, heads)  # an ASA hook draws this layer's mask
+            out = hook(x_in, q, k, v, heads)  # an ASA hook selects this layer's mask
             k_hat = k.data[0, :, 1:, :]
-            if layer in attention:
-                k_hat = warp_kv(k_hat, k_hat, model.offsets, seen["mask"][0])[0].data
+            if layer in masks:
+                k_hat = warp_kv(k_hat, k_hat, model.offsets, masks[layer][0])[0].data
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 

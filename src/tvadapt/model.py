@@ -9,6 +9,13 @@ Video encoding with warped attention needs the most video-aligned
 candidate sentence per video. That is picked from a gradient-free
 preliminary pass (vanilla attention, current modulation): selection is
 a hard argmax, so re-deriving it without a tape changes no gradients.
+
+A video-tower pass that records no tape (the prepass, and every
+``encode_videos`` under ``no_grad``) runs over blocks of videos, one
+block at a time through the whole tower, so that a block's activations
+stay in cache. Every tower op acts on each video (frame) alone, so the
+blocks are bitwise one pass. A taped pass stays one block: backward
+holds every activation anyway.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ from .exceptions import InputError
 from .modulation import TextModulation, VideoModulation
 from .retrieval import similarity, contrastive_loss, text_embedding, video_embedding
 from .tensor import ParamStore, Tensor, no_grad, rng_for
+
+# Token rows (videos x T x (N+1)) per block of a tape-free video-tower pass,
+# picked by the sweep in BENCH_13.json: a block's MLP hidden array (1 MB on
+# the toy config) then fits a 2 MB per-core L2, and the 16-video toy prepass
+# (480 rows) stays one block.
+_BLOCK_ROWS = 1024
 
 ADAPTER_GROUPS = {
     "lorm_visual": "adapter/lorm/",
@@ -80,6 +93,20 @@ class AdapterModel:
         return text_embedding(encode_text(tokens, self.store, self.tcfg,
                                           modulate=self.text_mod.apply))
 
+    def _blocks(self, videos):
+        """Slices of the leading video axis, one per pass through the tower.
+
+        At most ``_BLOCK_ROWS`` token rows each (at least one video) when
+        no tape records; one slice over everything for a taped pass or an
+        unbatched (T, H, W, C) video.
+        """
+        lead = np.shape(videos)[:-4]
+        if not lead or T.recording():
+            return [slice(None)]
+        rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
+        step = max(1, _BLOCK_ROWS // rows)
+        return [slice(i, i + step) for i in range(0, lead[0], step)] or [slice(None)]
+
     def _pick_sentences(self, videos, candidates):
         """Index of the most video-aligned candidate per video (no grad).
 
@@ -94,8 +121,11 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            f_last = encode_video(videos, self.store, self.vcfg, modulate=self.video_mod.apply)
-        pooled = f_last.data.mean(axis=-2)
+            pooled = np.concatenate([
+                encode_video(videos[rows], self.store, self.vcfg,
+                             modulate=self.video_mod.apply).data.mean(axis=-2)
+                for rows in self._blocks(videos)
+            ])
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
         return scores.argmax(axis=-1)
@@ -103,53 +133,66 @@ class AdapterModel:
     def selection_plan(self, videos, candidates=None, sel_key=("eval",)):
         """Patch-selection function shared by every adapted layer.
 
-        Returns ``select(x)`` mapping a block input (..., T, N+1, D) array
+        Returns ``select(layer, x, rows)`` mapping ASA layer ``layer``'s
+        block input x (..., T, N+1, D), the rows ``rows`` of ``videos``,
         to the boolean (..., T, N) mask of patches to warp under
         ``config.selection``. Text modes score against each video's
-        picked sentence; random mode draws from the ``randsel`` stream
-        keyed by ``sel_key``, one draw per call in layer order.
+        picked sentence; random mode draws each layer's mask for the
+        whole batch here, in layer order, from the ``randsel`` stream
+        keyed by ``sel_key``, and serves its rows.
         """
         cfg = self.config
         mode = SelectionMode(cfg.selection)
+        if mode is SelectionMode.RANDOM:  # a draw reads only the mask's shape
+            rng = rng_for(cfg.seed, "randsel", *sel_key)
+            shape = (*np.shape(videos)[:-4], self.vcfg.frames, self.vcfg.patches, 0)
+            masks = {layer: selection_masks(mode, cfg.top_k, np.empty(shape), rng=rng)
+                     for layer in cfg.visual_adapter_layers()}
+            return lambda layer, x, rows: masks[layer][rows]
         w_star = None
         if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
             if candidates is None:
                 raise InputError("text-conditioned selection needs candidate sentences")
             w_star = np.asarray(candidates)[self._pick_sentences(videos, candidates)]
-        rng = rng_for(cfg.seed, "randsel", *sel_key)
 
-        def select(x):
+        def select(layer, x, rows):
             return selection_masks(
-                mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
-                proj_w=self.proj_w.data, proj_b=self.proj_b.data,
-                cls_feats=x[..., 0, :], rng=rng,
+                mode, cfg.top_k, x[..., 1:, :], w_star=None if w_star is None else w_star[rows],
+                proj_w=self.proj_w.data, proj_b=self.proj_b.data, cls_feats=x[..., 0, :],
             )
         return select
 
-    def attention_hooks(self, select):
+    def attention_hooks(self, select, rows=slice(None)):
         """The video tower's attention hook map: ASA at every adapted layer.
 
         ``select`` is the patch-selection function from ``selection_plan``,
-        called once per ASA layer on its block input. Empty with ASA off.
+        called once per ASA layer on its block input, for the videos at
+        ``rows``. Empty with ASA off.
         """
         if not self.config.asa:
             return {}
 
-        def attend(x_in, q, k, v, heads):
-            return asa_block_attention(x_in, q, k, v, heads, self.offsets, select(x_in.data))
+        def hook(layer):
+            def attend(x_in, q, k, v, heads):
+                mask = select(layer, x_in.data, rows)
+                return asa_block_attention(x_in, q, k, v, heads, self.offsets, mask)
+            return attend
 
-        return {layer: attend for layer in self.config.visual_adapter_layers()}
+        return {layer: hook(layer) for layer in self.config.visual_adapter_layers()}
 
     def encode_videos(self, videos, candidates=None, sel_key=("eval",)):
         """Normalized video embeddings (V, D_t).
 
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
-        the full query set at evaluation.
+        the full query set at evaluation. Under ``no_grad`` the tower
+        runs once per block of ``_blocks``.
         """
         select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        f_last = encode_video(videos, self.store, self.vcfg, modulate=self.video_mod.apply,
-                              attention=self.attention_hooks(select))
+        parts = [encode_video(videos[rows], self.store, self.vcfg, modulate=self.video_mod.apply,
+                              attention=self.attention_hooks(select, rows))
+                 for rows in self._blocks(videos)]
+        f_last = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))
 

@@ -140,13 +140,17 @@ def metrics_report(sim, direction, ks=(1, 5, 10)):
     return MetricsReport(direction=direction, r_at=r_at, mdr=mdr, mnr=mnr, queries=len(ranks))
 
 
-def dsl(sim, inv_temp=100.0):
+# inverse temperature of dual-softmax rescoring, applied to the cosine scores
+DSL_INV_TEMP = 100.0
+
+
+def dsl(sim):
     """Dual-softmax rescoring: row softmax times column softmax.
 
-    Inference-time only; returns a new SimilarityMatrix ranked in place
-    of the raw scores.
+    Scores are scaled by ``DSL_INV_TEMP`` first. Inference-time only;
+    returns a new SimilarityMatrix ranked in place of the raw scores.
     """
-    s = sim.scores * inv_temp
+    s = sim.scores * DSL_INV_TEMP
     row = np.exp(s - s.max(axis=1, keepdims=True))
     row /= row.sum(axis=1, keepdims=True)
     col = np.exp(s - s.max(axis=0, keepdims=True))

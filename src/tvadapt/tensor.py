@@ -57,6 +57,11 @@ class no_grad:
         return False
 
 
+def recording():
+    """Whether ops in the current context record on the tape (not under ``no_grad``)."""
+    return _grad_enabled.get()
+
+
 def rng_for(seed, *tags):
     """Counter-based generator derived from a seed and a tag path.
 

@@ -344,8 +344,8 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
     plan = model.selection_plan(video[None], sel_key=("diag",))
     drawn = []
 
-    def select(x_in):
-        drawn.append(plan(x_in))
+    def select(layer, x_in, rows):
+        drawn.append(plan(layer, x_in, rows))
         return drawn[-1]
 
     with no_grad():
