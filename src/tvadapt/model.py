@@ -11,14 +11,20 @@ preliminary pass (vanilla attention, current modulation): selection is
 a hard argmax, so re-deriving it without a tape changes no gradients.
 
 A video-tower pass that records no tape (the prepass, and every
-``encode_videos`` under ``no_grad``) runs over blocks of videos, one
-block at a time through the whole tower, so that a block's activations
-stay in cache. Every tower op acts on each video (frame) alone, so the
-blocks are bitwise one pass. A taped pass stays one block: backward
-holds every activation anyway.
+``encode_videos`` under ``no_grad``) runs over blocks of videos, each
+block through the whole tower, so that a block's activations stay in
+cache. The blocks run on every usable core: the calling thread and one
+helper thread per further core take them in turn. Every tower op acts
+on each video (frame) alone, so the blocks are bitwise one pass. A
+taped pass stays one block: backward holds every activation anyway.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,11 +41,60 @@ from .modulation import TextModulation, VideoModulation
 from .retrieval import similarity, contrastive_loss, text_embedding, video_embedding
 from .tensor import ParamStore, Tensor, no_grad, rng_for
 
-# Token rows (videos x T x (N+1)) per block of a tape-free video-tower pass,
-# picked by the sweep in BENCH_13.json: a block's MLP hidden array (1 MB on
-# the toy config) then fits a 2 MB per-core L2, and the 16-video toy prepass
-# (480 rows) stays one block.
-_BLOCK_ROWS = 1024
+# Token rows (videos x T x (N+1)) per block of a tape-free video-tower pass.
+# A block's MLP hidden array (0.5 MB on the toy config) fits the L2 of the
+# core that runs it, and the 16-video toy prepass (480 rows) stays one block.
+# In the threaded sweep in BENCH_14.json, 1,024 rows (the serial optimum of
+# BENCH_13.json) was faster still, but with a block live on each core it
+# raised eval peak RSS by 6-7 %; 512 rows kept the rise within 3 %.
+_BLOCK_ROWS = 512
+
+
+def _helper_threads():
+    """Threads that may join the caller on a multi-block pass: one per further usable core."""
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return (os.cpu_count() or 1) - 1
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def _map_blocks(fn, blocks):
+    """``[fn(rows) for rows in blocks]``, the blocks spread over every usable core.
+
+    The caller and up to ``_helper_threads()`` helper threads claim block
+    indices in turn; the results keep block order. Helpers run in copies
+    of the caller's context, so its ``no_grad`` holds there. After a
+    failure no further block starts, and once every helper has stopped the
+    lowest-numbered failed block's error is raised, as the serial loop would.
+    """
+    helpers = min(_helper_threads(), len(blocks) - 1)
+    if helpers < 1:
+        return [fn(rows) for rows in blocks]
+    results, errors = [None] * len(blocks), {}
+    claims, lock = iter(range(len(blocks))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(blocks[i])
+            except BaseException as exc:  # re-raised by the caller below
+                with lock:
+                    errors[i] = exc
+
+    with ThreadPoolExecutor(helpers) as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
+        try:
+            work()
+        finally:
+            for task in tasks:
+                task.cancel()  # leaving the pool then waits for the helpers that started
+    if errors:
+        raise errors[min(errors)]
+    return results
+
 
 ADAPTER_GROUPS = {
     "lorm_visual": "adapter/lorm/",
@@ -121,11 +176,12 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            pooled = np.concatenate([
-                encode_video(videos[rows], self.store, self.vcfg,
-                             modulate=self.video_mod.apply).data.mean(axis=-2)
-                for rows in self._blocks(videos)
-            ])
+            modulate = self.video_mod.composed().apply
+            pooled = np.concatenate(_map_blocks(
+                lambda rows: encode_video(videos[rows], self.store, self.vcfg,
+                                          modulate=modulate).data.mean(axis=-2),
+                self._blocks(videos),
+            ))
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
         return scores.argmax(axis=-1)
@@ -186,12 +242,16 @@ class AdapterModel:
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
         the full query set at evaluation. Under ``no_grad`` the tower
-        runs once per block of ``_blocks``.
+        runs once per block of ``_blocks``, the blocks spread over the
+        usable cores.
         """
         select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        parts = [encode_video(videos[rows], self.store, self.vcfg, modulate=self.video_mod.apply,
-                              attention=self.attention_hooks(select, rows))
-                 for rows in self._blocks(videos)]
+        modulate = self.video_mod.composed().apply
+        parts = _map_blocks(
+            lambda rows: encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
+                                      attention=self.attention_hooks(select, rows)),
+            self._blocks(videos),
+        )
         f_last = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))

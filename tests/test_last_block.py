@@ -85,8 +85,9 @@ def _forward_backward(cfg, videos, encode, monkeypatch):
     outputs = []
 
     def recording_encode(*args, **kwargs):
-        outputs.append(encode(*args, **kwargs))
-        return outputs[-1]
+        out = encode(*args, **kwargs)
+        outputs.append((args[0].tobytes(), out))
+        return out
 
     monkeypatch.setattr(model_mod, "encode_video", recording_encode)
     candidates = rng_for(cfg.seed, "last-block", "cands").normal(size=(4, cfg.dim_t))
@@ -95,6 +96,9 @@ def _forward_backward(cfg, videos, encode, monkeypatch):
     T.tsum(emb * adjoint).backward()
     # the text tower is not in this loss, so its leaves hold no gradient
     grads = {name: t.grad for name, t in model.store.trainable_items() if t.grad is not None}
+    # prepass blocks finish in any order across threads: pair them by their
+    # input videos (a stable sort keeps a one-block prepass before the forward)
+    outputs = [out for _, out in sorted(outputs, key=lambda item: item[0])]
     return outputs, emb.data, grads
 
 
