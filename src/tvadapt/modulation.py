@@ -93,9 +93,18 @@ class VideoModulation:
         if layer not in self.layers:
             raise ConfigError(f"layer {layer} has no modulation attached")
         if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
-            c, s = self._stacked()
             m = self.layers.index(layer)
-            return c[m], s[m]
+            out = []
+            for tag in ("c", "s"):
+                a = self.params[f"{tag}_a"]
+                b = self.params[f"{tag}_b"]
+                c = self.params[f"{tag}_c"]
+                bc = T.matmul(T.reshape(b, (self.rank * self.frames * self.tokens, self.rank)), c)
+                bc = T.reshape(bc, (self.rank, self.frames * self.tokens * self.dim))
+                full = T.matmul(a, bc)
+                full = T.reshape(full, (len(self.layers), self.frames, self.tokens, self.dim))
+                out.append(full[m])
+            return tuple(out)
         entry = self.params[layer]
         out = []
         for tag in ("c", "s"):
@@ -107,32 +116,13 @@ class VideoModulation:
                 out.append(T.reshape(flat, (self.frames, self.tokens, self.dim)))
         return tuple(out)
 
-    def _stacked(self):
-        """Spatial_temporal_layer mode: every layer's scale and shift, (L, T, N+1, D) each."""
-        out = []
-        for tag in ("c", "s"):
-            a = self.params[f"{tag}_a"]
-            b = self.params[f"{tag}_b"]
-            c = self.params[f"{tag}_c"]
-            bc = T.matmul(T.reshape(b, (self.rank * self.frames * self.tokens, self.rank)), c)
-            bc = T.reshape(bc, (self.rank, self.frames * self.tokens * self.dim))
-            full = T.matmul(a, bc)
-            out.append(T.reshape(full, (len(self.layers), self.frames, self.tokens, self.dim)))
-        return out
-
     def composed(self):
         """A copy of this modulation with every layer's factors composed once, now.
 
         Its ``apply`` is the modulate hook for one tower call, so the
         blocks of a tape-free pass share the factors.
         """
-        if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER and not T.recording():
-            # one set of shared products; taped, each layer keeps its own, so
-            # their gradients reach a, b and c in training's summation order
-            c, s = self._stacked()
-            factors = {layer: (c[m], s[m]) for m, layer in enumerate(self.layers)}
-        else:
-            factors = {layer: self.compose(layer) for layer in self.layers}
+        factors = {layer: self.compose(layer) for layer in self.layers}
         once = copy.copy(self)
         once.compose = factors.__getitem__
         return once
