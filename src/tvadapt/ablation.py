@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .counting import count_params
 from .data import generate_dataset
 from .exceptions import ConfigError
-from .train import train
+from .train import evaluate_model, train
 
 SUITES = {
     "decompose": [
@@ -98,7 +98,7 @@ def run_suite(suite, config, progress=None):
                 params=count_params(mode_config).trainable_total,
                 steps=steps,
                 steps_to_perfect=perfect_step(history),
-                reports=history[-1]["reports"] if history else {},
+                reports=history[-1]["reports"] if history else evaluate_model(model, dataset),
             )
         )
         if progress is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import warp_kv
-from .backbone import encode_video, vanilla_attention
+from .backbone import vanilla_attention
 from .exceptions import ConfigError
 from .tensor import no_grad
 
@@ -26,12 +26,12 @@ from .tensor import no_grad
 def attention_similarity_map(model, video, candidates=None, layer=None, frame=0, patch=0):
     """(T, N) per-frame attention of one query patch over all patches.
 
-    Runs the model's own video forward with a probe at ``layer`` (default:
-    the final adapted layer; ``encode_video`` rejects one outside the
-    tower). The probe calls that layer's attention hook once and reads
-    the block's projected queries and keys and the patch mask the hook's
-    ``select`` served for that layer, which in random mode is the draw
-    the model's plan made for it. Row t is softmax_n of
+    Runs the model's own video tower pass (``model.video_tower``) with a
+    probe at ``layer`` (default: the final adapted layer; the tower
+    rejects one outside it). The probe calls that layer's attention hook
+    once and reads the block's projected queries and keys and the patch
+    mask the hook's ``select`` served for that layer, which in random
+    mode is the draw the model's plan made for it. Row t is softmax_n of
     q[frame, patch] . k_hat[t, n] / sqrt(D) (single head, full-dimension
     scale), where k_hat warps the keys with that mask (unwarped at a
     layer without ASA). With zero offsets row ``frame`` equals the
@@ -63,8 +63,7 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 
-        encode_video(video[None], model.store, vcfg, modulate=model.video_mod.apply,
-                     attention={**attention, layer: probe})
+        model.video_tower(video[None], lambda rows: {**attention, layer: probe})
     return T.softmax(seen["scores"] / np.sqrt(vcfg.dim), axis=1).data
 
 

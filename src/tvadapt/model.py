@@ -10,10 +10,11 @@ candidate sentence per video. That is picked from a gradient-free
 preliminary pass (vanilla attention, current modulation): selection is
 a hard argmax, so re-deriving it without a tape changes no gradients.
 
-A video-tower pass that records no tape (the prepass, and every
-``encode_videos`` under ``no_grad``) runs over blocks of videos, each
-block through the whole tower, so that a block's activations stay in
-cache. The blocks run on every usable core: the calling thread and one
+Every reader of the video tower (the prepass, ``encode_videos`` and the
+similarity map) runs it through ``AdapterModel.video_tower``. A pass
+that records no tape runs there over blocks of videos, each block
+through the whole tower, so that a block's activations stay in cache.
+The blocks run on every usable core: the calling thread and one
 helper thread per further core take them in turn. Every tower op acts
 on each video (frame) alone, so the blocks are bitwise one pass. A
 taped pass stays one block: backward holds every activation anyway.
@@ -148,19 +149,29 @@ class AdapterModel:
         return text_embedding(encode_text(tokens, self.store, self.tcfg,
                                           modulate=self.text_mod.apply))
 
-    def _blocks(self, videos):
-        """Slices of the leading video axis, one per pass through the tower.
+    def video_tower(self, videos, attention=lambda rows: {}):
+        """Final frame CLS rows (..., T, D) of the adapted video tower.
 
-        At most ``_BLOCK_ROWS`` token rows each (at least one video) when
-        no tape records; one slice over everything for a taped pass or an
-        unbatched (T, H, W, C) video.
+        ``attention(rows)`` is the attention hook map for the videos at
+        ``rows``. The video modulation is composed once for the call.
+        With no tape recording, a batch runs in blocks of at most
+        ``_BLOCK_ROWS`` token rows (at least one video each), spread by
+        ``_map_blocks`` over the usable cores; a taped pass, an unbatched
+        (T, H, W, C) video or an empty batch is one block.
         """
+        modulate = self.video_mod.composed().apply
         lead = np.shape(videos)[:-4]
-        if not lead or T.recording():
-            return [slice(None)]
-        rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
-        step = max(1, _BLOCK_ROWS // rows)
-        return [slice(i, i + step) for i in range(0, lead[0], step)] or [slice(None)]
+        blocks = [slice(None)]
+        if lead and lead[0] and not T.recording():
+            rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
+            step = max(1, _BLOCK_ROWS // rows)
+            blocks = [slice(i, i + step) for i in range(0, lead[0], step)]
+        parts = _map_blocks(
+            lambda rows: encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
+                                      attention=attention(rows)),
+            blocks,
+        )
+        return T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
 
     def _pick_sentences(self, videos, candidates):
         """Index of the most video-aligned candidate per video (no grad).
@@ -176,12 +187,7 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            modulate = self.video_mod.composed().apply
-            pooled = np.concatenate(_map_blocks(
-                lambda rows: encode_video(videos[rows], self.store, self.vcfg,
-                                          modulate=modulate).data.mean(axis=-2),
-                self._blocks(videos),
-            ))
+            pooled = self.video_tower(videos).data.mean(axis=-2)
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
         return scores.argmax(axis=-1)
@@ -241,18 +247,11 @@ class AdapterModel:
 
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
-        the full query set at evaluation. Under ``no_grad`` the tower
-        runs once per block of ``_blocks``, the blocks spread over the
-        usable cores.
+        the full query set at evaluation. The tower runs through
+        ``video_tower``.
         """
         select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        modulate = self.video_mod.composed().apply
-        parts = _map_blocks(
-            lambda rows: encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
-                                      attention=self.attention_hooks(select, rows)),
-            self._blocks(videos),
-        )
-        f_last = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        f_last = self.video_tower(videos, lambda rows: self.attention_hooks(select, rows))
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))
 

@@ -12,8 +12,8 @@ import pytest
 
 from tvadapt import config as cm
 from tvadapt import diagnostics
+from tvadapt import model as model_mod
 from tvadapt.ablation import SUITES, format_table, perfect_step, rows_to_json, run_suite
-from tvadapt.backbone import encode_video
 from tvadapt.checkpoint import save_checkpoint
 from tvadapt.cli import main
 from tvadapt.counting import count_params
@@ -152,6 +152,17 @@ def test_cli_ablate_writes_table_and_json(tmp_path, capsys):
     with open(out_json) as fh:
         rows = json.load(fh)
     assert len(rows) == 3
+
+
+def test_cli_ablate_without_epochs_reports_the_untrained_model(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, epochs=0, pairs=4, batch_size=4)
+    assert main(["ablate", "--suite", "warp", "--config", cfg_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:]]
+    assert [row[1] for row in rows] == [mode for mode, _ in SUITES["warp"]]
+    for row in rows:
+        assert row[3:5] == ["0", "-"]  # no step ran, so never perfect
+        assert len(row) == 11 and all(np.isfinite(float(cell)) for cell in row[5:])
 
 
 # -- ablation plumbing -----------------------------------------------------------
@@ -335,6 +346,25 @@ def test_similarity_map_runs_one_sentence_pick_per_map(monkeypatch):
         assert picks == [1], layer
 
 
+def test_similarity_map_runs_the_models_tower_pass(monkeypatch):
+    cfg = cm.toy_config(pairs=4)  # text selection: the map's forward needs a sentence pick
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    with no_grad():
+        cands = model.encode_texts(data.tokens).data
+    calls = []
+    encode = model_mod.encode_video
+
+    def counted(videos, *args, **kwargs):
+        calls.append(np.shape(videos))
+        return encode(videos, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_video", counted)
+    attention_similarity_map(model, data.videos[0], candidates=cands)
+    # the sentence-pick prepass, then the map's own forward, both in model.py
+    assert calls == [data.videos[:1].shape] * 2
+
+
 def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
     cfg = cm.toy_config(pairs=4, selection="random")
     data = generate_dataset(cfg.seed, cfg.pairs, cfg)
@@ -349,8 +379,7 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
         return drawn[-1]
 
     with no_grad():
-        encode_video(video[None], model.store, model.vcfg, modulate=model.video_mod.apply,
-                     attention=model.attention_hooks(select))
+        model.video_tower(video[None], lambda rows: model.attention_hooks(select, rows))
     assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
 
     seen = []
