@@ -7,8 +7,15 @@ from dataclasses import asdict, dataclass, fields
 
 from .attention import SelectionMode, WarpAxes
 from .backbone import TextConfig, VisualConfig
+from .counting import backbone_elements, closed_forms
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
+
+# The most float64 elements (8 bytes each) ``validate`` lets a model hold in
+# its parameters, and separately in the activations of one batch: 2**30 is
+# 8 GiB, the memory of a desk machine. The ViT-B/32 shape
+# (``vit_b32_shaped_config``) holds 1.5e8 parameter elements (1.2 GB).
+_MAX_ELEMENTS = 2**30
 
 
 @dataclass
@@ -105,8 +112,27 @@ class ExperimentConfig:
             raise ConfigError("text_lowrank requires text_modulation")
         if self.text_lowrank and not 1 <= self.rank <= min(self.max_words + 1, self.dim_t):
             raise ConfigError(f"rank {self.rank} outside [1, min(words+1, D_t)] for text_lowrank")
-        self.visual_adapter_layers()
-        self.text_adapter_layers()
+        self._check_size(vcfg)
+
+    def _check_size(self, vcfg):
+        """Reject a model too large to build, from element counts alone.
+
+        The parameters are the frozen towers plus the adapters. The widest
+        activation is the MLP hidden layer (4 D per token row), and the
+        largest batch is evaluation's, which holds every pair at once. The
+        towers are checked first, because they bound the layer counts that
+        the adapter count enumerates.
+        """
+        rows = self.pairs * (self.frames * (vcfg.patches + 1) + self.max_words + 1)
+        _cap("frozen tower", backbone_elements(self))
+        _cap("one batch's activation", rows * 4 * max(self.dim_v, self.dim_t))
+        _cap("adapter", sum(closed_forms(self).values()))
+
+
+def _cap(what, elements):
+    if elements > _MAX_ELEMENTS:
+        raise ConfigError(f"{what} size of {elements:,} elements exceeds the cap of "
+                          f"{_MAX_ELEMENTS:,} (8 GiB of float64)")
 
 
 def _layer_set(spec, total, clip=False):

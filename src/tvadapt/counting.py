@@ -9,9 +9,8 @@ weights, so full-scale configurations can be audited instantly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .attention import WarpAxes
 from .backbone import _BLOCK_SHAPES
@@ -23,7 +22,7 @@ from .tensor import ParamStore
 
 def _block_elements(dim):
     dims = {"D": dim, "4D": 4 * dim}
-    return sum(int(np.prod([dims[s] for s in shape])) for _, _, shape in _BLOCK_SHAPES)
+    return sum(math.prod(dims[s] for s in shape) for _, _, shape in _BLOCK_SHAPES)
 
 
 def backbone_elements(config):

@@ -27,3 +27,7 @@ class VersionError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check (closed form vs enumeration) failed."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker process died or could not send its result back."""

@@ -14,18 +14,16 @@ Every reader of the video tower (the prepass, ``encode_videos`` and the
 similarity map) runs it through ``AdapterModel.video_tower``. A pass
 that records no tape runs there over blocks of videos, each block
 through the whole tower, so that a block's activations stay in cache.
-The blocks run on every usable core: the calling thread and one
-helper thread per further core take them in turn. Every tower op acts
-on each video (frame) alone, so the blocks are bitwise one pass. A
-taped pass stays one block: backward holds every activation anyway.
+The blocks run on every usable core: the caller and one worker process
+forked per further core each take a contiguous, equal share of the
+videos and run it in blocks (``workers.map_shares``). With one usable
+core, no ``os.fork``, another live thread, or inside a worker, the
+blocks run inline in the caller. Every tower op acts on each video
+(frame) alone, so the blocks are bitwise one pass. A taped pass stays
+one block: backward holds every activation anyway.
 """
 
 from __future__ import annotations
-
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,6 +39,7 @@ from .exceptions import InputError
 from .modulation import TextModulation, VideoModulation
 from .retrieval import similarity, contrastive_loss, text_embedding, video_embedding
 from .tensor import ParamStore, Tensor, no_grad, rng_for
+from .workers import map_shares
 
 # Token rows (videos x T x (N+1)) per block of a tape-free video-tower pass.
 # A block's MLP hidden array (0.5 MB on the toy config) fits the L2 of the
@@ -49,52 +48,6 @@ from .tensor import ParamStore, Tensor, no_grad, rng_for
 # BENCH_13.json) was faster still, but with a block live on each core it
 # raised eval peak RSS by 6-7 %; 512 rows kept the rise within 3 %.
 _BLOCK_ROWS = 512
-
-
-def _helper_threads():
-    """Threads that may join the caller on a multi-block pass: one per further usable core."""
-    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        return (os.cpu_count() or 1) - 1
-    return len(os.sched_getaffinity(0)) - 1
-
-
-def _map_blocks(fn, blocks):
-    """``[fn(rows) for rows in blocks]``, the blocks spread over every usable core.
-
-    The caller and up to ``_helper_threads()`` helper threads claim block
-    indices in turn; the results keep block order. Helpers run in copies
-    of the caller's context, so its ``no_grad`` holds there. After a
-    failure no further block starts, and once every helper has stopped the
-    lowest-numbered failed block's error is raised, as the serial loop would.
-    """
-    helpers = min(_helper_threads(), len(blocks) - 1)
-    if helpers < 1:
-        return [fn(rows) for rows in blocks]
-    results, errors = [None] * len(blocks), {}
-    claims, lock = iter(range(len(blocks))), threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i = None if errors else next(claims, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(blocks[i])
-            except BaseException as exc:  # re-raised by the caller below
-                with lock:
-                    errors[i] = exc
-
-    with ThreadPoolExecutor(helpers) as pool:
-        tasks = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
-        try:
-            work()
-        finally:
-            for task in tasks:
-                task.cancel()  # leaving the pool then waits for the helpers that started
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 ADAPTER_GROUPS = {
@@ -154,24 +107,32 @@ class AdapterModel:
 
         ``attention(rows)`` is the attention hook map for the videos at
         ``rows``. The video modulation is composed once for the call.
-        With no tape recording, a batch runs in blocks of at most
-        ``_BLOCK_ROWS`` token rows (at least one video each), spread by
-        ``_map_blocks`` over the usable cores; a taped pass, an unbatched
-        (T, H, W, C) video or an empty batch is one block.
+        With no tape recording, a batch is cut into contiguous, equal
+        shares of videos, one per usable process but no more than there
+        are blocks (``map_shares``), and each share runs in blocks of at
+        most ``_BLOCK_ROWS`` token rows (at least one video each). A share
+        may run in a forked worker, so what ``attention``'s hooks write
+        there does not reach the caller. A taped pass, an unbatched
+        (T, H, W, C) video or an empty batch is one call of the tower.
         """
         modulate = self.video_mod.composed().apply
+
+        def tower(rows):
+            return encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
+                                attention=attention(rows))
+
         lead = np.shape(videos)[:-4]
-        blocks = [slice(None)]
-        if lead and lead[0] and not T.recording():
-            rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
-            step = max(1, _BLOCK_ROWS // rows)
-            blocks = [slice(i, i + step) for i in range(0, lead[0], step)]
-        parts = _map_blocks(
-            lambda rows: encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
-                                      attention=attention(rows)),
-            blocks,
-        )
-        return T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        if not lead or not lead[0] or T.recording():
+            return tower(slice(None))
+        rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
+        step = max(1, _BLOCK_ROWS // rows)
+
+        def share(part):
+            return [tower(slice(i, min(i + step, part.stop))).data
+                    for i in range(part.start, part.stop, step)]
+
+        shares = map_shares(share, lead[0], most=-(-lead[0] // step))
+        return Tensor(np.concatenate([block for part in shares for block in part]))
 
     def _pick_sentences(self, videos, candidates):
         """Index of the most video-aligned candidate per video (no grad).

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .exceptions import ContractError, DimensionError, NumericError
+from .workers import map_shares
 
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
@@ -690,7 +691,10 @@ def fd_check(fn, store, eps=1e-5):
     ``fn`` maps the store to a scalar Tensor and must be deterministic:
     it is evaluated twice at the base point and any disagreement raises.
     Central differences perturb each trainable coordinate by +/- eps.
-    Only the analytic pass records a tape.
+    Only the analytic pass records a tape. The perturbed evaluations run
+    in slices of coordinates on every usable core (``workers.map_shares``);
+    the differences and their maximum are then taken in coordinate order,
+    so the result is bitwise that of one serial loop.
     """
     if not (0.0 < eps <= 1e-3):
         raise ContractError(f"fd_check: eps must lie in (0, 1e-3], got {eps}")
@@ -703,22 +707,28 @@ def fd_check(fn, store, eps=1e-5):
     store.zero_grad()
     loss = fn(store)
     loss.backward()
+    coords = [(t, i) for _, t in store.trainable_items() for i in range(t.data.size)]
 
-    worst = 0.0
-    with no_grad():
-        for _, t in store.trainable_items():
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+    def perturbed(share):
+        """(f+, f-) for each coordinate in ``share``."""
+        values = np.empty((share.stop - share.start, 2))
+        for row, (t, i) in enumerate(coords[share]):
             flat = t.data.reshape(-1)
-            grad_flat = analytic.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = float(fn(store).data)
-                flat[i] = orig - eps
-                f_minus = float(fn(store).data)
-                flat[i] = orig
-                cd = (f_plus - f_minus) / (2.0 * eps)
-                denom = max(abs(grad_flat[i]), abs(cd), 1e-8)
-                worst = max(worst, abs(grad_flat[i] - cd) / denom)
+            orig = flat[i]
+            flat[i] = orig + eps
+            values[row, 0] = float(fn(store).data)
+            flat[i] = orig - eps
+            values[row, 1] = float(fn(store).data)
+            flat[i] = orig
+        return values
+
+    with no_grad():
+        values = np.concatenate(map_shares(perturbed, len(coords)))
+    worst = 0.0
+    for (t, i), (f_plus, f_minus) in zip(coords, values.tolist()):
+        analytic = 0.0 if t.grad is None else t.grad.reshape(-1)[i]
+        cd = (f_plus - f_minus) / (2.0 * eps)
+        denom = max(abs(analytic), abs(cd), 1e-8)
+        worst = max(worst, abs(analytic - cd) / denom)
     store.zero_grad()
     return worst

@@ -7,22 +7,26 @@ layer-shared modulation factors, at corpus sizes that fill one block
 exactly, leave one video over, or end on a one-video remainder block.
 ``_pick_sentences`` always runs tape-free; its oracle is the same call
 with a block that holds the whole corpus. The block is shrunk to a few
-videos so that small corpora span several. The blocks run on helper
-threads as well as the caller's; the ``threaded`` cases force two
-helpers, so that a one-core host checks that path too.
+videos so that small corpora span several. The caller and one forked
+worker process per further usable core each run an equal share of the
+videos in blocks. The ``forked`` cases force three processes, so that a
+one-core host checks that path too; the ``threaded`` cases keep another
+thread alive, so that every block runs inline in the caller. Each test
+ends with no child process left.
 """
 
 import os
-import sys
 import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 
 from tvadapt import model as model_mod
 from tvadapt import tensor as T
+from tvadapt import workers
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.model import AdapterModel
@@ -39,15 +43,33 @@ CONFIGS["layer_shared"] = replace(BASE, decompose="spatial_temporal_layer")
 DATA = generate_dataset(BASE.seed, max(SIZES), BASE)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    assert_no_child_left()
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     monkeypatch.setattr(model_mod, "_BLOCK_ROWS", PER_BLOCK * ROWS_PER_VIDEO)
 
 
 @pytest.fixture
-def two_helpers(monkeypatch):
-    """Two helper threads on any host, so a one-core machine runs the threaded path too."""
-    monkeypatch.setattr(model_mod, "_helper_threads", lambda: 2)
+def three_processes(monkeypatch):
+    """Three usable cores on any host, so a one-core machine forks workers too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+@pytest.fixture
+def another_thread():
+    """A second live thread, so that every block runs inline in the caller."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    yield
+    release.set()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 def _bits(x):
@@ -71,45 +93,79 @@ def _batch(count):
     return DATA.videos[:count], DATA.tokens[:count]
 
 
-def _counting_encode(monkeypatch):
-    calls = []
+def _block_sizes(count, processes):
+    """Tower calls of a tape-free pass, in corpus order: one equal share of
+    the videos per process (no more shares than blocks), each share cut
+    into blocks of at most PER_BLOCK videos."""
+    parts = min(processes, count, -(-count // PER_BLOCK))
+    bounds = [i * count // parts for i in range(parts + 1)]
+    return [min(PER_BLOCK, hi - i) for lo, hi in zip(bounds, bounds[1:])
+            for i in range(lo, hi, PER_BLOCK)]
+
+
+def test_block_sizes_follow_equal_shares():
+    assert _block_sizes(13, 1) == [4, 4, 4, 1]
+    assert _block_sizes(13, 3) == [4, 4, 4, 1]
+    assert _block_sizes(5, 2) == [2, 3]
+    assert _block_sizes(3, 3) == [3]
+    assert _block_sizes(128, 2) == [4] * 32
+
+
+def _counting_encode(monkeypatch, call_log):
+    """Log (address of the first video, shape) of every tower call, in the
+    caller and in the workers; a block is a view of the corpus array, at
+    the same address in a forked worker."""
     encode = model_mod.encode_video
 
     def counted(videos, *args, **kwargs):
-        calls.append(np.shape(videos))
+        call_log.add((np.asarray(videos).__array_interface__["data"][0], np.shape(videos)))
         return encode(videos, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_video", counted)
-    return calls
+
+
+def _in_corpus_order(calls):
+    """The shapes of the logged calls of one pass, in corpus order."""
+    return [shape for _, shape in sorted(calls)]
 
 
 @pytest.mark.parametrize("count", SIZES)
 @pytest.mark.parametrize("mode", list(CONFIGS))
-def test_tape_free_scores_are_bitwise_the_taped_pass(mode, count, small_blocks, monkeypatch):
-    _assert_scores_bitwise_taped(mode, count, monkeypatch)
+def test_tape_free_scores_are_bitwise_the_taped_pass(mode, count, small_blocks, monkeypatch,
+                                                     call_log):
+    _assert_scores_bitwise_taped(mode, count, monkeypatch, call_log)
 
 
 @pytest.mark.parametrize("count", SIZES)
 @pytest.mark.parametrize("mode", list(CONFIGS))
-def test_threaded_scores_are_bitwise_the_taped_pass(mode, count, small_blocks, two_helpers,
-                                                    monkeypatch):
-    _assert_scores_bitwise_taped(mode, count, monkeypatch)
+def test_forked_scores_are_bitwise_the_taped_pass(mode, count, small_blocks, three_processes,
+                                                  monkeypatch, call_log):
+    _assert_scores_bitwise_taped(mode, count, monkeypatch, call_log)
 
 
-def _assert_scores_bitwise_taped(mode, count, monkeypatch):
+@pytest.mark.parametrize("count", SIZES)
+@pytest.mark.parametrize("mode", list(CONFIGS))
+def test_threaded_scores_are_bitwise_the_taped_pass(mode, count, small_blocks, three_processes,
+                                                    another_thread, monkeypatch, call_log):
+    _assert_scores_bitwise_taped(mode, count, monkeypatch, call_log)
+
+
+def _assert_scores_bitwise_taped(mode, count, monkeypatch, call_log):
     cfg = CONFIGS[mode]
     model = _model(cfg)
     videos, tokens = _batch(count)
     taped, v_taped, z_taped = model.batch_scores(videos, tokens, sel_key=("train", 3))
     assert v_taped.requires_grad
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
+    sizes = _block_sizes(count, workers.processes())
     with no_grad():
         free, v_free, z_free = model.batch_scores(videos, tokens, sel_key=("train", 3))
-    blocks = -(-count // PER_BLOCK)
-    prepass = blocks if cfg.asa and cfg.selection.startswith("text") else 0
-    assert len(calls) == prepass + blocks
-    assert [s[0] for s in calls[prepass:]] == [min(PER_BLOCK, count - i * PER_BLOCK)
-                                               for i in range(blocks)]
+    calls = call_log.records()
+    prepass = len(sizes) if cfg.asa and cfg.selection.startswith("text") else 0
+    assert len(calls) == prepass + len(sizes)
+    # the prepass's workers are reaped before the forward forks its own
+    for part in (calls[:prepass], calls[prepass:]):
+        assert [s[0] for s in _in_corpus_order(part)] == (sizes if part else [])
     for got, want in ((free, taped), (v_free, v_taped), (z_free, z_taped)):
         assert got.shape == want.shape
         assert (_bits(got.data) == _bits(want.data)).all()
@@ -129,88 +185,89 @@ def test_tape_free_encode_videos_is_bitwise_the_taped_pass(mode, count, small_bl
 
 
 @pytest.mark.parametrize("count", SIZES)
-def test_blocked_sentence_pick_is_bitwise_one_block(count, small_blocks, monkeypatch):
-    _assert_pick_bitwise_one_block(count, monkeypatch)
+def test_blocked_sentence_pick_is_bitwise_one_block(count, small_blocks, monkeypatch, call_log):
+    _assert_pick_bitwise_one_block(count, monkeypatch, call_log)
 
 
 @pytest.mark.parametrize("count", SIZES)
-def test_threaded_sentence_pick_is_bitwise_one_block(count, small_blocks, two_helpers,
-                                                     monkeypatch):
-    _assert_pick_bitwise_one_block(count, monkeypatch)
+def test_forked_sentence_pick_is_bitwise_one_block(count, small_blocks, three_processes,
+                                                   monkeypatch, call_log):
+    _assert_pick_bitwise_one_block(count, monkeypatch, call_log)
 
 
-def _assert_pick_bitwise_one_block(count, monkeypatch):
+@pytest.mark.parametrize("count", SIZES)
+def test_threaded_sentence_pick_is_bitwise_one_block(count, small_blocks, three_processes,
+                                                     another_thread, monkeypatch, call_log):
+    _assert_pick_bitwise_one_block(count, monkeypatch, call_log)
+
+
+def _assert_pick_bitwise_one_block(count, monkeypatch, call_log):
     model = _model(BASE)
     videos, _ = _batch(count)
     candidates = rng_for(BASE.seed, "blocks", "cands").normal(size=(5, BASE.dim_t))
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
+    sizes = _block_sizes(count, workers.processes())
     got = model._pick_sentences(videos, candidates)
-    assert len(calls) == -(-count // PER_BLOCK)
+    assert [s[0] for s in _in_corpus_order(call_log.records())] == sizes
     monkeypatch.setattr(model_mod, "_BLOCK_ROWS", len(videos) * ROWS_PER_VIDEO)
-    calls.clear()
+    call_log.clear()
     want = model._pick_sentences(videos, candidates)
-    assert len(calls) == 1
+    assert len(call_log.records()) == 1
     np.testing.assert_array_equal(got, want)
 
 
-def test_unbatched_video_is_one_block(monkeypatch):
+def test_unbatched_video_is_one_block(monkeypatch, call_log):
     monkeypatch.setattr(model_mod, "_BLOCK_ROWS", 1)  # smaller than one frame
     model = _model(BASE)
     videos, _ = _batch(1)
     candidates = rng_for(BASE.seed, "blocks", "cands").normal(size=(5, BASE.dim_t))
     taped = model.encode_videos(videos[0], candidates)
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
     with no_grad():
         free = model.encode_videos(videos[0], candidates)
     # the prepass and the forward each see the whole (T, H, W, C) video
-    assert calls == [videos[0].shape] * 2
+    assert [shape for _, shape in call_log.records()] == [videos[0].shape] * 2
     assert (_bits(free.data) == _bits(taped.data)).all()
 
 
 @pytest.mark.parametrize("mode", ["random", "asa_off"])
-def test_taped_forward_is_one_tower_call(mode, small_blocks, monkeypatch):
+def test_taped_forward_is_one_tower_call(mode, small_blocks, monkeypatch, call_log):
     model = _model(CONFIGS[mode])
     videos, _ = _batch(3 * PER_BLOCK + 1)
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
     emb = model.encode_videos(videos, sel_key=("train", 0))
     assert emb.requires_grad
-    assert calls == [videos.shape]
+    assert [shape for _, shape in call_log.records()] == [videos.shape]
 
 
-def test_empty_corpus_is_one_empty_pass(monkeypatch):
+def test_empty_corpus_is_one_empty_pass(monkeypatch, call_log):
     model = _model(BASE)
     videos = DATA.videos[:0]
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
     candidates = rng_for(BASE.seed, "blocks", "cands").normal(size=(5, BASE.dim_t))
     with no_grad():
         emb = model.encode_videos(videos, candidates)
     assert emb.shape == (0, BASE.dim_t)
-    assert calls == [videos.shape] * 2
+    assert [shape for _, shape in call_log.records()] == [videos.shape] * 2
 
 
-def test_helper_blocks_record_no_tape(small_blocks, two_helpers, monkeypatch):
+def test_helper_blocks_record_no_tape(small_blocks, three_processes, monkeypatch, call_log):
     model = _model(CONFIGS["random"])  # no prepass: every call below is a forward block
     videos, _ = _batch(3 * PER_BLOCK + 1)
-    seen = []
-    # the first three blocks each hold their thread until three threads hold one,
-    # so the caller and both helpers run a block
-    meet = threading.Barrier(3, timeout=30)
     encode = model_mod.encode_video
 
     def spying(block, *args, **kwargs):
-        seen.append((threading.get_ident(), T.recording()))
-        if len(seen) <= 3:
-            meet.wait()
         out = encode(block, *args, **kwargs)
-        assert not out.requires_grad and out._backward is None
+        call_log.add((os.getpid(), T.recording(), out.requires_grad or out._backward is not None))
         return out
 
     monkeypatch.setattr(model_mod, "encode_video", spying)
     with no_grad():
         emb = model.encode_videos(videos, sel_key=("train", 3))
-    assert len(seen) == 4
-    assert len({ident for ident, _ in seen}) == 3
-    assert not any(recording for _, recording in seen)
+    seen = call_log.records()
+    assert len(seen) == 4  # shares of 4, 4 and 5 videos: blocks of 4 | 4 | 4, 1
+    assert len({pid for pid, _, _ in seen}) == 3  # the caller and two workers
+    assert not any(recording or taped for _, recording, taped in seen)
     assert not emb.requires_grad and emb._backward is None and emb._parents == ()
 
 
@@ -220,15 +277,17 @@ class BlockFailure(RuntimeError):
 
 @pytest.mark.parametrize("failing", [(0,), (3,), (1, 3)])
 def test_block_error_reaches_the_caller_after_every_helper_stopped(failing, small_blocks,
-                                                                   two_helpers, monkeypatch):
+                                                                   three_processes, monkeypatch,
+                                                                   call_log):
+    # three shares of 4, 4 and 5 videos: block 0 runs in the caller, block 1
+    # in the first worker, blocks 2 and 3 in the second
     model = _model(CONFIGS["asa_off"])
     videos, _ = _batch(3 * PER_BLOCK + 1)
-    started = []
     encode = model_mod.encode_video
 
     def failing_encode(block, *args, **kwargs):
         index = next(i for i in range(4) if np.may_share_memory(block, videos[i * PER_BLOCK]))
-        started.append(index)
+        call_log.add(index)
         if index in failing:
             if index == min(failing):
                 time.sleep(0.1)  # so that a later block fails first
@@ -239,47 +298,45 @@ def test_block_error_reaches_the_caller_after_every_helper_stopped(failing, smal
     threads = threading.active_count()
     with no_grad(), pytest.raises(BlockFailure, match=f"block {min(failing)}$"):
         model.encode_videos(videos)
-    ran = list(started)
+    assert_no_child_left()  # so no block can start after the call returned
     assert threading.active_count() == threads
-    time.sleep(0.05)
-    assert started == ran  # no block started after the call returned
+    ran = call_log.records()
     assert min(failing) in ran and len(set(ran)) == len(ran)
 
 
-def test_one_usable_core_starts_no_thread(small_blocks, monkeypatch):
+def test_one_usable_core_starts_no_thread(small_blocks, monkeypatch, call_log):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started on one core")
+    def no_fork():
+        raise AssertionError("a worker was forked on one core")
 
-    monkeypatch.setattr(model_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     model = _model(BASE)
     videos, tokens = _batch(3 * PER_BLOCK + 1)
     taped, _, _ = model.batch_scores(videos, tokens)
-    calls = _counting_encode(monkeypatch)
+    _counting_encode(monkeypatch, call_log)
+    threads = threading.active_count()
     with no_grad():
         free, _, _ = model.batch_scores(videos, tokens)
-    assert len(calls) == 2 * 4  # the prepass and the forward, four blocks each, all inline
+    assert threading.active_count() == threads
+    assert len(call_log.records()) == 2 * 4  # the prepass and the forward, four blocks each, all inline
     assert (_bits(free.data) == _bits(taped.data)).all()
 
 
-def test_map_blocks_keeps_block_order_under_thread_switches(monkeypatch):
-    monkeypatch.setattr(model_mod, "_helper_threads", lambda: 8)  # more workers than cores
-    runs = []
+def test_map_shares_keeps_share_order_with_more_workers_than_cores(monkeypatch, call_log):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    started = time.monotonic()
+    for _ in range(5):
+        call_log.clear()
 
-    def block(rows):
-        runs.append(rows)
-        return sum(range(rows * 50))
+        def share(part):
+            call_log.add((part.start, part.stop, os.getpid()))
+            return [sum(range(i * 50)) for i in range(part.start, part.stop)]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        started = time.monotonic()
-        for _ in range(20):
-            runs.clear()
-            got = model_mod._map_blocks(block, list(range(64)))
-            assert got == [sum(range(rows * 50)) for rows in range(64)]
-            assert sorted(runs) == list(range(64))  # each block ran exactly once
-        assert time.monotonic() - started < 60
-    finally:
-        sys.setswitchinterval(interval)
+        got = workers.map_shares(share, 64)
+        assert [x for part in got for x in part] == [sum(range(i * 50)) for i in range(64)]
+        shares = sorted(call_log.records())
+        assert [(lo, hi) for lo, hi, _ in shares] == [(8 * i, 8 * i + 8) for i in range(8)]
+        assert len({pid for _, _, pid in shares}) == 8  # the caller and seven workers
+        assert_no_child_left()
+    assert time.monotonic() - started < 60

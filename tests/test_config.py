@@ -4,6 +4,7 @@ import pytest
 
 from tvadapt import config as cm
 from tvadapt.cli import main
+from tvadapt.counting import count_params
 from tvadapt.exceptions import ConfigError
 
 
@@ -119,3 +120,40 @@ def test_non_finite_floats_rejected(field, value, tmp_path, capsys):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+# adversarial values for every field: signs, edges of the machine integer
+# types, magnitudes far past any buildable model, non-finite floats, junk
+ADVERSARIAL = ["0", "1", "-1", "2", "3", "5", "7", "64", "1000", "2147483647", "2147483648",
+               "9223372036854775807", "-9223372036854775808", "1000000000",
+               "99999999999999999999", "nan", "inf", "-inf", "1e308", "", "x"]
+
+
+@pytest.mark.parametrize("field", list(cm._FIELDS))
+def test_every_adversarial_field_value_builds_or_raises_config_error(field):
+    # ConfigError, or a clean build of the adapters; never anything else.
+    # validate must reject a huge model from its counts alone, so nothing
+    # here allocates more than a toy model's adapters
+    lines = [line for line in cm.dumps(cm.toy_config()).splitlines()
+             if not line.startswith(f"{field} =")]
+    for value in ADVERSARIAL:
+        try:
+            cfg = cm.loads("\n".join(lines + [f"{field} = {value}"]))
+        except ConfigError:
+            continue
+        assert count_params(cfg).trainable_total > 0, (field, value)
+
+
+@pytest.mark.parametrize("field", ["layers", "text_layers", "frames", "dim_v", "vocab", "pairs"])
+def test_model_too_large_to_build_is_a_config_error(field, tmp_path, capsys):
+    # 10**20 layers or frames used to escape as OverflowError or ValueError
+    # from the first allocation; 10**9 would first build a billion-entry list
+    for value in (10**9, 10**20):  # both divisible by the default heads
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            cm.loads(f"{field} = {value}\n")
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"{field} = {value}\n")
+        assert main(["count-params", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+

@@ -14,6 +14,7 @@ import pytest
 
 from tvadapt import model as model_mod
 from tvadapt import tensor as T
+from tvadapt import workers
 from tvadapt.backbone import encode_video, patchify, vanilla_attention, vit_block
 from tvadapt.config import toy_config
 from tvadapt.model import AdapterModel
@@ -79,14 +80,14 @@ def _perturbed_model(cfg):
     return model
 
 
-def _forward_backward(cfg, videos, encode, monkeypatch):
+def _forward_backward(cfg, videos, encode, monkeypatch, call_log):
     """Tower output, embeddings and trainable-leaf gradients under ``encode``."""
     model = _perturbed_model(cfg)
-    outputs = []
+    call_log.clear()
 
     def recording_encode(*args, **kwargs):
         out = encode(*args, **kwargs)
-        outputs.append((args[0].tobytes(), out))
+        call_log.add((args[0].tobytes(), out.data))  # also seen from a forked worker
         return out
 
     monkeypatch.setattr(model_mod, "encode_video", recording_encode)
@@ -96,24 +97,28 @@ def _forward_backward(cfg, videos, encode, monkeypatch):
     T.tsum(emb * adjoint).backward()
     # the text tower is not in this loss, so its leaves hold no gradient
     grads = {name: t.grad for name, t in model.store.trainable_items() if t.grad is not None}
-    # prepass blocks finish in any order across threads: pair them by their
+    # prepass blocks finish in any order across processes: pair them by their
     # input videos (a stable sort keeps a one-block prepass before the forward)
-    outputs = [out for _, out in sorted(outputs, key=lambda item: item[0])]
+    outputs = [out for _, out in sorted(call_log.records(), key=lambda item: item[0])]
     return outputs, emb.data, grads
 
 
-def _assert_bitwise_as_full_rows(cfg, videos, monkeypatch):
-    got = _forward_backward(cfg, videos, encode_video, monkeypatch)
-    want = _forward_backward(cfg, videos, encode_video_full_rows, monkeypatch)
+def _assert_bitwise_as_full_rows(cfg, videos, monkeypatch, call_log):
+    got = _forward_backward(cfg, videos, encode_video, monkeypatch, call_log)
+    want = _forward_backward(cfg, videos, encode_video_full_rows, monkeypatch, call_log)
     (f_got, emb_got, g_got), (f_want, emb_want, g_want) = got, want
-    # with ASA the sentence-pick prepass, one call per block of videos, then
-    # the taped forward in one call
+    # with ASA the sentence-pick prepass, one call per block of videos (an
+    # equal share of the videos per process, each share in blocks), then the
+    # taped forward in one call
     per_block = model_mod._BLOCK_ROWS // (cfg.frames * (cfg.visual().patches + 1))
-    prepass = -(-len(videos) // per_block) if cfg.asa else 0
+    blocks = -(-len(videos) // per_block)
+    parts = min(workers.processes(), len(videos), blocks)
+    shares = [(i + 1) * len(videos) // parts - i * len(videos) // parts for i in range(parts)]
+    prepass = sum(-(-share // per_block) for share in shares) if cfg.asa else 0
     assert len(f_got) == len(f_want) == prepass + 1
     for a, b in zip(f_got, f_want):
         assert a.shape == b.shape
-        assert (_bits(a.data) == _bits(b.data)).all()
+        assert (_bits(a) == _bits(b)).all()
     assert (_bits(emb_got) == _bits(emb_want)).all()
     assert g_got.keys() == g_want.keys()
     assert "adapter/proj/w" in g_want
@@ -124,17 +129,18 @@ def _assert_bitwise_as_full_rows(cfg, videos, monkeypatch):
 @pytest.mark.parametrize("adapter_layers", ["all", "1,2,3"])
 @pytest.mark.parametrize("asa", list(ASA))
 @pytest.mark.parametrize("decompose", MODES)
-def test_row_only_last_block_bitwise_for_every_mode(decompose, asa, adapter_layers, monkeypatch):
+def test_row_only_last_block_bitwise_for_every_mode(decompose, asa, adapter_layers, monkeypatch,
+                                                   call_log):
     cfg = toy_config(decompose=decompose, adapter_layers=adapter_layers, **ASA[asa])
     videos = _videos(cfg, 16, "modes")
-    _assert_bitwise_as_full_rows(cfg, videos, monkeypatch)
+    _assert_bitwise_as_full_rows(cfg, videos, monkeypatch, call_log)
 
 
 @pytest.mark.parametrize("count", [1, 16, 128])
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_row_only_last_block_bitwise_for_every_batch_shape(shape, count, monkeypatch):
+def test_row_only_last_block_bitwise_for_every_batch_shape(shape, count, monkeypatch, call_log):
     # the wide workload's setting, then per-token factors with the warp
     for decompose, asa in (("temporal", "off"), ("spatial_temporal", "bilinear")):
         cfg = replace(SHAPES[shape], decompose=decompose, **ASA[asa])
         videos = _videos(cfg, count, shape)
-        _assert_bitwise_as_full_rows(cfg, videos, monkeypatch)
+        _assert_bitwise_as_full_rows(cfg, videos, monkeypatch, call_log)

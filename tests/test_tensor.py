@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import os
 import pathlib
 import threading
 
@@ -196,6 +197,32 @@ def test_fd_check_rejects_bad_eps():
     store.add("p", Tensor(np.array([1.0])))
     with pytest.raises(ContractError):
         fd_check(lambda s: T.tsum(s["p"]), store, eps=1e-2)
+
+
+def test_fd_check_on_every_core_is_bitwise_the_serial_loop(monkeypatch):
+    # the perturbed evaluations run in shares of coordinates, in the caller
+    # and in forked workers; the worst error must be the serial loop's bits
+    rng = rng_for(5, "fd-shares")
+    store = ParamStore()
+    store.add("a", Tensor(rng.normal(size=(4, 5))))
+    store.add("b", Tensor(rng.normal(size=(5, 3))))
+    before = {name: t.data.copy() for name, t in store.items()}
+
+    def fn(s):
+        h = T.softmax(T.matmul(s["a"], s["b"]), axis=1)
+        return T.tsum(h * T.exp(T.matmul(s["a"], s["b"]) * 0.5))
+
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    worst = {}
+    for cores in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        worst[len(cores)] = np.float64(fd_check(fn, store, eps=1e-5))
+    assert len(forks) == 2  # two workers on three cores, none on one
+    assert 0.0 < worst[1] < 1e-4
+    assert worst[3].view(np.uint64) == worst[1].view(np.uint64)
+    for name, t in store.items():  # the caller's own share restores each coordinate
+        assert (t.data == before[name]).all()
 
 
 def _node_ops():
