@@ -58,7 +58,8 @@ with tempfile.TemporaryDirectory() as td:
         (restored.store[n].data == model.store[n].data).all()
         for n in model.store.names()
     )
-    print(f"checkpoint {os.path.getsize(path):,} bytes; bitwise restore: {same}")
+    print(f"checkpoint {os.path.getsize(path):,} bytes: config and adapters; the backbone "
+          f"is regenerated from the config and its digest checked; bitwise restore: {same}")
 
     print("\n=== diagnostics export ===")
     out_dir = os.path.join(td, "diag")

@@ -1,11 +1,14 @@
-"""Versioned binary checkpoints: bit-exact parameter and config snapshots.
+"""Versioned binary checkpoints: the config and the bit-exact adapter set.
 
 Layout (little-endian): magic ``RAPC``, u32 format version, u32 config
 length + flat-text config, u64 completed-step counter (the RNG state:
-every stream is derived from the config seed plus counters), u32 entry
-count, then per parameter: u16 name length + name, u8 frozen flag,
-u8 ndim, u32 dims, raw float64 payload; last, the 64-byte blake2b
-digest of every preceding byte, so a flipped bit fails to load.
+every stream is derived from the config seed plus counters), the 16-byte
+digest ``store.hash_bytes("backbone/")``, u32 entry count, then per
+``adapter/`` entry: u16 name length + name, u8 frozen flag, u8 ndim,
+u32 dims, raw float64 payload; last, the 64-byte blake2b digest of every
+preceding byte, so a flipped bit fails to load. The frozen backbone is a
+pure function of the config: ``restore_model`` regenerates it and checks
+its digest. Older versions, which stored the backbone too, are rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .exceptions import ConfigError, VersionError
 from .model import AdapterModel
 
 MAGIC = b"RAPC"
-VERSION = 2
+VERSION = 3
 DIGEST_SIZE = 64
 
 
@@ -31,6 +34,13 @@ class Checkpoint:
     config: object
     params: dict  # name -> (ndarray, frozen)
     steps: int
+    backbone: str  # hex digest of the frozen towers the adapters belong to
+
+
+def adapter_items(store):
+    """The entries a checkpoint holds: every trainable one, and the offsets
+    an axis-restricted warp freezes, all under ``adapter/``."""
+    return [(name, t) for name, t in store.items() if name.startswith("adapter/")]
 
 
 def save_checkpoint(path, model, steps=0):
@@ -42,11 +52,10 @@ def save_checkpoint(path, model, steps=0):
     cfg_text = config_mod.dumps(model.config).encode("utf-8")
     blob += struct.pack("<I", len(cfg_text))
     blob += cfg_text
-    blob += struct.pack("<Q", steps)
-    names = model.store.names()
-    blob += struct.pack("<I", len(names))
-    for name in names:
-        t = model.store[name]
+    blob += struct.pack("<Q16s", steps, bytes.fromhex(model.store.hash_bytes("backbone/")))
+    entries = adapter_items(model.store)
+    blob += struct.pack("<I", len(entries))
+    for name, t in entries:
         encoded = name.encode("utf-8")
         blob += struct.pack("<H", len(encoded))
         blob += encoded
@@ -79,8 +88,8 @@ def load_checkpoint(path):
         offset = 12
         cfg = config_mod.loads(bytes(view[offset : offset + cfg_len]).decode("utf-8"))
         offset += cfg_len
-        (steps,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
+        steps, backbone = struct.unpack_from("<Q16s", view, offset)
+        offset += 24
         (count,) = struct.unpack_from("<I", view, offset)
         offset += 4
         params = {}
@@ -103,13 +112,15 @@ def load_checkpoint(path):
         raise VersionError(f"{path}: truncated or corrupt checkpoint ({err})") from None
     if offset != len(view):
         raise VersionError(f"{path}: {len(view) - offset} trailing bytes after the last entry")
-    return Checkpoint(config=cfg, params=params, steps=steps)
+    return Checkpoint(config=cfg, params=params, steps=steps, backbone=backbone.hex())
 
 
 def restore_model(checkpoint):
-    """Rebuild the model and overwrite every parameter from the snapshot."""
+    """Rebuild the model from the config, check its backbone digest, load the adapters."""
     model = AdapterModel(checkpoint.config)
-    expected = set(model.store.names())
+    if model.store.hash_bytes("backbone/") != checkpoint.backbone:
+        raise VersionError("the config builds a backbone whose digest differs from the checkpoint's")
+    expected = {name for name, _ in adapter_items(model.store)}
     got = set(checkpoint.params)
     if expected != got:
         missing = sorted(expected - got)[:3]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,10 +64,10 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model, ckpt = load_model(args.ckpt)
-    cfg = ckpt.config
+    # replace validates, so --pairs meets the config's size cap before any video exists
+    cfg = ckpt.config if args.pairs is None else replace(ckpt.config, pairs=args.pairs)
     data_seed = args.data_seed if args.data_seed is not None else cfg.effective_data_seed
-    pairs = args.pairs if args.pairs is not None else cfg.pairs
-    dataset = generate_dataset(data_seed, pairs, cfg)
+    dataset = generate_dataset(data_seed, cfg.pairs, cfg)
     reports = evaluate_model(model, dataset, use_dsl=args.dsl)
     _print_reports(reports)
     if args.json:
@@ -109,8 +110,8 @@ def _cmd_export_diag(args):
 
 
 def _cmd_gen_data(args):
-    cfg = _load_config(args.config)
-    dataset = generate_dataset(args.seed, args.pairs, cfg)
+    cfg = replace(_load_config(args.config), pairs=args.pairs)  # validates, as in eval
+    dataset = generate_dataset(args.seed, cfg.pairs, cfg)
     if not np.isfinite(dataset.videos).all():
         raise NumericError("generated videos contain non-finite values")
     if args.out:

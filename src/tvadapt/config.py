@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .attention import SelectionMode, WarpAxes
 from .backbone import TextConfig, VisualConfig
-from .counting import backbone_elements, closed_forms
+from .counting import backbone_elements, backbone_tensors, closed_forms
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
 
@@ -16,6 +16,12 @@ from .modulation import DecomposeMode
 # 8 GiB, the memory of a desk machine. The ViT-B/32 shape
 # (``vit_b32_shaped_config``) holds 1.5e8 parameter elements (1.2 GB).
 _MAX_ELEMENTS = 2**30
+# The most named tensors ``validate`` lets the frozen towers hold. Each is a
+# Python object with its own Philox stream, about 35 us to build on a 2-core
+# x86 host, so 2**16 (4,096 layers) take about 2 s. CLIP ViT-L/14's 24 + 12
+# layers would hold 582, the ViT-B/32 shape holds 390, and the adapters add a
+# few per layer.
+_MAX_TENSORS = 2**16
 
 
 @dataclass
@@ -121,10 +127,15 @@ class ExperimentConfig:
         activation is the MLP hidden layer (4 D per token row), and the
         largest batch is evaluation's, which holds every pair at once. The
         towers are checked first, because they bound the layer counts that
-        the adapter count enumerates.
+        the adapter count enumerates. A thin tower can pass the element caps
+        with millions of layers, so the towers' named tensors are capped too.
         """
         rows = self.pairs * (self.frames * (vcfg.patches + 1) + self.max_words + 1)
         _cap("frozen tower", backbone_elements(self))
+        tensors = backbone_tensors(self)
+        if tensors > _MAX_TENSORS:
+            raise ConfigError(f"frozen tower of {tensors:,} named tensors exceeds the cap of "
+                              f"{_MAX_TENSORS:,}")
         _cap("one batch's activation", rows * 4 * max(self.dim_v, self.dim_t))
         _cap("adapter", sum(closed_forms(self).values()))
 

@@ -43,6 +43,12 @@ def backbone_elements(config):
     return visual + text
 
 
+def backbone_tensors(config):
+    """Closed-form count of the frozen towers' named tensors, from the config's integers."""
+    stems = 4 + 2  # patch_w, patch_b, cls, pos; embed, pos
+    return stems + (config.layers + config.text_layers) * len(_BLOCK_SHAPES)
+
+
 def closed_forms(config):
     """Per-group trainable counts implied by the adapter factor shapes."""
     vcfg, tcfg = config.visual(), config.text()

@@ -4,8 +4,9 @@ import pytest
 
 from tvadapt import config as cm
 from tvadapt.cli import main
-from tvadapt.counting import count_params
+from tvadapt.counting import backbone_tensors, count_params
 from tvadapt.exceptions import ConfigError
+from tvadapt.model import AdapterModel
 
 
 def test_roundtrip_through_flat_format():
@@ -144,16 +145,32 @@ def test_every_adversarial_field_value_builds_or_raises_config_error(field):
         assert count_params(cfg).trainable_total > 0, (field, value)
 
 
-@pytest.mark.parametrize("field", ["layers", "text_layers", "frames", "dim_v", "vocab", "pairs"])
+# 10**20 layers or frames used to escape as OverflowError or ValueError from
+# the first allocation; 10**9 would first build a billion-entry list. Both
+# values are divisible by the default heads.
+HUGE = {field: [f"{field} = {value}\n" for value in (10**9, 10**20)]
+        for field in ("layers", "text_layers", "frames", "dim_v", "vocab", "pairs")}
+# 4-wide towers of 10**6 layers each: 4.88e8 elements pass the element cap,
+# but the store would hold 32,000,006 named tensors
+HUGE["layers,text_layers"] = ["layers = 1000000\ntext_layers = 1000000\ndim_v = 4\n"
+                              "dim_t = 4\nheads_v = 1\nheads_t = 1\n"]
+
+
+@pytest.mark.parametrize("field", list(HUGE))
 def test_model_too_large_to_build_is_a_config_error(field, tmp_path, capsys):
-    # 10**20 layers or frames used to escape as OverflowError or ValueError
-    # from the first allocation; 10**9 would first build a billion-entry list
-    for value in (10**9, 10**20):  # both divisible by the default heads
+    for text in HUGE[field]:
         with pytest.raises(ConfigError, match="exceeds the cap"):
-            cm.loads(f"{field} = {value}\n")
+            cm.loads(text)
         path = tmp_path / "huge.cfg"
-        path.write_text(f"{field} = {value}\n")
+        path.write_text(text)
         assert main(["count-params", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+
+
+def test_backbone_tensor_count_is_the_built_store_count():
+    for cfg in (cm.toy_config(), cm.toy_config(layers=1, text_layers=5, dim_v=8, heads_v=2)):
+        built = [name for name in AdapterModel(cfg).store.names() if name.startswith("backbone/")]
+        assert backbone_tensors(cfg) == len(built)
+    assert backbone_tensors(cm.vit_b32_shaped_config()) == 390

@@ -132,6 +132,25 @@ def test_cli_count_params_and_gen_data(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["bare.npz", "data.npz"]
 
 
+def test_cli_pairs_beyond_the_size_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import tvadapt.cli as cli_mod
+
+    ckpt = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(ckpt, AdapterModel(cm.toy_config()), steps=0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("generate_dataset called past the size cap")
+
+    # 10**6 pairs: 4.99e9 activation elements, about 18 GB of candidate videos
+    monkeypatch.setattr(cli_mod, "generate_dataset", never)
+    for argv in (["gen-data", "--seed", "0", "--pairs", "1000000"],
+                 ["eval", "--ckpt", ckpt, "--pairs", "1000000"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds the cap" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_cli_export_diag(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, **FAST)
     ckpt = os.path.join(tmp_path, "m.ckpt")

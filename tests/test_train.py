@@ -300,6 +300,42 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
         assert live[key].to_dict() == loaded[key].to_dict()
 
 
+@pytest.mark.parametrize("warp_axes", ["both", "temporal"])
+def test_checkpoint_holds_the_adapter_set_only(tmp_path, warp_axes):
+    model = AdapterModel(replace(CFG, warp_axes=warp_axes))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), model)
+    blob = path.read_bytes()
+    assert len(blob) < 17_000  # 628,440 bytes when the backbone was stored too
+    params = load_checkpoint(str(path)).params
+    adapters = [name for name in model.store.names() if name.startswith("adapter/")]
+    assert sorted(params) == adapters
+    assert not any(name.startswith("backbone/") for name in params)
+    assert {name for name, _ in model.store.trainable_items()} <= set(params)
+    gamma = b"adapter/asa/gamma"
+    frozen = warp_axes == "temporal"
+    assert params[gamma.decode()][1] is frozen
+    assert blob[blob.index(gamma) + len(gamma)] == int(frozen)
+
+
+def test_checkpoint_on_another_backbone_is_a_version_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), AdapterModel(CFG))
+    model_module = importlib.import_module("tvadapt.model")
+    init_backbone = model_module.init_backbone
+
+    def perturbed(store, *args):
+        init_backbone(store, *args)
+        store["backbone/text/block2/mlp_b1"].data[3] += 1e-12
+
+    monkeypatch.setattr(model_module, "init_backbone", perturbed)
+    with pytest.raises(VersionError, match="backbone"):
+        load_model(str(path))
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "backbone" in err and "Traceback" not in err
+
+
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     path = os.path.join(tmp_path, "bad.ckpt")
     with open(path, "wb") as fh:
@@ -311,11 +347,12 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     save_checkpoint(good, model)
     with open(good, "rb") as fh:
         blob = bytearray(fh.read())
-    blob[4] = 99  # version field
-    with open(good, "wb") as fh:
-        fh.write(bytes(blob))
-    with pytest.raises(VersionError):
-        load_checkpoint(good)
+    for version in (2, 99):  # 2: the format that also stored the frozen backbone
+        struct.pack_into("<I", blob, 4, version)  # version field
+        with open(good, "wb") as fh:
+            fh.write(bytes(blob))
+        with pytest.raises(VersionError, match=f"format version {version}, expected 3"):
+            load_checkpoint(good)
 
 
 def test_checkpoint_restore_requires_matching_model(tmp_path):
@@ -413,9 +450,9 @@ def test_flipped_payload_bit_is_a_version_error(tmp_path, capsys):
 
 def test_flipped_frozen_flag_is_rejected(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), AdapterModel(CFG))
+    save_checkpoint(str(path), AdapterModel(replace(CFG, warp_axes="temporal")))
     blob = bytearray(path.read_bytes())
-    name = b"backbone/visual/block1/wq"
+    name = b"adapter/asa/gamma"  # frozen by a temporal-only warp
     flag = blob.index(name) + len(name)
     assert blob[flag] == 1
     blob[flag] = 0
