@@ -211,7 +211,7 @@ def patchify(video, store, vcfg):
     return x + store["backbone/visual/pos"]
 
 
-def encode_video(video, store, vcfg, modulate=None, attention=None):
+def encode_video(video, store, vcfg, modulate=None, attention=None, start=0, stop=None):
     """Run the video tower, applying per-layer adapter hooks.
 
     ``modulate(layer, x)`` is called on every block's output, and what
@@ -223,30 +223,62 @@ def encode_video(video, store, vcfg, modulate=None, attention=None):
     The last block computes only those CLS rows after attention, so
     ``modulate`` receives (..., T, 1, D) there rather than
     (..., T, N+1, D); every attention hook still sees all N+1 tokens.
+
+    ``start`` and ``stop`` run part of the tower. With ``stop`` = f the
+    pass ends at block f and returns its output before f's ``modulate``
+    call. With ``start`` = f > 0, ``video`` is such an output of block f,
+    the pass resumes at f's ``modulate`` call, and ``attention`` may hold
+    no hook at or before f.
     """
     attention = attention or {}
     for layer in attention:
-        if not 1 <= layer <= vcfg.layers:
-            raise ConfigError(f"hook layer {layer} outside [1, {vcfg.layers}]")
-    x = patchify(video, store, vcfg)
-    for layer in range(1, vcfg.layers + 1):
+        if not start < layer <= vcfg.layers:
+            raise ConfigError(f"hook layer {layer} outside [{start + 1}, {vcfg.layers}]")
+    if start:
+        x = Tensor(video)
+        if modulate is not None:
+            x = modulate(start, x)
+    else:
+        x = patchify(video, store, vcfg)
+    for layer in range(start + 1, vcfg.layers + 1):
         fn = attention.get(layer, vanilla_attention)
         row = 0 if layer == vcfg.layers else None
         x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn, row=row)
+        if layer == stop:
+            return x
         if modulate is not None:
             x = modulate(layer, x)
     return x[..., 0, :]
 
 
-def encode_text(tokens, store, tcfg, modulate=None):
+def encode_text(tokens, store, tcfg, modulate=None, start=0, stop=None):
     """Run the text tower over integer tokens (EOS appended internally).
 
     Accepts one caption (1-D) or a batch of equal-length captions (2-D).
     ``modulate(layer, x)`` is called on every block's whole output
     (Q, S, D), word rows and the EOS row alike, and what it returns
     feeds the next block. Returns the final (Q, D_t) sentence feature,
-    the EOS row.
+    the EOS row. ``start`` and ``stop`` run part of the tower as in
+    ``encode_video``: with ``start`` = f > 0, ``tokens`` is the (Q, S, D)
+    output of block f before its ``modulate`` call.
     """
+    if start:
+        x = Tensor(tokens)
+        if modulate is not None:
+            x = modulate(start, x)
+    else:
+        x = _embed_tokens(tokens, store, tcfg)
+    for layer in range(start + 1, tcfg.layers + 1):
+        x = vit_block(x, store, f"backbone/text/block{layer}", tcfg.heads, vanilla_attention)
+        if layer == stop:
+            return x
+        if modulate is not None:
+            x = modulate(layer, x)
+    return x[:, -1, :]
+
+
+def _embed_tokens(tokens, store, tcfg):
+    """Checked token ids (Q, W) or (W,) -> embedded (Q, W+1, D) rows, EOS last."""
     tokens = np.asarray(tokens, dtype=np.intp)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
@@ -262,10 +294,4 @@ def encode_text(tokens, store, tcfg, modulate=None):
     q = tokens.shape[0]
     seq = np.concatenate([tokens, np.full((q, 1), tcfg.eos_id, dtype=np.intp)], axis=1)
     x = store["backbone/text/embed"][seq]
-    x = x + store["backbone/text/pos"][: seq.shape[1], :]
-
-    for layer in range(1, tcfg.layers + 1):
-        x = vit_block(x, store, f"backbone/text/block{layer}", tcfg.heads, vanilla_attention)
-        if modulate is not None:
-            x = modulate(layer, x)
-    return x[:, -1, :]
+    return x + store["backbone/text/pos"][: seq.shape[1], :]

@@ -21,6 +21,9 @@ core, no ``os.fork``, another live thread, or inside a worker, the
 blocks run inline in the caller. Every tower op acts on each video
 (frame) alone, so the blocks are bitwise one pass. A taped pass stays
 one block: backward holds every activation anyway.
+
+Training starts its passes from each tower's frozen prefix
+(``frozen_prefix``), which the ``train`` call builds once and alone holds.
 """
 
 from __future__ import annotations
@@ -97,16 +100,46 @@ class AdapterModel:
 
     # -- encoding ------------------------------------------------------------
 
-    def encode_texts(self, tokens):
-        """Normalized sentence embeddings (Q, D_t) for a token batch."""
-        return text_embedding(encode_text(tokens, self.store, self.tcfg,
-                                          modulate=self.text_mod.apply))
+    def prefix_layers(self):
+        """Layer f of the (video, text) tower: the first its modulation hook acts on, else its last."""
+        return (min(self.video_mod.layers, default=self.vcfg.layers),
+                min(self.text_mod.layers, default=self.tcfg.layers))
 
-    def video_tower(self, videos, attention=lambda rows: {}):
+    def frozen_prefix(self, videos, tokens):
+        """(video states, text states): each tower's frozen prefix over a set of pairs.
+
+        A tower's prefix is the output of its block f (``prefix_layers``),
+        before that layer's modulation, so it depends on the frozen weights
+        and the inputs alone. Video states are (P, T, N+1, D_v), or the CLS
+        rows (P, T, 1, D_v) when f is the last block; text states are
+        (P, S, D_t): one D-wide row per token per pair. Built tape-free,
+        the video states in blocks on every usable core (``video_tower``).
+        """
+        video_layer, text_layer = self.prefix_layers()
+        with no_grad():
+            video = self.video_tower(videos, stop=video_layer)
+            text = encode_text(tokens, self.store, self.tcfg, stop=text_layer)
+        return video.data, text.data
+
+    def encode_texts(self, tokens, states=None):
+        """Normalized sentence embeddings (Q, D_t) for a token batch.
+
+        With ``states``, these tokens' text rows of ``frozen_prefix``, the
+        tower starts after block f from them.
+        """
+        source, start = (tokens, 0) if states is None else (states, self.prefix_layers()[1])
+        return text_embedding(encode_text(source, self.store, self.tcfg,
+                                          modulate=self.text_mod.apply, start=start))
+
+    def video_tower(self, videos, attention=lambda rows: {}, states=None, stop=None):
         """Final frame CLS rows (..., T, D) of the adapted video tower.
 
         ``attention(rows)`` is the attention hook map for the videos at
-        ``rows``. The video modulation is composed once for the call.
+        ``rows``. With ``states``, these videos' rows of ``frozen_prefix``,
+        the tower starts after block f from them, so ``attention`` may hold
+        no hook at or before f. With ``stop``, it returns the output of
+        block ``stop`` before its modulation (``encode_video``). The
+        video modulation is composed once for the call.
         With no tape recording, a batch is cut into contiguous, equal
         shares of videos, one per usable process but no more than there
         are blocks (``map_shares``), and each share runs in blocks of at
@@ -116,10 +149,11 @@ class AdapterModel:
         (T, H, W, C) video or an empty batch is one call of the tower.
         """
         modulate = self.video_mod.composed().apply
+        source, start = (videos, 0) if states is None else (states, self.prefix_layers()[0])
 
         def tower(rows):
-            return encode_video(videos[rows], self.store, self.vcfg, modulate=modulate,
-                                attention=attention(rows))
+            return encode_video(source[rows], self.store, self.vcfg, modulate=modulate,
+                                attention=attention(rows), start=start, stop=stop)
 
         lead = np.shape(videos)[:-4]
         if not lead or not lead[0] or T.recording():
@@ -134,11 +168,13 @@ class AdapterModel:
         shares = map_shares(share, lead[0], most=-(-lead[0] // step))
         return Tensor(np.concatenate([block for part in shares for block in part]))
 
-    def _pick_sentences(self, videos, candidates):
+    def _pick_sentences(self, videos, candidates, states=None):
         """Index of the most video-aligned candidate per video (no grad).
 
         Hard argmax of Proj(mean-pooled last-layer frame features) against
-        each candidate row; ties go to the lowest candidate index.
+        each candidate row; ties go to the lowest candidate index. The
+        pass attends with no hook, so it can start from ``states``, the
+        videos' rows of ``frozen_prefix``.
         """
         candidates = np.asarray(candidates)
         shape_ok = candidates.ndim == 2 and candidates.shape[1] == self.tcfg.dim
@@ -148,12 +184,12 @@ class AdapterModel:
                 f"got shape {candidates.shape}"
             )
         with no_grad():
-            pooled = self.video_tower(videos).data.mean(axis=-2)
+            pooled = self.video_tower(videos, states=states).data.mean(axis=-2)
         probe = pooled @ self.proj_w.data + self.proj_b.data
         scores = probe @ candidates.T
         return scores.argmax(axis=-1)
 
-    def selection_plan(self, videos, candidates=None, sel_key=("eval",)):
+    def selection_plan(self, videos, candidates=None, sel_key=("eval",), states=None):
         """Patch-selection function shared by every adapted layer.
 
         Returns ``select(layer, x, rows)`` mapping ASA layer ``layer``'s
@@ -162,7 +198,8 @@ class AdapterModel:
         ``config.selection``. Text modes score against each video's
         picked sentence; random mode draws each layer's mask for the
         whole batch here, in layer order, from the ``randsel`` stream
-        keyed by ``sel_key``, and serves its rows.
+        keyed by ``sel_key``, and serves its rows. ``states`` go to the
+        sentence pick.
         """
         cfg = self.config
         mode = SelectionMode(cfg.selection)
@@ -176,7 +213,7 @@ class AdapterModel:
         if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
             if candidates is None:
                 raise InputError("text-conditioned selection needs candidate sentences")
-            w_star = np.asarray(candidates)[self._pick_sentences(videos, candidates)]
+            w_star = np.asarray(candidates)[self._pick_sentences(videos, candidates, states)]
 
         def select(layer, x, rows):
             return selection_masks(
@@ -203,27 +240,35 @@ class AdapterModel:
 
         return {layer: hook(layer) for layer in self.config.visual_adapter_layers()}
 
-    def encode_videos(self, videos, candidates=None, sel_key=("eval",)):
+    def encode_videos(self, videos, candidates=None, sel_key=("eval",), states=None):
         """Normalized video embeddings (V, D_t).
 
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
         the full query set at evaluation. The tower runs through
-        ``video_tower``.
+        ``video_tower``; ``states``, the videos' rows of ``frozen_prefix``,
+        serve the sentence pick, and the pass itself with ASA off (ASA
+        hooks the block that ends the prefix).
         """
-        select = self.selection_plan(videos, candidates, sel_key) if self.config.asa else None
-        f_last = self.video_tower(videos, lambda rows: self.attention_hooks(select, rows))
+        asa = self.config.asa
+        select = self.selection_plan(videos, candidates, sel_key, states) if asa else None
+        f_last = self.video_tower(videos, lambda rows: self.attention_hooks(select, rows),
+                                  states=None if asa else states)
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))
 
     # -- objective -------------------------------------------------------------
 
-    def batch_scores(self, videos, tokens, sel_key=("eval",)):
-        """(similarity Tensor, video emb, text emb) for paired batches."""
-        z = self.encode_texts(tokens)
-        v = self.encode_videos(videos, candidates=z.data, sel_key=sel_key)
+    def batch_scores(self, videos, tokens, sel_key=("eval",), prefix=None):
+        """(similarity Tensor, video emb, text emb) for paired batches.
+
+        ``prefix``: the batch's rows of ``frozen_prefix``, if held.
+        """
+        video_states, text_states = (None, None) if prefix is None else prefix
+        z = self.encode_texts(tokens, text_states)
+        v = self.encode_videos(videos, candidates=z.data, sel_key=sel_key, states=video_states)
         return similarity(v, z), v, z
 
-    def batch_loss(self, videos, tokens, sel_key):
-        scores, _, _ = self.batch_scores(videos, tokens, sel_key=sel_key)
+    def batch_loss(self, videos, tokens, sel_key, prefix=None):
+        scores, _, _ = self.batch_scores(videos, tokens, sel_key=sel_key, prefix=prefix)
         return contrastive_loss(scores, self.log_tau)

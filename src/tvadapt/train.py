@@ -48,10 +48,14 @@ def lr_at(step, total_steps, base_lr, warmup_frac):
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def evaluate_model(model, dataset, use_dsl=False):
-    """MetricsReports for both retrieval directions (optionally with DSL)."""
+def evaluate_model(model, dataset, use_dsl=False, prefix=None):
+    """MetricsReports for both retrieval directions (optionally with DSL).
+
+    ``prefix``: ``model.frozen_prefix`` of the dataset, if the caller holds
+    it; without it the towers run from the raw inputs.
+    """
     with no_grad():
-        scores, _, _ = model.batch_scores(dataset.videos, dataset.tokens)
+        scores, _, _ = model.batch_scores(dataset.videos, dataset.tokens, prefix=prefix)
     return score_reports(scores.data, use_dsl)
 
 
@@ -91,6 +95,14 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
     for a fixed config: batch order, random selection, and init all key
     off config.seed.
 
+    Everything a tower computes up to its first modulated block depends
+    only on the frozen weights and the inputs, so before the first step
+    ``train`` builds each tower's frozen prefix over the training set once
+    (``AdapterModel.frozen_prefix``: one D-wide row per token per pair,
+    below the activation cap that ``validate`` enforces), and every step
+    and evaluation below starts from its rows. The prefix lives for this
+    call only; a call that runs no step builds none.
+
     When one batch holds every pair and patch selection is deterministic
     (ASA off, or any selection but ``random``), the per-epoch evaluation
     and the next step's forward score the same pairs at the same
@@ -120,6 +132,7 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
         config.asa and config.selection == SelectionMode.RANDOM
     )
     carried = None  # the next step's taped scores, computed by the evaluation
+    prefix = model.frozen_prefix(dataset.videos, dataset.tokens) if total_steps else None
     for epoch in range(1, config.epochs + 1):
         if step >= total_steps:
             break
@@ -134,7 +147,8 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
             if carried is None:
                 idx = order[start : start + batch]
                 loss = model.batch_loss(
-                    dataset.videos[idx], dataset.tokens[idx], sel_key=("train", step)
+                    dataset.videos[idx], dataset.tokens[idx], sel_key=("train", step),
+                    prefix=tuple(states[idx] for states in prefix),
                 )
             else:
                 loss = contrastive_loss(carried, model.log_tau)
@@ -157,11 +171,11 @@ def train(config, dataset, model=None, max_steps=None, eval_each_epoch=True,
         entry = {"epoch": epoch, "steps": step, "loss": float(np.mean(epoch_losses))}
         if reuse_forward and step < total_steps:
             carried, _, _ = model.batch_scores(
-                dataset.videos, dataset.tokens, sel_key=("train", step)
+                dataset.videos, dataset.tokens, sel_key=("train", step), prefix=prefix
             )
             entry["reports"] = score_reports(carried.data)
         elif eval_each_epoch:
-            entry["reports"] = evaluate_model(model, dataset)
+            entry["reports"] = evaluate_model(model, dataset, prefix=prefix)
         history.append(entry)
         if progress is not None:
             progress(entry)

@@ -184,6 +184,33 @@ def test_tape_free_encode_videos_is_bitwise_the_taped_pass(mode, count, small_bl
     assert (_bits(free.data) == _bits(taped.data)).all()
 
 
+@pytest.mark.parametrize("decompose, rows", [("temporal", BASE.visual().patches + 1),
+                                             ("none", 1)])  # f = 1, or the last block's CLS rows
+def test_forked_frozen_prefix_is_bitwise_the_inline_prefix(decompose, rows, small_blocks,
+                                                           three_processes, monkeypatch,
+                                                           call_log):
+    model = _model(replace(BASE, decompose=decompose))
+    videos, tokens = _batch(3 * PER_BLOCK + 1)
+    encode = model_mod.encode_video
+
+    def logging_pid(*args, **kwargs):
+        call_log.add(os.getpid())
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_video", logging_pid)
+    forked = model.frozen_prefix(videos, tokens)
+    assert_no_child_left()
+    assert len(set(call_log.records())) == 3  # the caller and two forked workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    call_log.clear()
+    inline = model.frozen_prefix(videos, tokens)
+    assert set(call_log.records()) == {os.getpid()}
+    assert forked[0].shape == (len(videos), BASE.frames, rows, BASE.dim_v)
+    for got, want in zip(forked, inline):
+        assert got.shape == want.shape
+        assert (_bits(got) == _bits(want)).all()
+
+
 @pytest.mark.parametrize("count", SIZES)
 def test_blocked_sentence_pick_is_bitwise_one_block(count, small_blocks, monkeypatch, call_log):
     _assert_pick_bitwise_one_block(count, monkeypatch, call_log)

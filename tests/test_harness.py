@@ -354,9 +354,9 @@ def test_similarity_map_runs_one_sentence_pick_per_map(monkeypatch):
     picks = []
     pick = model._pick_sentences
 
-    def counting_pick(videos, candidates):
+    def counting_pick(videos, candidates, states=None):
         picks.append(len(videos))
-        return pick(videos, candidates)
+        return pick(videos, candidates, states)
 
     monkeypatch.setattr(model, "_pick_sentences", counting_pick)
     for layer in (1, 3):

@@ -43,8 +43,9 @@ def full_rows_last_block(x, store, prefix, heads, attention_fn):
     return x + h
 
 
-def encode_video_full_rows(video, store, vcfg, modulate=None, attention=None):
+def encode_video_full_rows(video, store, vcfg, modulate=None, attention=None, start=0, stop=None):
     """``encode_video`` with the full-rows last block and its hook on every row."""
+    assert (start, stop) == (0, None)  # the passes below run whole towers from raw videos
     attention = attention or {}
     x = patchify(video, store, vcfg)
     for layer in range(1, vcfg.layers + 1):

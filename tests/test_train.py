@@ -29,6 +29,8 @@ from tvadapt.tensor import no_grad, rng_for
 from tvadapt.train import Adam, evaluate_model, lr_at, train
 
 train_module = importlib.import_module("tvadapt.train")  # the package rebinds .train
+model_module = importlib.import_module("tvadapt.model")
+backbone_module = importlib.import_module("tvadapt.backbone")
 
 CFG = toy_config(pairs=6, batch_size=6, epochs=8, lr=1e-2)
 DATA = generate_dataset(CFG.seed, CFG.pairs, CFG)
@@ -243,6 +245,14 @@ REUSE_CFG = replace(CFG, epochs=5)
     pytest.param(replace(REUSE_CFG, batch_size=4), None, None, id="batch-lt-pairs-fallback"),
     pytest.param(REUSE_CFG, 3, None, id="max-steps"),
     pytest.param(REUSE_CFG, None, 2, id="progress-raises"),
+    # the frozen prefix ends at block f, the first modulated layer of a tower
+    pytest.param(replace(REUSE_CFG, adapter_layers="3,4"), None, None, id="prefix-f3"),
+    pytest.param(replace(REUSE_CFG, layers=1), None, None, id="prefix-last-block-cls-rows"),
+    pytest.param(replace(REUSE_CFG, decompose="none"), None, None, id="prefix-frozen-video"),
+    pytest.param(replace(REUSE_CFG, text_modulation=False), None, None, id="prefix-frozen-text"),
+    pytest.param(replace(REUSE_CFG, text_lowrank=True), None, None, id="prefix-text-lowrank"),
+    pytest.param(replace(REUSE_CFG, batch_size=5, asa=False), None, None,
+                 id="prefix-ragged-batch-asa-off"),
 ])
 def test_full_batch_forward_reuse_matches_reference_loop(config, max_steps, stop_at):
     got = run_summary(train, config, max_steps, stop_at)
@@ -255,14 +265,61 @@ def test_full_batch_epoch_runs_one_sentence_pick(monkeypatch):
     calls = []
     pick = AdapterModel._pick_sentences
 
-    def counted(self, videos, candidates):
+    def counted(self, videos, candidates, states=None):
         calls.append(len(videos))
-        return pick(self, videos, candidates)
+        return pick(self, videos, candidates, states)
 
     monkeypatch.setattr(AdapterModel, "_pick_sentences", counted)
     train(REUSE_CFG, DATA)
     # one prepass per step, plus the evaluation after the last step
     assert calls == [len(DATA)] * (REUSE_CFG.epochs + 1)
+
+
+def _log_tower_work(monkeypatch, call_log):
+    """Log every tower pass the model runs and every block a pass runs."""
+    for name in ("encode_video", "encode_text"):
+        encode = getattr(model_module, name)
+
+        def counted(*args, name=name, encode=encode, **kwargs):
+            call_log.add(name)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, counted)
+    block = backbone_module.vit_block
+
+    def counted_block(x, store, prefix, *args, **kwargs):
+        call_log.add(prefix)
+        return block(x, store, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(backbone_module, "vit_block", counted_block)
+
+
+def test_training_runs_each_frozen_first_block_once(monkeypatch, call_log):
+    cfg = replace(REUSE_CFG, asa=False)  # every video pass can start from the prefix
+    _log_tower_work(monkeypatch, call_log)
+    _, history, steps = train(cfg, DATA)
+    assert steps == cfg.epochs and len(history) == cfg.epochs
+    ran = call_log.records()
+    # block 1 is the first modulated layer of both towers, so it ends the
+    # prefix, which one call builds before the first step
+    assert ran.count("backbone/visual/block1") == 1
+    assert ran.count("backbone/text/block1") == 1
+    # one full batch: each tower's prefix, then one pass from it in the first
+    # step, in the evaluations carried into the next 4 steps and in the final one
+    passes = 1 + cfg.epochs
+    assert ran.count("encode_video") == ran.count("encode_text") == 1 + passes
+    assert ran.count("backbone/visual/block2") == ran.count("backbone/text/block2") == passes
+
+
+@pytest.mark.parametrize("config, max_steps", [
+    pytest.param(replace(REUSE_CFG, epochs=0), None, id="epochs-0"),
+    pytest.param(REUSE_CFG, 0, id="max-steps-0"),
+])
+def test_training_without_steps_runs_no_tower_pass(config, max_steps, monkeypatch, call_log):
+    _log_tower_work(monkeypatch, call_log)
+    _, history, steps = train(config, DATA, max_steps=max_steps)
+    assert (history, steps) == ([], 0)
+    assert call_log.records() == []
 
 
 def test_evaluate_includes_dsl_rows_when_asked():
@@ -321,7 +378,6 @@ def test_checkpoint_holds_the_adapter_set_only(tmp_path, warp_axes):
 def test_checkpoint_on_another_backbone_is_a_version_error(tmp_path, monkeypatch, capsys):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), AdapterModel(CFG))
-    model_module = importlib.import_module("tvadapt.model")
     init_backbone = model_module.init_backbone
 
     def perturbed(store, *args):
