@@ -1,7 +1,9 @@
 """Command-line harness: train, eval, ablate, count-params, export-diag, gen-data.
 
 Exit codes: 0 success, 1 validation error (config, input, checkpoint
-versioning), 2 numeric failure (non-finite loss or values).
+versioning), 2 numeric failure (non-finite loss or values), 3 worker
+failure (a forked worker process could not start, was killed, or sent
+no result back).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .exceptions import (
     InputError,
     NumericError,
     VersionError,
+    WorkerError,
 )
 from .train import evaluate_model, train
 
@@ -188,6 +191,9 @@ def main(argv=None):
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
+    except WorkerError as err:
+        print(f"worker failure: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

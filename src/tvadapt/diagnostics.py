@@ -44,11 +44,13 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
-        plan = model.selection_plan(video[None], candidates, ("diag",)) if cfg.asa else None
+        served = None  # the plan for the one video, as a one-block pass serves it
+        if cfg.asa:
+            served = model.selection_plan(video[None], candidates, ("diag",))(slice(None))
         masks = {}
 
-        def select(asa_layer, x_in, rows):
-            masks[asa_layer] = plan(asa_layer, x_in, rows)
+        def select(asa_layer, x_in):
+            masks[asa_layer] = served(asa_layer, x_in)
             return masks[asa_layer]
 
         attention = model.attention_hooks(select)

@@ -22,6 +22,12 @@ blocks run inline in the caller. Every tower op acts on each video
 (frame) alone, so the blocks are bitwise one pass. A taped pass stays
 one block: backward holds every activation anyway.
 
+Each block of an ASA pass picks its own videos' sentences
+(``selection_plan``) just before its warped pass, in the same share, so
+the prepass runs inline there as one block and a tape-free pass forks
+its workers once. The pick is a per-video argmax, so this is bitwise
+one pick over the batch; a taped pass makes one pick for its one block.
+
 Training starts its passes from each tower's frozen prefix
 (``frozen_prefix``), which the ``train`` call builds once and alone holds.
 """
@@ -46,7 +52,8 @@ from .workers import map_shares
 
 # Token rows (videos x T x (N+1)) per block of a tape-free video-tower pass.
 # A block's MLP hidden array (0.5 MB on the toy config) fits the L2 of the
-# core that runs it, and the 16-video toy prepass (480 rows) stays one block.
+# core that runs it, and the 16-video toy batch (480 rows) stays one block.
+# An ASA block's sentence pick runs over the same rows just before it.
 # In the threaded sweep in BENCH_14.json, 1,024 rows (the serial optimum of
 # BENCH_13.json) was faster still, but with a block live on each core it
 # raised eval peak RSS by 6-7 %; 512 rows kept the rise within 3 %.
@@ -135,7 +142,9 @@ class AdapterModel:
         """Final frame CLS rows (..., T, D) of the adapted video tower.
 
         ``attention(rows)`` is the attention hook map for the videos at
-        ``rows``. With ``states``, these videos' rows of ``frozen_prefix``,
+        ``rows``, called by the block that runs them, in its share, just
+        before its tower call (the ASA map picks those videos' sentences
+        there). With ``states``, these videos' rows of ``frozen_prefix``,
         the tower starts after block f from them, so ``attention`` may hold
         no hook at or before f. With ``stop``, it returns the output of
         block ``stop`` before its modulation (``encode_video``). The
@@ -190,16 +199,17 @@ class AdapterModel:
         return scores.argmax(axis=-1)
 
     def selection_plan(self, videos, candidates=None, sel_key=("eval",), states=None):
-        """Patch-selection function shared by every adapted layer.
+        """Per-block patch selection, shared by every adapted layer.
 
-        Returns ``select(layer, x, rows)`` mapping ASA layer ``layer``'s
-        block input x (..., T, N+1, D), the rows ``rows`` of ``videos``,
-        to the boolean (..., T, N) mask of patches to warp under
-        ``config.selection``. Text modes score against each video's
-        picked sentence; random mode draws each layer's mask for the
-        whole batch here, in layer order, from the ``randsel`` stream
-        keyed by ``sel_key``, and serves its rows. ``states`` go to the
-        sentence pick.
+        Returns ``plan(rows)``, which returns ``select(layer, x)`` mapping
+        ASA layer ``layer``'s block input x (..., T, N+1, D) of the videos
+        at ``rows`` to the boolean (..., T, N) mask of patches to warp
+        under ``config.selection``. In the text modes ``plan(rows)`` picks
+        those videos' sentences (``_pick_sentences``, from their rows of
+        ``states``), so a tape-free tower pass picks each block's inside
+        the share that runs the block. Random mode draws each layer's mask
+        for the whole batch here, in layer order, from the ``randsel``
+        stream keyed by ``sel_key``, and serves its rows.
         """
         cfg = self.config
         mode = SelectionMode(cfg.selection)
@@ -208,33 +218,38 @@ class AdapterModel:
             shape = (*np.shape(videos)[:-4], self.vcfg.frames, self.vcfg.patches, 0)
             masks = {layer: selection_masks(mode, cfg.top_k, np.empty(shape), rng=rng)
                      for layer in cfg.visual_adapter_layers()}
-            return lambda layer, x, rows: masks[layer][rows]
-        w_star = None
-        if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
-            if candidates is None:
-                raise InputError("text-conditioned selection needs candidate sentences")
-            w_star = np.asarray(candidates)[self._pick_sentences(videos, candidates, states)]
+            return lambda rows: lambda layer, x: masks[layer][rows]
+        text = mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K)
+        if text and candidates is None:
+            raise InputError("text-conditioned selection needs candidate sentences")
 
-        def select(layer, x, rows):
-            return selection_masks(
-                mode, cfg.top_k, x[..., 1:, :], w_star=None if w_star is None else w_star[rows],
-                proj_w=self.proj_w.data, proj_b=self.proj_b.data, cls_feats=x[..., 0, :],
-            )
-        return select
+        def plan(rows):
+            w_star = None
+            if text:
+                picked = self._pick_sentences(videos[rows], candidates,
+                                              None if states is None else states[rows])
+                w_star = np.asarray(candidates)[picked]
 
-    def attention_hooks(self, select, rows=slice(None)):
+            def select(layer, x):
+                return selection_masks(
+                    mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
+                    proj_w=self.proj_w.data, proj_b=self.proj_b.data, cls_feats=x[..., 0, :],
+                )
+            return select
+        return plan
+
+    def attention_hooks(self, select):
         """The video tower's attention hook map: ASA at every adapted layer.
 
-        ``select`` is the patch-selection function from ``selection_plan``,
-        called once per ASA layer on its block input, for the videos at
-        ``rows``. Empty with ASA off.
+        ``select`` is a patch-selection function from ``selection_plan``,
+        called once per ASA layer on its block input. Empty with ASA off.
         """
         if not self.config.asa:
             return {}
 
         def hook(layer):
             def attend(x_in, q, k, v, heads):
-                mask = select(layer, x_in.data, rows)
+                mask = select(layer, x_in.data)
                 return asa_block_attention(x_in, q, k, v, heads, self.offsets, mask)
             return attend
 
@@ -246,14 +261,17 @@ class AdapterModel:
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
         the full query set at evaluation. The tower runs through
-        ``video_tower``; ``states``, the videos' rows of ``frozen_prefix``,
-        serve the sentence pick, and the pass itself with ASA off (ASA
-        hooks the block that ends the prefix).
+        ``video_tower``, whose blocks each pick their own videos' sentences
+        (``selection_plan``) before their warped pass, so a tape-free pass
+        fans out to the workers once. ``states``, the videos' rows of
+        ``frozen_prefix``, serve the sentence pick, and the pass itself
+        with ASA off (ASA hooks the block that ends the prefix).
         """
-        asa = self.config.asa
-        select = self.selection_plan(videos, candidates, sel_key, states) if asa else None
-        f_last = self.video_tower(videos, lambda rows: self.attention_hooks(select, rows),
-                                  states=None if asa else states)
+        if self.config.asa:
+            plan = self.selection_plan(videos, candidates, sel_key, states)
+            f_last = self.video_tower(videos, lambda rows: self.attention_hooks(plan(rows)))
+        else:
+            f_last = self.video_tower(videos, states=states)
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
         return T.reshape(emb, (-1, self.tcfg.dim))
 

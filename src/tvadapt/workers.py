@@ -71,9 +71,18 @@ def map_shares(fn, count, most=None):
 
 
 def _fork(fn, share):
-    """Start a child that runs ``fn(share)``; returns its pid and the read end of its pipe."""
+    """Start a child that runs ``fn(share)``; returns its pid and the read end of its pipe.
+
+    A fork that fails (no memory or process ids left, say) closes the
+    pipe and raises ``WorkerError``.
+    """
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as err:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise WorkerError(f"cannot fork a worker: {err}") from err
     if pid:
         os.close(write_fd)
         return pid, open(read_fd, "rb")

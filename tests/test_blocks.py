@@ -9,7 +9,9 @@ exactly, leave one video over, or end on a one-video remainder block.
 with a block that holds the whole corpus. The block is shrunk to a few
 videos so that small corpora span several. The caller and one forked
 worker process per further usable core each run an equal share of the
-videos in blocks. The ``forked`` cases force three processes, so that a
+videos in blocks; with text selection each block picks its sentences
+in the same process just before its warped pass, so a pass forks its
+workers once. The ``forked`` cases force three processes, so that a
 one-core host checks that path too; the ``threaded`` cases keep another
 thread alive, so that every block runs inline in the caller. Each test
 ends with no child process left.
@@ -112,13 +114,15 @@ def test_block_sizes_follow_equal_shares():
 
 
 def _counting_encode(monkeypatch, call_log):
-    """Log (address of the first video, shape) of every tower call, in the
-    caller and in the workers; a block is a view of the corpus array, at
-    the same address in a forked worker."""
+    """Log (address of the first video, shape, process id, hooked) of every
+    tower call, in the caller and in the workers; a block is a view of the
+    corpus array, at the same address in a forked worker. ``hooked`` is
+    whether the call attends through any hook: the sentence pick's does not."""
     encode = model_mod.encode_video
 
     def counted(videos, *args, **kwargs):
-        call_log.add((np.asarray(videos).__array_interface__["data"][0], np.shape(videos)))
+        call_log.add((np.asarray(videos).__array_interface__["data"][0], np.shape(videos),
+                      os.getpid(), bool(kwargs.get("attention"))))
         return encode(videos, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "encode_video", counted)
@@ -126,7 +130,11 @@ def _counting_encode(monkeypatch, call_log):
 
 def _in_corpus_order(calls):
     """The shapes of the logged calls of one pass, in corpus order."""
-    return [shape for _, shape in sorted(calls)]
+    return [call[1] for call in sorted(calls)]
+
+
+def _shapes(calls):
+    return [call[1] for call in calls]
 
 
 @pytest.mark.parametrize("count", SIZES)
@@ -161,11 +169,18 @@ def _assert_scores_bitwise_taped(mode, count, monkeypatch, call_log):
     with no_grad():
         free, v_free, z_free = model.batch_scores(videos, tokens, sel_key=("train", 3))
     calls = call_log.records()
-    prepass = len(sizes) if cfg.asa and cfg.selection.startswith("text") else 0
-    assert len(calls) == prepass + len(sizes)
-    # the prepass's workers are reaped before the forward forks its own
-    for part in (calls[:prepass], calls[prepass:]):
-        assert [s[0] for s in _in_corpus_order(part)] == (sizes if part else [])
+    prepass = cfg.asa and cfg.selection.startswith("text")
+    assert len(calls) == (1 + prepass) * len(sizes)
+    forward = []
+    for pid in {call[2] for call in calls}:
+        mine = [call for call in calls if call[2] == pid]  # in call order
+        if prepass:  # each block's warped call directly follows its pick's, on that block
+            picks, mine = mine[::2], mine[1::2]
+            assert [call[:2] for call in picks] == [call[:2] for call in mine]
+            assert not any(hooked for *_, hooked in picks)
+        assert all(hooked == cfg.asa for *_, hooked in mine)
+        forward += mine
+    assert [s[0] for s in _in_corpus_order(forward)] == sizes
     for got, want in ((free, taped), (v_free, v_taped), (z_free, z_taped)):
         assert got.shape == want.shape
         assert (_bits(got.data) == _bits(want.data)).all()
@@ -253,7 +268,7 @@ def test_unbatched_video_is_one_block(monkeypatch, call_log):
     with no_grad():
         free = model.encode_videos(videos[0], candidates)
     # the prepass and the forward each see the whole (T, H, W, C) video
-    assert [shape for _, shape in call_log.records()] == [videos[0].shape] * 2
+    assert _shapes(call_log.records()) == [videos[0].shape] * 2
     assert (_bits(free.data) == _bits(taped.data)).all()
 
 
@@ -264,7 +279,7 @@ def test_taped_forward_is_one_tower_call(mode, small_blocks, monkeypatch, call_l
     _counting_encode(monkeypatch, call_log)
     emb = model.encode_videos(videos, sel_key=("train", 0))
     assert emb.requires_grad
-    assert [shape for _, shape in call_log.records()] == [videos.shape]
+    assert _shapes(call_log.records()) == [videos.shape]
 
 
 def test_empty_corpus_is_one_empty_pass(monkeypatch, call_log):
@@ -275,7 +290,7 @@ def test_empty_corpus_is_one_empty_pass(monkeypatch, call_log):
     with no_grad():
         emb = model.encode_videos(videos, candidates)
     assert emb.shape == (0, BASE.dim_t)
-    assert [shape for _, shape in call_log.records()] == [videos.shape] * 2
+    assert _shapes(call_log.records()) == [videos.shape] * 2
 
 
 def test_helper_blocks_record_no_tape(small_blocks, three_processes, monkeypatch, call_log):
@@ -348,6 +363,26 @@ def test_one_usable_core_starts_no_thread(small_blocks, monkeypatch, call_log):
     assert threading.active_count() == threads
     assert len(call_log.records()) == 2 * 4  # the prepass and the forward, four blocks each, all inline
     assert (_bits(free.data) == _bits(taped.data)).all()
+
+
+def test_tape_free_scores_fork_once_per_further_process(small_blocks, three_processes,
+                                                       monkeypatch):
+    # each block picks its sentences inside its own share, so the pick and
+    # the warped pass share one fan-out
+    model = _model(CONFIGS["text_top_k"])
+    videos, tokens = _batch(3 * PER_BLOCK + 1)
+    forks = []
+    fork = workers._fork
+
+    def counting_fork(fn, share):
+        forks.append(share)
+        return fork(fn, share)
+
+    monkeypatch.setattr(workers, "_fork", counting_fork)
+    with no_grad():
+        model.batch_scores(videos, tokens)
+    assert len(forks) == workers.processes() - 1 == 2
+    assert_no_child_left()
 
 
 def test_map_shares_keeps_share_order_with_more_workers_than_cores(monkeypatch, call_log):

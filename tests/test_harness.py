@@ -19,7 +19,7 @@ from tvadapt.cli import main
 from tvadapt.counting import count_params
 from tvadapt.data import generate_dataset
 from tvadapt.diagnostics import attention_similarity_map, export_diagnostics
-from tvadapt.exceptions import ConfigError, ConsistencyError
+from tvadapt.exceptions import ConfigError, ConsistencyError, WorkerError
 from tvadapt.model import AdapterModel
 from tvadapt.tensor import no_grad
 
@@ -116,6 +116,20 @@ def test_cli_numeric_failure_exits_2(tmp_path, capsys, monkeypatch):
     rc = main(["train", "--config", cfg_path, "--out", os.path.join(tmp_path, "x.ckpt")])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import tvadapt.cli as cli_mod
+
+    ckpt = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(ckpt, AdapterModel(cm.toy_config(**FAST)), steps=0)
+
+    def killed(*args, **kwargs):
+        raise WorkerError("worker 4242 was killed by signal 9")
+
+    monkeypatch.setattr(cli_mod, "evaluate_model", killed)
+    assert main(["eval", "--ckpt", ckpt]) == 3
+    assert capsys.readouterr().err == "worker failure: worker 4242 was killed by signal 9\n"
 
 
 def test_cli_count_params_and_gen_data(tmp_path, capsys):
@@ -393,12 +407,14 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
     plan = model.selection_plan(video[None], sel_key=("diag",))
     drawn = []
 
-    def select(layer, x_in, rows):
-        drawn.append(plan(layer, x_in, rows))
-        return drawn[-1]
+    def recording(select):
+        def record(layer, x_in):
+            drawn.append(select(layer, x_in))
+            return drawn[-1]
+        return record
 
     with no_grad():
-        model.video_tower(video[None], lambda rows: model.attention_hooks(select, rows))
+        model.video_tower(video[None], lambda rows: model.attention_hooks(recording(plan(rows))))
     assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
 
     seen = []

@@ -172,3 +172,28 @@ def test_inline_inside_a_worker(call_log):
     assert all(parent == os.getppid() if pid == caller else parent == caller
                for kind, pid, parent in records if kind == "inner")
     assert workers.processes() == 3  # the caller may fork again after the map
+
+
+def test_a_failed_fork_closes_its_pipe_and_raises_worker_error(monkeypatch):
+    pipes = []
+    pipe, fork = os.pipe, os.fork
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def second_fork_fails():
+        if len(pipes) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(WorkerError, match="cannot fork a worker") as raised:
+        workers.map_shares(lambda part: list(range(part.start, part.stop)), 9)
+    assert isinstance(raised.value.__cause__, BlockingIOError)
+    assert_no_child_left()  # the first worker was killed and reaped
+    assert len(pipes) == 2
+    for fd in (fd for ends in pipes for fd in ends):  # both pipes closed, no fd leaked
+        with pytest.raises(OSError):
+            os.fstat(fd)
