@@ -224,31 +224,13 @@ def encode_video(video, store, vcfg, modulate=None, attention=None, start=0, sto
     ``modulate`` receives (..., T, 1, D) there rather than
     (..., T, N+1, D); every attention hook still sees all N+1 tokens.
 
-    ``start`` and ``stop`` run part of the tower. With ``stop`` = f the
-    pass ends at block f and returns its output before f's ``modulate``
-    call. With ``start`` = f > 0, ``video`` is such an output of block f,
-    the pass resumes at f's ``modulate`` call, and ``attention`` may hold
-    no hook at or before f.
+    ``start`` and ``stop`` run part of the tower (``_blocks``); with
+    ``start`` = f > 0, ``attention`` may hold no hook at or before f.
     """
-    attention = attention or {}
-    for layer in attention:
-        if not start < layer <= vcfg.layers:
-            raise ConfigError(f"hook layer {layer} outside [{start + 1}, {vcfg.layers}]")
-    if start:
-        x = Tensor(video)
-        if modulate is not None:
-            x = modulate(start, x)
-    else:
-        x = patchify(video, store, vcfg)
-    for layer in range(start + 1, vcfg.layers + 1):
-        fn = attention.get(layer, vanilla_attention)
-        row = 0 if layer == vcfg.layers else None
-        x = vit_block(x, store, f"backbone/visual/block{layer}", vcfg.heads, fn, row=row)
-        if layer == stop:
-            return x
-        if modulate is not None:
-            x = modulate(layer, x)
-    return x[..., 0, :]
+    x = Tensor(video) if start else patchify(video, store, vcfg)
+    x = _blocks(x, store, "visual", vcfg.layers, vcfg.heads, modulate, attention or {},
+                start, stop, last_row=0)
+    return x if stop else x[..., 0, :]
 
 
 def encode_text(tokens, store, tcfg, modulate=None, start=0, stop=None):
@@ -259,22 +241,36 @@ def encode_text(tokens, store, tcfg, modulate=None, start=0, stop=None):
     (Q, S, D), word rows and the EOS row alike, and what it returns
     feeds the next block. Returns the final (Q, D_t) sentence feature,
     the EOS row. ``start`` and ``stop`` run part of the tower as in
-    ``encode_video``: with ``start`` = f > 0, ``tokens`` is the (Q, S, D)
-    output of block f before its ``modulate`` call.
+    ``encode_video``; ``tokens`` is then block ``start``'s (Q, S, D) output.
     """
-    if start:
-        x = Tensor(tokens)
-        if modulate is not None:
-            x = modulate(start, x)
-    else:
-        x = _embed_tokens(tokens, store, tcfg)
-    for layer in range(start + 1, tcfg.layers + 1):
-        x = vit_block(x, store, f"backbone/text/block{layer}", tcfg.heads, vanilla_attention)
+    x = Tensor(tokens) if start else _embed_tokens(tokens, store, tcfg)
+    x = _blocks(x, store, "text", tcfg.layers, tcfg.heads, modulate, {}, start, stop,
+                last_row=None)
+    return x if stop else x[:, -1, :]
+
+
+def _blocks(x, store, tower, layers, heads, modulate, attention, start, stop, last_row):
+    """Blocks ``start`` + 1 .. ``layers`` of one tower, each output through ``modulate``.
+
+    With ``start`` = f > 0, x is block f's output and the pass resumes at
+    f's ``modulate`` call; with ``stop`` = f in (start, layers] it returns
+    block f's output before that call. The last block computes only token
+    ``last_row`` after attention.
+    """
+    for layer in attention:
+        if not start < layer <= layers:
+            raise ConfigError(f"hook layer {layer} outside [{start + 1}, {layers}]")
+    if start and modulate is not None:
+        x = modulate(start, x)
+    for layer in range(start + 1, layers + 1):
+        fn = attention.get(layer, vanilla_attention)
+        row = last_row if layer == layers else None
+        x = vit_block(x, store, f"backbone/{tower}/block{layer}", heads, fn, row=row)
         if layer == stop:
             return x
         if modulate is not None:
             x = modulate(layer, x)
-    return x[:, -1, :]
+    return x
 
 
 def _embed_tokens(tokens, store, tcfg):

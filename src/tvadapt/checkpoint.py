@@ -70,8 +70,10 @@ def save_checkpoint(path, model, steps=0):
 def load_checkpoint(path):
     """Parse a checkpoint file.
 
-    A truncated or corrupt file raises ``VersionError``; an intact one
-    whose stored config fails validation raises ``ConfigError``.
+    A truncated or corrupt file raises ``VersionError``, as does an entry
+    that repeats a name, holds a frozen flag other than 0 or 1, or claims
+    more values than the file holds; an intact one whose stored config
+    fails validation raises ``ConfigError``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -103,9 +105,15 @@ def load_checkpoint(path):
             shape = struct.unpack_from(f"<{ndim}I", view, offset)
             offset += 4 * ndim
             size = math.prod(shape)
+            if name in params:
+                raise VersionError(f"{path}: entry {name!r} is repeated")
+            if frozen > 1:
+                raise VersionError(f"{path}: entry {name!r} has frozen flag {frozen}, not 0 or 1")
+            if 8 * size > len(view) - offset:
+                raise VersionError(f"{path}: entry {name!r} holds {size} values, past the end of the file")
             data = np.frombuffer(view, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
-            params[name] = (data.reshape(shape).astype(np.float64), bool(frozen))
+            params[name] = (data.reshape(shape).astype(np.float64), frozen == 1)
     except ConfigError as err:
         raise ConfigError(f"{path}: stored config is invalid: {err}") from None
     except (struct.error, ValueError, UnicodeDecodeError) as err:

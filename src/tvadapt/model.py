@@ -147,8 +147,7 @@ class AdapterModel:
         there). With ``states``, these videos' rows of ``frozen_prefix``,
         the tower starts after block f from them, so ``attention`` may hold
         no hook at or before f. With ``stop``, it returns the output of
-        block ``stop`` before its modulation (``encode_video``). The
-        video modulation is composed once for the call.
+        block ``stop`` before its modulation (``encode_video``).
         With no tape recording, a batch is cut into contiguous, equal
         shares of videos, one per usable process but no more than there
         are blocks (``map_shares``), and each share runs in blocks of at
@@ -157,11 +156,10 @@ class AdapterModel:
         there does not reach the caller. A taped pass, an unbatched
         (T, H, W, C) video or an empty batch is one call of the tower.
         """
-        modulate = self.video_mod.composed().apply
         source, start = (videos, 0) if states is None else (states, self.prefix_layers()[0])
 
         def tower(rows):
-            return encode_video(source[rows], self.store, self.vcfg, modulate=modulate,
+            return encode_video(source[rows], self.store, self.vcfg, modulate=self.video_mod.apply,
                                 attention=attention(rows), start=start, stop=stop)
 
         lead = np.shape(videos)[:-4]

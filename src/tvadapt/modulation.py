@@ -23,7 +23,6 @@ model's function.
 
 from __future__ import annotations
 
-import copy
 from enum import Enum
 
 import numpy as np
@@ -115,17 +114,6 @@ class VideoModulation:
                 flat = T.matmul(T.reshape(a, (self.frames * self.tokens, self.rank)), b)
                 out.append(T.reshape(flat, (self.frames, self.tokens, self.dim)))
         return tuple(out)
-
-    def composed(self):
-        """A copy of this modulation with every layer's factors composed once, now.
-
-        Its ``apply`` is the modulate hook for one tower call, so the
-        blocks of a tape-free pass share the factors.
-        """
-        factors = {layer: self.compose(layer) for layer in self.layers}
-        once = copy.copy(self)
-        once.compose = factors.__getitem__
-        return once
 
     def apply(self, layer, x):
         """Affine calibration of block output x: u = scale * x + shift.

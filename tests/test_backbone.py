@@ -16,8 +16,11 @@ from tvadapt.backbone import (
     vanilla_attention,
     vit_block,
 )
+from tvadapt.config import toy_config
+from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ConfigError, InputError
-from tvadapt.tensor import ParamStore, Tensor, rng_for
+from tvadapt.model import AdapterModel
+from tvadapt.tensor import ParamStore, Tensor, no_grad, rng_for
 
 VCFG = VisualConfig(layers=2, dim=8, heads=2, patch=2, frame_h=4, frame_w=4, frames=3, channels=1)
 TCFG = TextConfig(layers=2, dim=8, vocab=16, max_words=5, heads=2)
@@ -301,6 +304,45 @@ def test_encode_text_batch_matches_single():
     for i in range(2):
         zi = encode_text(tokens[i], store, TCFG)
         np.testing.assert_allclose(z.data[i], zi.data[0], atol=1e-12)
+
+
+# -- partial passes ------------------------------------------------------------
+
+
+def _adapted_model(text_lowrank):
+    """A toy model whose every adapter is off identity, with fractional offsets."""
+    model = AdapterModel(toy_config(text_lowrank=text_lowrank))
+    rng = rng_for(5, "resume")
+    for _, t in model.store.trainable_items():
+        t.data += rng.normal(size=t.shape) * 0.1
+    return model
+
+
+def _bits(t):
+    return np.ascontiguousarray(t.data).view(np.uint64)
+
+
+@pytest.mark.parametrize("text_lowrank", [False, True], ids=["sentence", "lowrank"])
+def test_each_tower_resumes_bitwise_from_its_own_stop(text_lowrank):
+    model = _adapted_model(text_lowrank)
+    data = generate_dataset(model.config.seed, 3, model.config)
+    with no_grad():
+        candidates = model.encode_texts(data.tokens).data
+        select = model.selection_plan(data.videos, candidates)(slice(None))
+        hooks = model.attention_hooks(select)
+        for f in range(1, model.vcfg.layers + 1):
+            above = {layer: hook for layer, hook in hooks.items() if layer > f}
+            run = dict(modulate=model.video_mod.apply, attention=above)
+            whole = encode_video(data.videos, model.store, model.vcfg, **run)
+            states = encode_video(data.videos, model.store, model.vcfg, stop=f, **run)
+            resumed = encode_video(states.data, model.store, model.vcfg, start=f, **run)
+            assert (_bits(resumed) == _bits(whole)).all(), f
+        for f in range(1, model.tcfg.layers + 1):
+            run = dict(modulate=model.text_mod.apply)
+            whole = encode_text(data.tokens, model.store, model.tcfg, **run)
+            states = encode_text(data.tokens, model.store, model.tcfg, stop=f, **run)
+            resumed = encode_text(states.data, model.store, model.tcfg, start=f, **run)
+            assert (_bits(resumed) == _bits(whole)).all(), f
 
 
 # -- freeze ------------------------------------------------------------------

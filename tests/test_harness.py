@@ -464,6 +464,29 @@ def test_similarity_map_copies_no_block_computation():
     assert not [s for s in strings if "backbone/visual/block" in s]
 
 
+def test_both_towers_share_one_block_loop():
+    # a second function that calls vit_block is a second copy of the
+    # resume, stop and modulate rules, which can drift from the first
+    package = pathlib.Path(diagnostics.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "attr", getattr(node.func, "id", None))
+                            == "vit_block"):
+                        callers.add((path.name, getattr(fn, "name", "<lambda>")))
+    assert callers == {("backbone.py", "_blocks")}
+    # the modulation hooks compose their factors in apply, with no cached copy
+    tree = ast.parse((package / "modulation.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "copy" not in imported
+
+
 # -- benchmark tracer -----------------------------------------------------------
 
 

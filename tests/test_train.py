@@ -523,6 +523,56 @@ def test_flipped_frozen_flag_is_rejected(tmp_path, capsys):
     assert "frozen flag" in capsys.readouterr().err
 
 
+def _repeat_log_tau(blob):
+    """Append a second ``log_tau`` entry holding 7.0 and count it."""
+    count_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 24
+    struct.pack_into("<I", blob, count_at, struct.unpack_from("<I", blob, count_at)[0] + 1)
+    name = b"adapter/temperature/log_tau"
+    entry = struct.pack("<H", len(name)) + name + struct.pack("<BBId", 0, 1, 1, 7.0)
+    blob[-DIGEST_SIZE:-DIGEST_SIZE] = entry
+    return name
+
+
+def _set_flag(value):
+    def craft(blob):
+        name = b"adapter/proj/w"
+        blob[blob.index(name) + len(name)] = value
+        return name
+    return craft
+
+
+def _overflow_dims(blob):
+    """Give the first entry's two dims 2**32 - 1 each: a product past ssize_t."""
+    name_at = 12 + struct.unpack_from("<I", blob, 8)[0] + 24 + 4
+    (name_len,) = struct.unpack_from("<H", blob, name_at)
+    flag_at = name_at + 2 + name_len
+    assert blob[flag_at + 1] == 2
+    struct.pack_into("<II", blob, flag_at + 2, 2**32 - 1, 2**32 - 1)
+    return bytes(blob[name_at + 2:flag_at])
+
+
+@pytest.mark.parametrize("craft, reason", [
+    (_repeat_log_tau, "is repeated"),
+    (_set_flag(2), "has frozen flag 2, not 0 or 1"),
+    (_set_flag(255), "has frozen flag 255, not 0 or 1"),
+    (_overflow_dims, r"holds \d+ values, past the end of the file"),
+], ids=["repeated-name", "flag-2", "flag-255", "dims-overflow"])
+def test_malformed_entry_in_a_resealed_checkpoint_is_a_version_error(tmp_path, capsys,
+                                                                      craft, reason):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), AdapterModel(CFG))
+    blob = bytearray(path.read_bytes())
+    name = craft(blob).decode()
+    # re-seal: the digest carries no key, so an edited file passes it
+    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VersionError, match=f"entry '{name}' {reason}"):
+        load_checkpoint(str(path))
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "Traceback" not in err
+
+
 def test_concurrent_evaluation_while_training_matches_serial_runs():
     eval_cfg = replace(CFG, selection="random")
     evaluated = AdapterModel(eval_cfg)
