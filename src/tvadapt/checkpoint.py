@@ -44,8 +44,7 @@ def adapter_items(store):
 
 
 def save_checkpoint(path, model, steps=0):
-    """Write a checkpoint; a config that fails validation raises ``ConfigError`` first."""
-    model.config.validate()
+    """Write a checkpoint of ``model``'s adapter set, config and step count."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)

@@ -24,7 +24,7 @@ _MAX_ELEMENTS = 2**30
 _MAX_TENSORS = 2**16
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     # visual tower

@@ -9,7 +9,9 @@ closure has run, so the activations it held are freed during the sweep
 and a graph can be differentiated only once. Leaves (tensors created
 with ``requires_grad``, e.g. trainable parameters) keep ``grad`` and
 accumulate across graphs. Frozen tensors (``requires_grad`` False) never
-receive a grad array and are skipped by the tape.
+receive a grad array and are skipped by the tape. A node exists only
+when some parent requires grad, so one-input closures accumulate
+unconditionally; multi-input closures check each parent.
 
 The three elementwise-heavy block ops are one tape node each, bitwise
 equal to the composites of primitive ops they stand for, and keep for
@@ -298,8 +300,7 @@ def exp(a):
     data = np.exp(a.data)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
+        a._accumulate(g * data)
 
     return _make(data, (a,), _bw)
 
@@ -308,8 +309,7 @@ def log(a):
     a = astensor(a)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+        a._accumulate(g / a.data)
 
     return _make(np.log(a.data), (a,), _bw)
 
@@ -319,8 +319,7 @@ def sqrt(a):
     data = np.sqrt(a.data)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / data)
+        a._accumulate(g * 0.5 / data)
 
     return _make(data, (a,), _bw)
 
@@ -372,15 +371,8 @@ def tsum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def _bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(ax % a.data.ndim for ax in axes):
-                g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), _bw)
@@ -404,9 +396,8 @@ def softmax(a, axis):
     data = e / e.sum(axis=axis, keepdims=True)
 
     def _bw(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate(data * (g - inner))
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        a._accumulate(data * (g - inner))
 
     return _make(data, (a,), _bw)
 
@@ -426,8 +417,7 @@ def reshape(a, shape):
     a = astensor(a)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), _bw)
 
@@ -436,8 +426,7 @@ def swapaxes(a, ax1, ax2):
     a = astensor(a)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, ax1, ax2))
+        a._accumulate(np.swapaxes(g, ax1, ax2))
 
     return _make(np.swapaxes(a.data, ax1, ax2), (a,), _bw)
 
@@ -445,15 +434,12 @@ def swapaxes(a, ax1, ax2):
 def concat(parts, axis):
     parts = [astensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def _bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for p, gp in zip(parts, np.split(g, ends, axis=axis)):
             if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(sl)])
+                p._accumulate(gp)
 
     return _make(data, tuple(parts), _bw)
 
@@ -463,8 +449,7 @@ def broadcast_to(a, shape):
     data = np.broadcast_to(a.data, shape).copy()
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+        a._accumulate(_unbroadcast(g, a.data.shape))
 
     return _make(data, (a,), _bw)
 
@@ -486,13 +471,12 @@ def getitem(a, key):
     basic = _is_basic_key(key)
 
     def _bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            if basic:
-                ga[key] += g  # a basic key hits each element at most once
-            else:
-                np.add.at(ga, key, g)
-            a._accumulate(ga)
+        ga = np.zeros_like(a.data)
+        if basic:
+            ga[key] += g  # a basic key hits each element at most once
+        else:
+            np.add.at(ga, key, g)
+        a._accumulate(ga)
 
     return _make(data, (a,), _bw)
 

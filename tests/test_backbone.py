@@ -268,6 +268,8 @@ def test_encode_text_rejects_overlong_and_bad_ids():
         encode_text(np.arange(6), store, TCFG)
     with pytest.raises(InputError):
         encode_text(np.array([99]), store, TCFG)
+    with pytest.raises(InputError, match="1-D or 2-D"):
+        encode_text(np.zeros((2, 2, 3), dtype=int), store, TCFG)
 
 
 def test_encode_text_matches_dense_reference():

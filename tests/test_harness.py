@@ -223,6 +223,11 @@ def test_run_suite_emits_wellformed_rows():
     assert parsed[0]["video->text"]["r@1"] >= 0.0
 
 
+def test_run_suite_rejects_unknown_suite():
+    with pytest.raises(ConfigError, match="unknown ablation suite 'bogus'"):
+        run_suite("bogus", cm.toy_config(pairs=4))
+
+
 def test_perfect_step_helper():
     class R:
         def __init__(self, r1, mnr):
@@ -302,8 +307,9 @@ def test_cli_export_diag_rejects_bad_query_before_writing(tmp_path, capsys):
 # -- diagnostics -------------------------------------------------------------------
 
 
-def test_export_identity_scale_is_all_ones(tmp_path):
-    cfg = cm.toy_config(pairs=4)
+@pytest.mark.parametrize("asa", [True, False], ids=["asa", "asa-off"])
+def test_export_identity_scale_is_all_ones(tmp_path, asa):
+    cfg = cm.toy_config(pairs=4, asa=asa)
     data = generate_dataset(cfg.seed, cfg.pairs, cfg)
     model = AdapterModel(cfg)
     written = export_diagnostics(model, data, tmp_path, item=0, frame=2, patch=1)
@@ -319,9 +325,10 @@ def test_export_identity_scale_is_all_ones(tmp_path):
     assert "manifest.json" in written
 
 
-def test_similarity_map_matches_vanilla_attention_at_zero_offsets():
+@pytest.mark.parametrize("asa", [True, False], ids=["asa", "asa-off"])
+def test_similarity_map_matches_vanilla_attention_at_zero_offsets(asa):
     # single-layer model so the map's block input is the patchify output
-    cfg = cm.toy_config(pairs=4, layers=1)
+    cfg = cm.toy_config(pairs=4, layers=1, asa=asa)
     data = generate_dataset(cfg.seed, cfg.pairs, cfg)
     model = AdapterModel(cfg)
     from tvadapt import tensor as T

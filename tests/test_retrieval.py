@@ -11,6 +11,7 @@ from tvadapt.retrieval import (
     contrastive_loss,
     dsl,
     metrics_report,
+    rank_queries,
     similarity,
     text_embedding,
     video_embedding,
@@ -129,6 +130,11 @@ def test_recall_identity_dominant_and_antidiagonal():
 def test_recall_rejects_bad_k():
     with pytest.raises(ConfigError):
         metrics_report(SimilarityMatrix(np.eye(2)), "video->text", ks=(1, 0))
+
+
+def test_ranking_rejects_unknown_direction():
+    with pytest.raises(ConfigError, match="unknown retrieval direction 'sideways'"):
+        rank_queries(SimilarityMatrix(np.eye(2)), "sideways")
 
 
 @pytest.mark.parametrize("pairing", [[0, 0, 2], [0, 1, 5], [-1, 0, 1], [[0, 1, 2]],

@@ -157,6 +157,48 @@ def test_frozen_tensor_never_gets_grad():
     np.testing.assert_array_equal(p.grad, np.ones(3))
 
 
+ONE_INPUT_OPS = {
+    "exp": T.exp,
+    "log": T.log,
+    "sqrt": T.sqrt,
+    "tsum": lambda a: T.tsum(a, axis=1),
+    "softmax": lambda a: T.softmax(a, axis=-1),
+    "reshape": lambda a: T.reshape(a, (4, 3)),
+    "swapaxes": lambda a: T.swapaxes(a, 0, 1),
+    "broadcast_to": lambda a: T.broadcast_to(a, (2, 3, 4)),
+    "getitem": lambda a: a[[0, 2, 2]],
+    "gelu": T.gelu,
+}
+
+
+def test_one_input_op_list_is_complete():
+    multi_input = {"add", "sub", "mul", "div", "matmul", "concat", "linear", "layer_norm"}
+    assert set(ONE_INPUT_OPS) == _node_ops() - multi_input
+
+
+@pytest.mark.parametrize("op", sorted(ONE_INPUT_OPS))
+def test_one_input_op_on_a_frozen_input_records_no_node(op):
+    # the contract that lets one-input closures accumulate unchecked
+    a = Tensor(rng_for(0, "frozen", op).uniform(0.5, 2.0, size=(3, 4)))
+    assert T.recording()
+    out = ONE_INPUT_OPS[op](a)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
+@pytest.mark.parametrize("keepdims", [False, True], ids=["drop", "keep"])
+@pytest.mark.parametrize("axis", [None, 0, -1, (0, 2), (-1, -2)], ids=str)
+def test_tsum_gradient_matches_central_differences(axis, keepdims):
+    store = ParamStore()
+    store.add("a", Tensor(rng_for(1, "tsum").normal(size=(2, 3, 4))))
+
+    def cube_of_sum(st):
+        s = T.tsum(st["a"], axis=axis, keepdims=keepdims)
+        return T.tsum(s * s * s)
+
+    assert fd_check(cube_of_sum, store) < 1e-6
+
+
 def test_no_grad_context_suppresses_tape():
     p = Tensor([2.0], requires_grad=True)
     with T.no_grad():

@@ -6,7 +6,7 @@ import os
 import struct
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -444,14 +444,13 @@ def test_truncated_or_padded_checkpoint_is_a_version_error(tmp_path, capsys):
 def test_invalid_stored_config_is_a_config_error(tmp_path, capsys):
     cfg = replace(CFG)
     model = AdapterModel(cfg)
-    cfg.lr = float("nan")  # a dataclass field, so nothing validates it here
-    nan_path = tmp_path / "nan.ckpt"
-    with pytest.raises(ConfigError, match="lr must be positive and finite"):
-        save_checkpoint(str(nan_path), model)
-    assert not nan_path.exists()
+    # a config is validated once, when built, and cannot change afterwards
+    with pytest.raises(FrozenInstanceError):
+        cfg.lr = float("nan")
+    assert cfg.lr == CFG.lr
 
     # an intact file whose stored config fails validation: same length, digest re-sealed
-    cfg.lr = CFG.lr
+    nan_path = tmp_path / "nan.ckpt"
     save_checkpoint(str(nan_path), model)
     blob = bytearray(nan_path.read_bytes())
     field = b"lr = 0.01\n"
@@ -571,6 +570,46 @@ def test_malformed_entry_in_a_resealed_checkpoint_is_a_version_error(tmp_path, c
     assert main(["eval", "--ckpt", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err and "Traceback" not in err
+
+
+def _append_zeros(blob):
+    """Eight zero bytes after the last entry, before the digest."""
+    blob[-DIGEST_SIZE:-DIGEST_SIZE] = bytes(8)
+
+
+def _transpose_gamma(blob):
+    """Store ``adapter/asa/gamma``'s (4, 1) dims as (1, 4): same size, other shape."""
+    name = b"adapter/asa/gamma"
+    flag_at = blob.index(name) + len(name)
+    assert blob[flag_at + 1] == 2 and struct.unpack_from("<II", blob, flag_at + 2) == (4, 1)
+    struct.pack_into("<II", blob, flag_at + 2, 1, 4)
+
+
+@pytest.mark.parametrize("craft, reason", [
+    (_append_zeros, "8 trailing bytes after the last entry"),
+    (_transpose_gamma, r"shape mismatch for adapter/asa/gamma: \(4, 1\) vs \(1, 4\)"),
+], ids=["trailing-bytes", "transposed-dims"])
+def test_resealed_checkpoint_with_extra_bytes_or_other_dims_is_a_version_error(
+        tmp_path, capsys, craft, reason):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), AdapterModel(CFG))
+    blob = bytearray(path.read_bytes())
+    craft(blob)
+    blob[-DIGEST_SIZE:] = hashlib.blake2b(blob[:-DIGEST_SIZE], digest_size=DIGEST_SIZE).digest()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VersionError, match=reason):
+        load_model(str(path))
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_max_steps_can_stop_training_inside_an_epoch():
+    cfg = toy_config(pairs=16, batch_size=4, epochs=3)
+    _, history, steps = train(cfg, generate_dataset(cfg.seed, cfg.pairs, cfg), max_steps=6)
+    assert steps == 6
+    assert [(e["epoch"], e["steps"]) for e in history] == [(1, 4), (2, 6)]
+    assert all(e["reports"] for e in history)
 
 
 def test_concurrent_evaluation_while_training_matches_serial_runs():
