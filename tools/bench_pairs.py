@@ -12,13 +12,17 @@ directory under ``--scratch``, so each runs its own unchanged
 ``perfbench/run.py`` on exactly what a commit holds, and nothing is added
 to the repository's git metadata. A pair is one seed run on both sides
 with ``--trace 0``; even seeds run the parent first, odd seeds the change
-first, and the workloads take turns within a seed. A run whose ``#``
-status line does not say "reference checked", or that failed a task,
-stops the whole comparison: its timings would describe an output nobody
-checked. The output file holds each end-to-end metric's medians,
-interquartile ranges and pair wins, the verdict against the bounds in
-``BENCHMARK.json``, the seeds, the machine, each side's ``src/tvadapt/``
-line count, and every run with its status line.
+first, and the workloads take turns within a seed. Every run lasts
+``BENCHMARK.json``'s ``run_seconds``. A run that exits non-zero, whose
+``#`` status line does not say "reference checked", that failed a task,
+or whose machine fingerprint differs from the first run's, stops the
+whole comparison: its timings would describe an output nobody checked,
+or another machine. The output file holds each end-to-end metric's
+medians, interquartile ranges and pair wins, the verdict against the
+bounds in ``BENCHMARK.json``, the seeds, the machine, each side's
+``src/tvadapt/`` line count, and every run with its status line. A
+stopped comparison still writes its file, marked ``"incomplete": true``,
+with the runs made so far and the refused run, and exits 1.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MACHINE_KEYS = ("python", "numpy", "scipy", "openblas", "openblas_core",
+                "blas_threads", "nproc", "cpu_count", "machine")
+
+
+class Refused(Exception):
+    """A run whose timings must not enter the comparison; the message says why."""
 
 
 def parse_args(argv):
@@ -49,8 +59,6 @@ def parse_args(argv):
                     help="number of pairs to run on one workload (repeat per workload)")
     ap.add_argument("--first-seed", type=int, required=True,
                     help="pairs use seeds first-seed, first-seed + 1, ...")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--note", default="", help="what the change does, for the reader")
     args = ap.parse_args(argv)
@@ -78,7 +86,7 @@ def src_lines(tree):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One ``perfbench/run.py`` run: (status line, result, record)."""
+    """One ``perfbench/run.py`` run: (status line, result, machine fingerprint)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -86,13 +94,13 @@ def run_once(tree, workload, seed, seconds):
     lines = out.stdout.splitlines()
     status = next((l for l in lines if l.startswith(f"# {workload} seed=")), None)
     if out.returncode != 0 or status is None:
-        raise SystemExit(f"{tree.name} {workload} seed {seed}: exit {out.returncode}\n"
-                         f"{out.stdout}{out.stderr}")
+        tail = (out.stderr or out.stdout).strip().splitlines()[-1:]
+        raise Refused(f"exit {out.returncode}: {status or ' '.join(tail)}")
     result = json.loads(lines[-1])
     if "reference checked" not in status or not result["correct"] or result["failed"]:
-        raise SystemExit(f"refused: {tree.name} {workload} seed {seed}: {status}")
+        raise Refused(status)
     record = json.loads((tree / status.rpartition("record in ")[2]).read_text())
-    return status, result, record
+    return status, result, {k: record["provenance"][k] for k in MACHINE_KEYS}
 
 
 def iqr(values):
@@ -107,17 +115,46 @@ def summarize(metric, parent, change):
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     worse = rel if lower else -rel
-    spread = iqr(parent) / p_med
+    spread = max(iqr(parent), iqr(change)) / p_med
+    all_better = (max(change) < min(parent)) if lower else (min(change) > max(parent))
     if worse > metric["bound"]:
         verdict = "worse beyond bound"
-    elif spread > metric["bound"]:
-        verdict = "unresolved: parent IQR wider than the bound"
+    elif spread > metric["bound"] and not all_better:
+        verdict = "unresolved: IQR wider than the bound"
     else:
         verdict = "within bound"
     return {"parent_median": p_med, "change_median": c_med, "rel_change": rel,
             "parent_iqr": iqr(parent), "change_iqr": iqr(change), "change_wins": wins,
             "bound": metric["bound"], "verdict": verdict,
             "parent": list(parent), "change": list(change)}
+
+
+def run_pairs(trees, seeds, seconds):
+    """Every run in order: (runs, machine, refused run or None)."""
+    runs, machine = [], None
+    for seed in sorted({s for ws in seeds.values() for s in ws}):
+        order = SIDES if seed % 2 == 0 else SIDES[::-1]
+        for workload in [w for w in seeds if seed in seeds[w]]:
+            for side in order:
+                try:
+                    status, result, fingerprint = run_once(trees[side], workload, seed,
+                                                           seconds)
+                    machine = machine or fingerprint
+                    if fingerprint != machine:
+                        differ = sorted(k for k in MACHINE_KEYS
+                                        if fingerprint[k] != machine[k])
+                        raise Refused(f"machine differs from the first run in {differ}: "
+                                      f"{status}")
+                except Refused as why:
+                    print(f"{side:6s} refused: {why}", flush=True)
+                    return runs, machine, {"workload": workload, "seed": seed,
+                                           "side": side, "status": str(why)}
+                print(f"{side:6s} {status}", flush=True)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "status": status, "attempted": result["attempted"],
+                             "failed": result["failed"],
+                             **{k: v["value"] for k, v in result["metrics"].items()}})
+    return runs, machine, None
 
 
 def main(argv=None):
@@ -134,55 +171,47 @@ def main(argv=None):
         unknown = set(args.pairs) - {w["name"] for w in bench["workloads"]}
         if unknown:
             raise SystemExit(f"unknown workloads {sorted(unknown)}")
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         seeds = {w: list(range(args.first_seed, args.first_seed + n))
                  for w, n in args.pairs.items()}
-        runs, machine = [], None
-        for seed in range(args.first_seed, args.first_seed + max(args.pairs.values())):
-            order = SIDES if seed % 2 == 0 else SIDES[::-1]
-            for workload in [w for w in args.pairs if seed in seeds[w]]:
-                for side in order:
-                    status, result, record = run_once(trees[side], workload, seed, seconds)
-                    print(f"{side:6s} {status}", flush=True)
-                    prov = record["provenance"]
-                    machine = machine or {k: prov[k] for k in (
-                        "python", "numpy", "scipy", "openblas", "openblas_core",
-                        "blas_threads", "nproc", "cpu_count", "machine")}
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "status": status, "attempted": result["attempted"],
-                                 "failed": result["failed"],
-                                 **{k: v["value"] for k, v in result["metrics"].items()}})
-        results = {}
+        runs, machine, refused = run_pairs(trees, seeds, seconds)
+        src = {side: src_lines(trees[side]) for side in SIDES}
+    finally:
+        shutil.rmtree(work)
+    report = {
+        "description": (
+            f"Paired parent/change runs of the unchanged perfbench/run.py --seconds "
+            f"{seconds:g} (BENCHMARK.json's run_seconds) --trace 0, each side from a git "
+            "archive of its commit; even seeds run the parent first, odd seeds the change "
+            "first, and the workloads take turns within a seed. Every run is 'reference "
+            "checked' with no failed task on one machine fingerprint, or the comparison "
+            "stops and this file is marked incomplete."),
+        "parent": revs["parent"],
+        "change": revs["change"],
+        "note": args.note,
+        "incomplete": refused is not None,
+        "config": {"command": f"python3 perfbench/run.py --workload W --seed S "
+                              f"--seconds {seconds:g} --trace 0",
+                   "seeds": seeds},
+        "machine": machine,
+        "src_lines": src,
+    }
+    if refused is None:
+        report["results"] = {}
         for workload in args.pairs:
             mine = [r for r in runs if r["workload"] == workload]
-            results[workload] = {"pairs": len(seeds[workload]), "seeds": seeds[workload]}
+            report["results"][workload] = {"pairs": len(seeds[workload]),
+                                           "seeds": seeds[workload]}
             for metric in bench["end_to_end"]:
                 values = {side: [r[metric["name"]] for r in mine if r["side"] == side]
                           for side in SIDES}
-                results[workload][metric["name"]] = summarize(metric, **values)
-        report = {
-            "description": (
-                f"Paired parent/change runs of the unchanged perfbench/run.py --seconds "
-                f"{seconds:g} --trace 0, each side from a git archive of its commit; even "
-                "seeds run the parent first, odd seeds the change first, and the workloads "
-                "take turns within a seed. Every run is 'reference checked' with no failed "
-                "task, or the comparison stops."),
-            "parent": revs["parent"],
-            "change": revs["change"],
-            "note": args.note,
-            "config": {"command": f"python3 perfbench/run.py --workload W --seed S "
-                                  f"--seconds {seconds:g} --trace 0",
-                       "seeds": seeds},
-            "machine": machine,
-            "src_lines": {side: src_lines(trees[side]) for side in SIDES},
-            "results": results,
-            "runs": runs,
-        }
-    finally:
-        shutil.rmtree(work)
+                report["results"][workload][metric["name"]] = summarize(metric, **values)
+    else:
+        report["refused"] = refused
+    report["runs"] = runs
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    print(f"wrote {args.out}" + (" (incomplete)" if refused else ""))
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":
