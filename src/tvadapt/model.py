@@ -19,8 +19,10 @@ forked per further core each take a contiguous, equal share of the
 videos and run it in blocks (``workers.map_shares``). With one usable
 core, no ``os.fork``, another live thread, or inside a worker, the
 blocks run inline in the caller. Every tower op acts on each video
-(frame) alone, so the blocks are bitwise one pass. A taped pass stays
-one block: backward holds every activation anyway.
+(frame) alone, so the blocks are bitwise one pass. A taped pass is one
+tower call; inside it, each unhooked frozen block whose input reaches a
+size floor splits its rows over helper threads on every usable core
+(``backbone.vit_block``), bitwise one block too.
 
 Each block of an ASA pass picks its own videos' sentences
 (``selection_plan``) just before its warped pass, in the same share, so

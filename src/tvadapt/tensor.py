@@ -2,11 +2,12 @@
 
 Every tensor stores a numpy array plus an optional gradient slot. Ops
 executed while gradients are enabled record a closure that scatters the
-output adjoint back into the operands; ``Tensor.backward`` replays the
-tape in reverse topological order and consumes it: each interior node
-drops its gradient, its closure and its parent links as soon as its
-closure has run, so the activations it held are freed during the sweep
-and a graph can be differentiated only once. Leaves (tensors created
+output adjoint back into the operands; ``Tensor.backward`` seeds a
+scalar loss and ``_sweep`` replays the tape in reverse topological order
+and consumes it: each interior node drops its gradient, its closure and
+its parent links as soon as its closure has run, so the activations it
+held are freed during the sweep and a graph can be differentiated only
+once. Leaves (tensors created
 with ``requires_grad``, e.g. trainable parameters) keep ``grad`` and
 accumulate across graphs. Frozen tensors (``requires_grad`` False) never
 receive a grad array and are skipped by the tape. A node exists only
@@ -21,6 +22,12 @@ keeps ``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean
 and standard deviation. Backward recomputes the rest (Chen et al.,
 2016, "Training Deep Nets with Sublinear Memory Cost").
 
+A ``row_blocks`` node runs a row-wise function over contiguous blocks of
+its input's leading rows, one block per thread. It holds one private
+tape per block, rooted at a fresh leaf over the block's rows, which the
+outer sweep does not see: the node's closure sweeps each private tape
+(``_sweep``) on its own thread and hands the input one gradient.
+
 Also hosts the deterministic counter-based RNG helper, the named
 parameter store, and the central-difference gradient checker used as the
 independent oracle for every differentiable path in the package.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+import threading
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -126,38 +134,7 @@ class Tensor:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        if not self.requires_grad:
-            return
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            if node._backward is _released:
-                raise ContractError(
-                    "backward through a graph that an earlier backward already consumed"
-                )
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        # pop so that the sweep holds no reference to a node it has passed
-        while topo:
-            node = topo.pop()
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = None
-            node._parents = ()
-            node._backward = _released
+        _sweep(self, np.ones_like(self.data))
 
     # -- operator sugar --------------------------------------------------
 
@@ -194,6 +171,42 @@ class Tensor:
     def __iter__(self):
         # without this, __getitem__ would make a Tensor unpack row by row
         raise TypeError(f"a Tensor of shape {self.shape} is not iterable; iterate over .data")
+
+
+def _sweep(root, g):
+    """Seed ``root`` with the adjoint ``g``, then run its tape in reverse, consuming it."""
+    if not root.requires_grad:
+        return
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        if node._backward is _released:
+            raise ContractError(
+                "backward through a graph that an earlier backward already consumed"
+            )
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root._accumulate(g)
+    # pop so that the sweep holds no reference to a node it has passed
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
+            node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _released
 
 
 def _released(g):
@@ -599,6 +612,76 @@ def layer_norm(x, gain, bias, eps=1e-5):
         x._accumulate(np.broadcast_to(gm, x.data.shape))
 
     return _make(data, (gain, x, bias), _bw)
+
+
+# -- row blocks on threads -------------------------------------------------
+
+
+def row_blocks(fn, x, parts):
+    """``fn(x)``, with x's leading axis cut into ``parts`` contiguous blocks.
+
+    Each block gets a fresh leaf that shares its rows' data, and ``fn``
+    runs on it with a private tape: the caller runs block 0, one helper
+    thread each further block. The outputs are concatenated into one
+    node, whose backward sweeps each private tape on its own thread and
+    writes the blocks' input gradients into one buffer by slice. ``fn``
+    must act on each leading row alone and hold no leaf that requires
+    grad; then the output and x's gradient are bitwise those of
+    ``fn(x)``. With ``parts`` == 1, returns ``fn(x)``.
+    """
+    x = astensor(x)
+    if parts == 1:
+        return fn(x)
+    rows = len(x.data) if x.ndim else 0
+    if not 1 < parts <= rows:
+        raise ContractError(f"row_blocks: cannot cut {rows} rows into {parts} blocks")
+    bounds = [slice(i * rows // parts, (i + 1) * rows // parts) for i in range(parts)]
+    leaves = [Tensor(x.data[rs], requires_grad=x.requires_grad) for rs in bounds]
+    outs = _on_threads(fn, leaves)
+    data = np.concatenate([out.data for out in outs])
+    ends = np.cumsum([len(out.data) for out in outs[:-1]])
+
+    def _bw(g):
+        _on_threads(lambda pair: _sweep(*pair), list(zip(outs, np.split(g, ends))))
+        # slice assignment, not a sum into zeros, which would turn -0.0 into +0.0
+        gx = np.empty_like(x.data)
+        for rs, leaf in zip(bounds, leaves):
+            gx[rs] = 0.0 if leaf.grad is None else leaf.grad
+        x._accumulate(gx)
+
+    return _make(data, (x,), _bw)
+
+
+def _on_threads(fn, args):
+    """``[fn(a) for a in args]``: ``args[0]`` in the caller, each other on a helper thread.
+
+    Each helper runs in a copy of the caller's context, so grad mode
+    holds, and is joined before this returns or raises. If calls fail,
+    the error of the lowest-numbered one is raised with its own type.
+    """
+    results = [None] * len(args)
+    errors = [None] * len(args)
+
+    def run(i):
+        try:
+            results[i] = fn(args[i])
+        except BaseException as exc:  # raised in the caller, in argument order
+            errors[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, len(args)):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # -- parameter store -----------------------------------------------------

@@ -15,6 +15,10 @@ child would deadlock on it), and inside a share, so no worker forks
 grandchildren. A fork and its reaping cost about 6 ms from a 110 MB
 process on a 2-core x86_64 VM, more from a larger one, since the page
 tables are copied.
+
+``processes()`` also sizes the helper threads of a taped block split by
+rows (``tensor.row_blocks``). Those threads are joined inside the op,
+before it returns or raises, so no helper is alive when a map forks.
 """
 
 from __future__ import annotations

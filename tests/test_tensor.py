@@ -168,6 +168,7 @@ ONE_INPUT_OPS = {
     "broadcast_to": lambda a: T.broadcast_to(a, (2, 3, 4)),
     "getitem": lambda a: a[[0, 2, 2]],
     "gelu": T.gelu,
+    "row_blocks": lambda a: T.row_blocks(lambda rows: T.softmax(rows, axis=-1) * rows, a, 2),
 }
 
 
@@ -298,6 +299,7 @@ def test_registered_ops_match_central_differences(monkeypatch):
         h = T.linear(h, s["w"], s["wb"])
         h = T.gelu(h) + T.exp(c * 0.1) - T.log(c * c + 1.5)
         h = T.layer_norm(h, s["gain"], s["bias"])
+        h = T.row_blocks(lambda rows: T.gelu(rows) * rows, h, 2)  # blocks of 1 and 2 rows
         h = T.concat([h, h * c], axis=0)
         h = T.l2_normalize(h, axis=-1)
         return T.tsum(h * h * h) + T.logsumexp(T.reshape(h, (-1,)), axis=0)
