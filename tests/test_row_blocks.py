@@ -193,22 +193,25 @@ def test_forward_failure_raises_the_lowest_block_error(failing):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing", [0, 2])
+@pytest.mark.parametrize("failing", [(0,), (2,), (1, 2)])
 def test_backward_failure_raises_the_lowest_block_error(failing):
     x = _rows()
 
     def fn(block):
-        if block.data[0, 0] != x.data[2 * failing, 0]:
+        index = int(np.flatnonzero((x.data == block.data[0]).all(axis=1))[0]) // 2
+        if index not in failing:
             return T.exp(block)
 
         def _bw(g):
-            raise BlockFailure("backward")
+            if index == min(failing):
+                time.sleep(0.1)  # so that a later block fails first
+            raise BlockFailure(f"block {index}")
 
         return T._make(block.data * 2.0, (block,), _bw)
 
     threads = threading.active_count()
     out = T.row_blocks(fn, x, 3)
-    with pytest.raises(BlockFailure, match="backward"):
+    with pytest.raises(BlockFailure, match=f"block {min(failing)}$"):
         T.tsum(out).backward()
     assert threading.active_count() == threads
     assert x.grad is None
