@@ -8,67 +8,20 @@ weights are frozen stand-ins for a pretrained model. Adapters attach
 through two hooks: one ``modulate(layer, x) -> x`` callable, which
 both towers call on every block's output, and in the video tower a
 per-layer map of replacement attention operations inside the blocks.
+Every size is a field of the one ``ExperimentConfig`` the functions
+take (``layers``, ``dim_v``, ``heads_v``, ... ``text_layers``,
+``dim_t``, ``heads_t``, ``vocab``, ``max_words``); the EOS id is
+``vocab - 1``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .exceptions import ConfigError, InputError
-from .tensor import ParamStore, Tensor, rng_for
+from .tensor import Tensor, rng_for
 from .workers import processes
-
-
-@dataclass(frozen=True)
-class VisualConfig:
-    layers: int
-    dim: int
-    heads: int
-    patch: int
-    frame_h: int
-    frame_w: int
-    frames: int
-    channels: int = 3
-
-    def __post_init__(self):
-        for field in ("layers", "dim", "heads", "patch", "frame_h", "frame_w", "frames",
-                      "channels"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"visual config field {field} must be positive")
-        if self.frame_h % self.patch or self.frame_w % self.patch:
-            raise ConfigError(
-                f"frame {self.frame_h}x{self.frame_w} not divisible by patch {self.patch}"
-            )
-        if self.dim % self.heads:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-
-    @property
-    def patches(self):
-        """Patches per frame: N = H * W / P**2."""
-        return (self.frame_h // self.patch) * (self.frame_w // self.patch)
-
-
-@dataclass(frozen=True)
-class TextConfig:
-    layers: int
-    dim: int
-    vocab: int
-    max_words: int
-    heads: int = 4
-
-    def __post_init__(self):
-        if self.dim < 1 or self.heads < 1 or self.vocab < 2:
-            raise ConfigError("text dim and heads must be positive and vocab must exceed the EOS id")
-        if self.dim % self.heads:
-            raise ConfigError(f"text dim {self.dim} not divisible by heads {self.heads}")
-
-    @property
-    def eos_id(self):
-        return self.vocab - 1
-
 
 _BLOCK_SHAPES = (
     ("ln1_g", "ones", ("D",)),
@@ -108,28 +61,29 @@ def _init_blocks(store, prefix, layers, dim, seed):
             store.add(f"{prefix}/block{layer}/{name}", Tensor(_block_param(kind, shape, rng)), frozen=True)
 
 
-def init_backbone(store, vcfg, tcfg, seed):
-    """Register all frozen tower parameters under ``backbone/``."""
-    pdim = vcfg.patch * vcfg.patch * vcfg.channels
+def init_backbone(store, config):
+    """Register all frozen tower parameters under ``backbone/``, seeded by ``config.seed``."""
+    seed, dim_v, dim_t = config.seed, config.dim_v, config.dim_t
+    pdim = config.patch * config.patch * config.channels
     rng = rng_for(seed, "backbone/visual/stem")
-    store.add("backbone/visual/patch_w", Tensor(rng.normal(size=(pdim, vcfg.dim)) / np.sqrt(pdim)), frozen=True)
-    store.add("backbone/visual/patch_b", Tensor(np.zeros(vcfg.dim)), frozen=True)
-    store.add("backbone/visual/cls", Tensor(rng.normal(size=(1, vcfg.dim)) / np.sqrt(vcfg.dim)), frozen=True)
+    store.add("backbone/visual/patch_w", Tensor(rng.normal(size=(pdim, dim_v)) / np.sqrt(pdim)), frozen=True)
+    store.add("backbone/visual/patch_b", Tensor(np.zeros(dim_v)), frozen=True)
+    store.add("backbone/visual/cls", Tensor(rng.normal(size=(1, dim_v)) / np.sqrt(dim_v)), frozen=True)
     store.add(
         "backbone/visual/pos",
-        Tensor(rng.normal(size=(vcfg.patches + 1, vcfg.dim)) / np.sqrt(vcfg.dim)),
+        Tensor(rng.normal(size=(config.patches + 1, dim_v)) / np.sqrt(dim_v)),
         frozen=True,
     )
-    _init_blocks(store, "backbone/visual", vcfg.layers, vcfg.dim, seed)
+    _init_blocks(store, "backbone/visual", config.layers, dim_v, seed)
 
     rng = rng_for(seed, "backbone/text/stem")
-    store.add("backbone/text/embed", Tensor(rng.normal(size=(tcfg.vocab, tcfg.dim)) / np.sqrt(tcfg.dim)), frozen=True)
+    store.add("backbone/text/embed", Tensor(rng.normal(size=(config.vocab, dim_t)) / np.sqrt(dim_t)), frozen=True)
     store.add(
         "backbone/text/pos",
-        Tensor(rng.normal(size=(tcfg.max_words + 1, tcfg.dim)) / np.sqrt(tcfg.dim)),
+        Tensor(rng.normal(size=(config.max_words + 1, dim_t)) / np.sqrt(dim_t)),
         frozen=True,
     )
-    _init_blocks(store, "backbone/text", tcfg.layers, tcfg.dim, seed)
+    _init_blocks(store, "backbone/text", config.text_layers, dim_t, seed)
 
 
 def attention_core(q, k, v, heads):
@@ -220,7 +174,7 @@ def _block_body(x, store, prefix, heads, attention_fn, row):
     return x if row is None else x[..., None, :]
 
 
-def patchify(video, store, vcfg):
+def patchify(video, store, config):
     """Embed raw frames into (..., T, N+1, D) token features.
 
     Non-overlapping P x P patches in row-major order are linearly
@@ -229,25 +183,25 @@ def patchify(video, store, vcfg):
     """
     video = np.asarray(video, dtype=np.float64)
     t_ax = video.ndim - 4
-    expected = (vcfg.frames, vcfg.frame_h, vcfg.frame_w, vcfg.channels)
+    expected = (config.frames, config.frame_h, config.frame_w, config.channels)
     if video.ndim < 4 or video.shape[t_ax:] != expected:
         raise ConfigError(
             f"video shape {video.shape} does not end with T x H x W x C = {expected}"
         )
     lead = video.shape[:t_ax]
-    p = vcfg.patch
-    gh, gw = vcfg.frame_h // p, vcfg.frame_w // p
-    patches = video.reshape(*lead, vcfg.frames, gh, p, gw, p, vcfg.channels)
+    p = config.patch
+    gh, gw = config.frame_h // p, config.frame_w // p
+    patches = video.reshape(*lead, config.frames, gh, p, gw, p, config.channels)
     patches = np.moveaxis(patches, t_ax + 2, t_ax + 3)
-    patches = patches.reshape(*lead, vcfg.frames, vcfg.patches, p * p * vcfg.channels)
+    patches = patches.reshape(*lead, config.frames, config.patches, p * p * config.channels)
 
     x = T.linear(Tensor(patches), store["backbone/visual/patch_w"], store["backbone/visual/patch_b"])
-    cls = T.broadcast_to(store["backbone/visual/cls"], (*lead, vcfg.frames, 1, vcfg.dim))
+    cls = T.broadcast_to(store["backbone/visual/cls"], (*lead, config.frames, 1, config.dim_v))
     x = T.concat([cls, x], axis=-2)
     return x + store["backbone/visual/pos"]
 
 
-def encode_video(video, store, vcfg, modulate=None, attention=None, start=0, stop=None):
+def encode_video(video, store, config, modulate=None, attention=None, start=0, stop=None):
     """Run the video tower, applying per-layer adapter hooks.
 
     ``modulate(layer, x)`` is called on every block's output, and what
@@ -263,13 +217,13 @@ def encode_video(video, store, vcfg, modulate=None, attention=None, start=0, sto
     ``start`` and ``stop`` run part of the tower (``_blocks``); with
     ``start`` = f > 0, ``attention`` may hold no hook at or before f.
     """
-    x = Tensor(video) if start else patchify(video, store, vcfg)
-    x = _blocks(x, store, "visual", vcfg.layers, vcfg.heads, modulate, attention or {},
+    x = Tensor(video) if start else patchify(video, store, config)
+    x = _blocks(x, store, "visual", config.layers, config.heads_v, modulate, attention or {},
                 start, stop, last_row=0)
     return x if stop else x[..., 0, :]
 
 
-def encode_text(tokens, store, tcfg, modulate=None, start=0, stop=None):
+def encode_text(tokens, store, config, modulate=None, start=0, stop=None):
     """Run the text tower over integer tokens (EOS appended internally).
 
     Accepts one caption (1-D) or a batch of equal-length captions (2-D).
@@ -279,8 +233,8 @@ def encode_text(tokens, store, tcfg, modulate=None, start=0, stop=None):
     the EOS row. ``start`` and ``stop`` run part of the tower as in
     ``encode_video``; ``tokens`` is then block ``start``'s (Q, S, D) output.
     """
-    x = Tensor(tokens) if start else _embed_tokens(tokens, store, tcfg)
-    x = _blocks(x, store, "text", tcfg.layers, tcfg.heads, modulate, {}, start, stop,
+    x = Tensor(tokens) if start else _embed_tokens(tokens, store, config)
+    x = _blocks(x, store, "text", config.text_layers, config.heads_t, modulate, {}, start, stop,
                 last_row=None)
     return x if stop else x[:, -1, :]
 
@@ -309,21 +263,21 @@ def _blocks(x, store, tower, layers, heads, modulate, attention, start, stop, la
     return x
 
 
-def _embed_tokens(tokens, store, tcfg):
+def _embed_tokens(tokens, store, config):
     """Checked token ids (Q, W) or (W,) -> embedded (Q, W+1, D) rows, EOS last."""
     tokens = np.asarray(tokens, dtype=np.intp)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
     if tokens.ndim != 2:
         raise InputError(f"tokens must be 1-D or 2-D, got shape {tokens.shape}")
-    if tokens.shape[1] > tcfg.max_words:
+    if tokens.shape[1] > config.max_words:
         raise InputError(
-            f"caption length {tokens.shape[1]} exceeds max {tcfg.max_words}"
+            f"caption length {tokens.shape[1]} exceeds max {config.max_words}"
         )
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= tcfg.vocab):
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab):
         raise InputError("token id outside vocabulary")
 
     q = tokens.shape[0]
-    seq = np.concatenate([tokens, np.full((q, 1), tcfg.eos_id, dtype=np.intp)], axis=1)
+    seq = np.concatenate([tokens, np.full((q, 1), config.vocab - 1, dtype=np.intp)], axis=1)
     x = store["backbone/text/embed"][seq]
     return x + store["backbone/text/pos"][: seq.shape[1], :]

@@ -6,7 +6,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .attention import SelectionMode, WarpAxes
-from .backbone import TextConfig, VisualConfig
 from .counting import backbone_elements, backbone_tensors, closed_forms
 from .exceptions import ConfigError
 from .modulation import DecomposeMode
@@ -22,6 +21,12 @@ _MAX_ELEMENTS = 2**30
 # layers would hold 582, the ViT-B/32 shape holds 390, and the adapters add a
 # few per layer.
 _MAX_TENSORS = 2**16
+
+# The sizes of each tower that must be at least 1; ``vocab`` must be at least 2.
+_TOWER_SIZES = {
+    "visual": ("layers", "dim_v", "heads_v", "patch", "frame_h", "frame_w", "frames", "channels"),
+    "text": ("text_layers", "dim_t", "heads_t", "max_words"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,20 +69,12 @@ class ExperimentConfig:
     def __post_init__(self):
         self.validate()
 
-    # -- derived views -----------------------------------------------------
+    # -- derived values ----------------------------------------------------
 
-    def visual(self):
-        return VisualConfig(
-            layers=self.layers, dim=self.dim_v, heads=self.heads_v, patch=self.patch,
-            frame_h=self.frame_h, frame_w=self.frame_w, frames=self.frames,
-            channels=self.channels,
-        )
-
-    def text(self):
-        return TextConfig(
-            layers=self.text_layers, dim=self.dim_t, vocab=self.vocab,
-            max_words=self.max_words, heads=self.heads_t,
-        )
+    @property
+    def patches(self):
+        """Patches per frame: N = H * W / P**2."""
+        return (self.frame_h // self.patch) * (self.frame_w // self.patch)
 
     def visual_adapter_layers(self):
         return _layer_set(self.adapter_layers, self.layers)
@@ -92,8 +89,21 @@ class ExperimentConfig:
         return self.seed if self.data_seed < 0 else self.data_seed
 
     def validate(self):
-        vcfg = self.visual()
-        self.text()
+        # every size before any divisibility, so that no check divides by zero
+        for tower, sizes in _TOWER_SIZES.items():
+            for field in sizes:
+                if getattr(self, field) < 1:
+                    raise ConfigError(f"{tower} config field {field} must be positive")
+        if self.vocab < 2:
+            raise ConfigError(f"vocab {self.vocab} must be at least 2: a word and the EOS id")
+        if self.frame_h % self.patch or self.frame_w % self.patch:
+            raise ConfigError(
+                f"frame {self.frame_h}x{self.frame_w} not divisible by patch {self.patch}"
+            )
+        if self.dim_v % self.heads_v:
+            raise ConfigError(f"dim {self.dim_v} not divisible by heads {self.heads_v}")
+        if self.dim_t % self.heads_t:
+            raise ConfigError(f"text dim {self.dim_t} not divisible by heads {self.heads_t}")
         try:
             SelectionMode(self.selection)
             WarpAxes(self.warp_axes)
@@ -104,8 +114,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"rank {self.rank} outside [1, min(T={self.frames}, D_v={self.dim_v})]"
             )
-        if not 0 <= self.top_k <= vcfg.patches:
-            raise ConfigError(f"top_k {self.top_k} outside [0, N={vcfg.patches}]")
+        if not 0 <= self.top_k <= self.patches:
+            raise ConfigError(f"top_k {self.top_k} outside [0, N={self.patches}]")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.warmup <= 1.0:
@@ -118,9 +128,9 @@ class ExperimentConfig:
             raise ConfigError("text_lowrank requires text_modulation")
         if self.text_lowrank and not 1 <= self.rank <= min(self.max_words + 1, self.dim_t):
             raise ConfigError(f"rank {self.rank} outside [1, min(words+1, D_t)] for text_lowrank")
-        self._check_size(vcfg)
+        self._check_size()
 
-    def _check_size(self, vcfg):
+    def _check_size(self):
         """Reject a model too large to build, from element counts alone.
 
         The parameters are the frozen towers plus the adapters. The widest
@@ -130,7 +140,7 @@ class ExperimentConfig:
         the adapter count enumerates. A thin tower can pass the element caps
         with millions of layers, so the towers' named tensors are capped too.
         """
-        rows = self.pairs * (self.frames * (vcfg.patches + 1) + self.max_words + 1)
+        rows = self.pairs * (self.frames * (self.patches + 1) + self.max_words + 1)
         _cap("frozen tower", backbone_elements(self))
         tensors = backbone_tensors(self)
         if tensors > _MAX_TENSORS:

@@ -27,18 +27,18 @@ def _block_elements(dim):
 
 def backbone_elements(config):
     """Closed-form frozen parameter count for both towers."""
-    vcfg, tcfg = config.visual(), config.text()
-    pdim = vcfg.patch * vcfg.patch * vcfg.channels
+    d_v, d_t = config.dim_v, config.dim_t
+    pdim = config.patch * config.patch * config.channels
     visual = (
-        pdim * vcfg.dim + vcfg.dim  # patch projection
-        + vcfg.dim  # CLS
-        + (vcfg.patches + 1) * vcfg.dim  # positions
-        + vcfg.layers * _block_elements(vcfg.dim)
+        pdim * d_v + d_v  # patch projection
+        + d_v  # CLS
+        + (config.patches + 1) * d_v  # positions
+        + config.layers * _block_elements(d_v)
     )
     text = (
-        tcfg.vocab * tcfg.dim
-        + (tcfg.max_words + 1) * tcfg.dim
-        + tcfg.layers * _block_elements(tcfg.dim)
+        config.vocab * d_t
+        + (config.max_words + 1) * d_t
+        + config.text_layers * _block_elements(d_t)
     )
     return visual + text
 
@@ -51,8 +51,7 @@ def backbone_tensors(config):
 
 def closed_forms(config):
     """Per-group trainable counts implied by the adapter factor shapes."""
-    vcfg, tcfg = config.visual(), config.text()
-    t, s, d, r = vcfg.frames, vcfg.patches + 1, vcfg.dim, config.rank
+    t, s, d, r = config.frames, config.patches + 1, config.dim_v, config.rank
     n_layers = len(config.visual_adapter_layers())
     mode = DecomposeMode(config.decompose)
     if mode is DecomposeMode.TEMPORAL:
@@ -67,25 +66,25 @@ def closed_forms(config):
     lorm_text = 0
     if config.text_modulation:
         text_layers = len(config.text_adapter_layers())
-        lorm_text = text_layers * 2 * tcfg.dim
+        lorm_text = text_layers * 2 * config.dim_t
         if config.text_lowrank:
             lorm_text += text_layers * 2 * (
-                (tcfg.max_words + 1) * config.rank + config.rank * tcfg.dim
+                (config.max_words + 1) * config.rank + config.rank * config.dim_t
             )
 
     offsets = 0
     if config.asa:
         axes = WarpAxes(config.warp_axes)
         if axes is not WarpAxes.TEMPORAL_ONLY:
-            offsets += vcfg.patches
+            offsets += config.patches
         if axes is not WarpAxes.SPATIAL_ONLY:
-            offsets += vcfg.frames
+            offsets += config.frames
 
     return {
         "lorm_visual": lorm_visual,
         "lorm_text": lorm_text,
         "asa_offsets": offsets,
-        "proj": vcfg.dim * tcfg.dim + tcfg.dim,
+        "proj": d * config.dim_t + config.dim_t,
         "temperature": 1,
     }
 

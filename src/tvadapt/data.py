@@ -51,17 +51,17 @@ def _tokens_from_latent(z, vocab):
     return np.floor(_gauss_cdf(z[:_WORDS]) * usable).astype(np.intp).clip(0, usable - 1)
 
 
-def _render_video(z, tokens, patterns, vcfg, rng):
+def _render_video(z, tokens, patterns, config, rng):
     """Patch patterns with frame-varying salience, plus faint noise."""
-    t_n, n_n, p = vcfg.frames, vcfg.patches, vcfg.patch
-    gw = vcfg.frame_w // p
-    video = rng.normal(size=(t_n, vcfg.frame_h, vcfg.frame_w, vcfg.channels)) * 0.05
+    t_n, n_n, p = config.frames, config.patches, config.patch
+    gw = config.frame_w // p
+    video = rng.normal(size=(t_n, config.frame_h, config.frame_w, config.channels)) * 0.05
     slots = rng_for(int(tokens[0]) * 977 + int(tokens[1]), "slots").permutation(n_n)[:_WORDS]
     peaks = np.floor(_gauss_cdf(z[_WORDS : _WORDS + _WORDS]) * t_n).clip(0, t_n - 1)
     frames = np.arange(t_n, dtype=np.float64)
     for j, (tok, slot) in enumerate(zip(tokens, slots)):
         salience = np.exp(-0.5 * ((frames - peaks[j]) / 1.2) ** 2)
-        block = patterns[tok].reshape(p, p, vcfg.channels)
+        block = patterns[tok].reshape(p, p, config.channels)
         row, col = divmod(int(slot), gw)
         video[:, row * p : (row + 1) * p, col * p : (col + 1) * p, :] += (
             salience[:, None, None, None] * block
@@ -94,10 +94,9 @@ def generate_dataset(seed, pairs, config):
     if captions < 2 * pairs:
         raise InputError(f"{pairs} pairs need {2 * pairs} distinct {_WORDS}-word captions, "
                          f"but vocab {config.vocab} gives only {captions}")
-    vcfg = config.visual()
     rng = rng_for(seed, "dataset")
     patterns = rng_for(seed, "dataset", "patterns").normal(
-        size=(config.vocab, vcfg.patch * vcfg.patch * vcfg.channels)
+        size=(config.vocab, config.patch * config.patch * config.channels)
     )
 
     n_cand = 2 * pairs
@@ -117,7 +116,7 @@ def generate_dataset(seed, pairs, config):
         filled += 1
 
     videos = np.stack([
-        _render_video(latents[i], tokens[i], patterns, vcfg, rng_for(seed, "dataset", "video", i))
+        _render_video(latents[i], tokens[i], patterns, config, rng_for(seed, "dataset", "video", i))
         for i in range(n_cand)
     ])
 

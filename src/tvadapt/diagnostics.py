@@ -38,9 +38,8 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
     vanilla patch-attention row of that frame.
     """
     cfg = model.config
-    vcfg = model.vcfg
     layer = layer if layer is not None else cfg.visual_adapter_layers()[-1]
-    if not 0 <= frame < vcfg.frames or not 0 <= patch < vcfg.patches:
+    if not 0 <= frame < cfg.frames or not 0 <= patch < cfg.patches:
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
@@ -66,7 +65,7 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
             return out
 
         model.video_tower(video[None], lambda rows: {**attention, layer: probe})
-    return T.softmax(seen["scores"] / np.sqrt(vcfg.dim), axis=1).data
+    return T.softmax(seen["scores"] / np.sqrt(cfg.dim_v), axis=1).data
 
 
 def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
@@ -95,8 +94,8 @@ def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
     for layer in model.video_mod.layers:
         with no_grad():
             scale, shift = model.video_mod.compose(layer)
-        scale = scale.data.reshape(model.vcfg.frames, -1)
-        shift = shift.data.reshape(model.vcfg.frames, -1)
+        scale = scale.data.reshape(model.config.frames, -1)
+        shift = shift.data.reshape(model.config.frames, -1)
         save(f"modulation_scale_layer{layer}.csv", scale)
         save(f"modulation_shift_layer{layer}.csv", shift)
         save(

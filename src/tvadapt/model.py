@@ -77,22 +77,22 @@ def build_adapters(config, store):
     Kept separate from backbone construction so parameter counting can
     instantiate adapters at full scale without allocating tower weights.
     """
-    vcfg, tcfg = config.visual(), config.text()
     video_mod = VideoModulation(
         store, config.decompose, config.visual_adapter_layers(), config.rank,
-        vcfg.frames, vcfg.patches + 1, vcfg.dim, config.seed,
+        config.frames, config.patches + 1, config.dim_v, config.seed,
     )
     text_layers = config.text_adapter_layers() if config.text_modulation else []
     text_mod = TextModulation(
-        store, text_layers, tcfg.dim, config.seed,
-        lowrank=config.text_lowrank, rank=config.rank, positions=tcfg.max_words + 1,
+        store, text_layers, config.dim_t, config.seed,
+        lowrank=config.text_lowrank, rank=config.rank, positions=config.max_words + 1,
     )
     offsets = None
     if config.asa:
-        offsets = OffsetParams(store, vcfg.patches, vcfg.frames, config.warp_axes)
+        offsets = OffsetParams(store, config.patches, config.frames, config.warp_axes)
     rng = rng_for(config.seed, "adapter/proj")
-    proj_w = store.add("adapter/proj/w", Tensor(rng.normal(size=(vcfg.dim, tcfg.dim)) / np.sqrt(vcfg.dim)))
-    proj_b = store.add("adapter/proj/b", Tensor(np.zeros(tcfg.dim)))
+    proj_w = store.add("adapter/proj/w",
+                       Tensor(rng.normal(size=(config.dim_v, config.dim_t)) / np.sqrt(config.dim_v)))
+    proj_b = store.add("adapter/proj/b", Tensor(np.zeros(config.dim_t)))
     log_tau = store.add("adapter/temperature/log_tau", Tensor(np.array([2.0])))
     return video_mod, text_mod, offsets, proj_w, proj_b, log_tau
 
@@ -100,10 +100,8 @@ def build_adapters(config, store):
 class AdapterModel:
     def __init__(self, config):
         self.config = config
-        self.vcfg = config.visual()
-        self.tcfg = config.text()
         self.store = ParamStore()
-        init_backbone(self.store, self.vcfg, self.tcfg, config.seed)
+        init_backbone(self.store, config)
         (self.video_mod, self.text_mod, self.offsets,
          self.proj_w, self.proj_b, self.log_tau) = build_adapters(config, self.store)
 
@@ -111,8 +109,8 @@ class AdapterModel:
 
     def prefix_layers(self):
         """Layer f of the (video, text) tower: the first its modulation hook acts on, else its last."""
-        return (min(self.video_mod.layers, default=self.vcfg.layers),
-                min(self.text_mod.layers, default=self.tcfg.layers))
+        return (min(self.video_mod.layers, default=self.config.layers),
+                min(self.text_mod.layers, default=self.config.text_layers))
 
     def frozen_prefix(self, videos, tokens):
         """(video states, text states): each tower's frozen prefix over a set of pairs.
@@ -127,7 +125,7 @@ class AdapterModel:
         video_layer, text_layer = self.prefix_layers()
         with no_grad():
             video = self.video_tower(videos, stop=video_layer)
-            text = encode_text(tokens, self.store, self.tcfg, stop=text_layer)
+            text = encode_text(tokens, self.store, self.config, stop=text_layer)
         return video.data, text.data
 
     def encode_texts(self, tokens, states=None):
@@ -137,7 +135,7 @@ class AdapterModel:
         tower starts after block f from them.
         """
         source, start = (tokens, 0) if states is None else (states, self.prefix_layers()[1])
-        return text_embedding(encode_text(source, self.store, self.tcfg,
+        return text_embedding(encode_text(source, self.store, self.config,
                                           modulate=self.text_mod.apply, start=start))
 
     def video_tower(self, videos, attention=lambda rows: {}, states=None, stop=None):
@@ -161,13 +159,13 @@ class AdapterModel:
         source, start = (videos, 0) if states is None else (states, self.prefix_layers()[0])
 
         def tower(rows):
-            return encode_video(source[rows], self.store, self.vcfg, modulate=self.video_mod.apply,
+            return encode_video(source[rows], self.store, self.config, modulate=self.video_mod.apply,
                                 attention=attention(rows), start=start, stop=stop)
 
         lead = np.shape(videos)[:-4]
         if not lead or not lead[0] or T.recording():
             return tower(slice(None))
-        rows = int(np.prod(lead[1:])) * self.vcfg.frames * (self.vcfg.patches + 1)
+        rows = int(np.prod(lead[1:])) * self.config.frames * (self.config.patches + 1)
         step = max(1, _BLOCK_ROWS // rows)
 
         def share(part):
@@ -186,10 +184,10 @@ class AdapterModel:
         videos' rows of ``frozen_prefix``.
         """
         candidates = np.asarray(candidates)
-        shape_ok = candidates.ndim == 2 and candidates.shape[1] == self.tcfg.dim
+        shape_ok = candidates.ndim == 2 and candidates.shape[1] == self.config.dim_t
         if not shape_ok or candidates.shape[0] == 0:
             raise InputError(
-                f"candidate sentences must be a non-empty (Q, {self.tcfg.dim}) array, "
+                f"candidate sentences must be a non-empty (Q, {self.config.dim_t}) array, "
                 f"got shape {candidates.shape}"
             )
         with no_grad():
@@ -215,7 +213,7 @@ class AdapterModel:
         mode = SelectionMode(cfg.selection)
         if mode is SelectionMode.RANDOM:  # a draw reads only the mask's shape
             rng = rng_for(cfg.seed, "randsel", *sel_key)
-            shape = (*np.shape(videos)[:-4], self.vcfg.frames, self.vcfg.patches, 0)
+            shape = (*np.shape(videos)[:-4], cfg.frames, cfg.patches, 0)
             masks = {layer: selection_masks(mode, cfg.top_k, np.empty(shape), rng=rng)
                      for layer in cfg.visual_adapter_layers()}
             return lambda rows: lambda layer, x: masks[layer][rows]
@@ -273,7 +271,7 @@ class AdapterModel:
         else:
             f_last = self.video_tower(videos, states=states)
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
-        return T.reshape(emb, (-1, self.tcfg.dim))
+        return T.reshape(emb, (-1, self.config.dim_t))
 
     # -- objective -------------------------------------------------------------
 

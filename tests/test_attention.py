@@ -55,7 +55,7 @@ def pick_model():
 def loop_probes(model, videos):
     """Proj(mean over frames of the last-layer frame features), by explicit loops."""
     with no_grad():
-        f_last = encode_video(videos, model.store, model.vcfg, modulate=model.video_mod.apply)
+        f_last = encode_video(videos, model.store, model.config, modulate=model.video_mod.apply)
     probes = []
     for feats in f_last.data:
         pooled = sum(feats[t] for t in range(feats.shape[0])) / feats.shape[0]

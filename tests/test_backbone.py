@@ -1,13 +1,13 @@
 """Backbone tests against dense loop-based reference implementations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from tvadapt import tensor as T
 from tvadapt.backbone import (
-    TextConfig,
-    VisualConfig,
     attention_core,
     encode_text,
     encode_video,
@@ -22,13 +22,13 @@ from tvadapt.exceptions import ConfigError, InputError
 from tvadapt.model import AdapterModel
 from tvadapt.tensor import ParamStore, Tensor, no_grad, rng_for
 
-VCFG = VisualConfig(layers=2, dim=8, heads=2, patch=2, frame_h=4, frame_w=4, frames=3, channels=1)
-TCFG = TextConfig(layers=2, dim=8, vocab=16, max_words=5, heads=2)
+CFG = toy_config(layers=2, dim_v=8, heads_v=2, patch=2, frame_h=4, frame_w=4, frames=3, channels=1,
+                 text_layers=2, dim_t=8, vocab=16, max_words=5, heads_t=2)
 
 
-def make_store(seed=0):
+def make_store():
     store = ParamStore()
-    init_backbone(store, VCFG, TCFG, seed)
+    init_backbone(store, CFG)
     return store
 
 
@@ -90,16 +90,16 @@ def test_patchify_zero_video_zero_weights():
     store = make_store()
     for name in ("patch_w", "patch_b", "pos"):
         store[f"backbone/visual/{name}"].data[:] = 0.0
-    out = patchify(np.zeros((3, 4, 4, 1)), store, VCFG)
+    out = patchify(np.zeros((3, 4, 4, 1)), store, CFG)
     cls = store["backbone/visual/cls"].data[0]
     np.testing.assert_array_equal(out.data[:, 0, :], np.tile(cls, (3, 1)))
     np.testing.assert_array_equal(out.data[:, 1:, :], 0.0)
 
 
 def test_patchify_single_patch_shape():
-    cfg = VisualConfig(layers=1, dim=8, heads=2, patch=4, frame_h=4, frame_w=4, frames=1, channels=1)
+    cfg = replace(CFG, layers=1, patch=4, frames=1, rank=1, top_k=1)
     store = ParamStore()
-    init_backbone(store, cfg, TCFG, 0)
+    init_backbone(store, cfg)
     out = patchify(np.zeros((1, 4, 4, 1)), store, cfg)
     assert cfg.patches == 1
     assert out.shape == (1, 2, 8)
@@ -107,9 +107,9 @@ def test_patchify_single_patch_shape():
 
 def test_patchify_row_major_patch_order():
     # P=1 on a 2x2 frame: patch n must be the pixel at row-major position n
-    cfg = VisualConfig(layers=1, dim=4, heads=1, patch=1, frame_h=2, frame_w=2, frames=1, channels=1)
+    cfg = replace(CFG, layers=1, dim_v=4, heads_v=1, patch=1, frame_h=2, frame_w=2, frames=1, rank=1)
     store = ParamStore()
-    init_backbone(store, cfg, TCFG, 0)
+    init_backbone(store, cfg)
     store["backbone/visual/patch_w"].data[:] = np.ones((1, 4))
     store["backbone/visual/patch_b"].data[:] = 0.0
     store["backbone/visual/pos"].data[:] = 0.0
@@ -121,7 +121,7 @@ def test_patchify_row_major_patch_order():
 def test_patchify_rejects_bad_dims():
     store = make_store()
     with pytest.raises(ConfigError):
-        patchify(np.zeros((3, 4, 5, 1)), store, VCFG)
+        patchify(np.zeros((3, 4, 5, 1)), store, CFG)
 
 
 # -- blocks ----------------------------------------------------------------
@@ -133,21 +133,21 @@ def test_block_zero_weights_is_identity():
     for name in block_params(store, prefix):
         store[f"{prefix}/{name}"].data[:] = 0.0
     x = rng_for(0, "blk").normal(size=(3, 5, 8))
-    out = vit_block(Tensor(x), store, prefix, VCFG.heads, lambda xi, q, k, v, h: attention_core(q, k, v, h))
+    out = vit_block(Tensor(x), store, prefix, CFG.heads_v, lambda xi, q, k, v, h: attention_core(q, k, v, h))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_encode_with_all_blocks_zeroed_returns_patchify_output():
     store = make_store()
-    for layer in range(1, VCFG.layers + 1):
+    for layer in range(1, CFG.layers + 1):
         prefix = f"backbone/visual/block{layer}"
         for name in block_params(store, prefix):
             store[f"{prefix}/{name}"].data[:] = 0.0
     video = rng_for(21, "zeroall").normal(size=(3, 4, 4, 1))
     record, feats = recording_hook()
-    f = encode_video(video, store, VCFG, modulate=record)
-    x0 = patchify(video, store, VCFG).data
-    assert len(feats) == VCFG.layers
+    f = encode_video(video, store, CFG, modulate=record)
+    x0 = patchify(video, store, CFG).data
+    assert len(feats) == CFG.layers
     for x in feats[:-1]:
         np.testing.assert_array_equal(x.data, x0)
     # the last block computes only the CLS rows
@@ -166,8 +166,8 @@ def test_block_matches_dense_reference():
     store = make_store()
     prefix = "backbone/visual/block1"
     x = rng_for(3, "ref").normal(size=(3, 5, 8))
-    got = vit_block(Tensor(x), store, prefix, VCFG.heads, vanilla_attention)
-    want = ref_block(x, block_params(store, prefix), VCFG.heads)
+    got = vit_block(Tensor(x), store, prefix, CFG.heads_v, vanilla_attention)
+    want = ref_block(x, block_params(store, prefix), CFG.heads_v)
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
@@ -188,7 +188,7 @@ def test_vanilla_block_records_one_node_per_fused_op():
     # adds; split back into their composites they record 54
     store = make_store()
     x = Tensor(rng_for(5, "tape").normal(size=(3, 5, 8)), requires_grad=True)
-    out = vit_block(x, store, "backbone/visual/block1", VCFG.heads, vanilla_attention)
+    out = vit_block(x, store, "backbone/visual/block1", CFG.heads_v, vanilla_attention)
     assert _taped_nodes(out) == 24
 
 
@@ -200,11 +200,11 @@ def test_encode_video_purity_and_shapes():
     video = rng_for(4, "vid").normal(size=(3, 4, 4, 1))
     record1, feats1 = recording_hook()
     record2, feats2 = recording_hook()
-    f1 = encode_video(video, store, VCFG, modulate=record1)
-    f2 = encode_video(video, store, VCFG, modulate=record2)
-    assert len(feats1) == VCFG.layers
+    f1 = encode_video(video, store, CFG, modulate=record1)
+    f2 = encode_video(video, store, CFG, modulate=record2)
+    assert len(feats1) == CFG.layers
     for x in feats1[:-1]:
-        assert x.shape == (3, VCFG.patches + 1, 8)
+        assert x.shape == (3, CFG.patches + 1, 8)
     # the last block computes only the CLS rows
     assert feats1[-1].shape == (3, 1, 8)
     assert f1.shape == (3, 8)
@@ -219,9 +219,9 @@ def test_encode_video_frame_permutation_equivariance():
     perm = np.array([2, 0, 1])
     record, feats = recording_hook()
     record_p, feats_p = recording_hook()
-    encode_video(video, store, VCFG, modulate=record)
-    encode_video(video[perm], store, VCFG, modulate=record_p)
-    assert len(feats) == len(feats_p) == VCFG.layers
+    encode_video(video, store, CFG, modulate=record)
+    encode_video(video[perm], store, CFG, modulate=record_p)
+    assert len(feats) == len(feats_p) == CFG.layers
     for x, x_p in zip(feats, feats_p):
         np.testing.assert_array_equal(x_p.data, x.data[perm])
 
@@ -229,18 +229,18 @@ def test_encode_video_frame_permutation_equivariance():
 def test_encode_video_batched_matches_single():
     store = make_store()
     videos = rng_for(6, "batch").normal(size=(2, 3, 4, 4, 1))
-    f_batch = encode_video(videos, store, VCFG)
+    f_batch = encode_video(videos, store, CFG)
     for i in range(2):
-        f_one = encode_video(videos[i], store, VCFG)
+        f_one = encode_video(videos[i], store, CFG)
         np.testing.assert_allclose(f_batch.data[i], f_one.data, atol=1e-12)
 
 
 def test_encode_video_rejects_bad_hook_layer():
     store = make_store()
     video = np.zeros((3, 4, 4, 1))
-    for layer in (0, VCFG.layers + 1):
+    for layer in (0, CFG.layers + 1):
         with pytest.raises(ConfigError):
-            encode_video(video, store, VCFG, attention={layer: vanilla_attention})
+            encode_video(video, store, CFG, attention={layer: vanilla_attention})
 
 
 # -- encode_text -------------------------------------------------------------
@@ -249,38 +249,38 @@ def test_encode_video_rejects_bad_hook_layer():
 def test_encode_text_empty_caption():
     store = make_store()
     record, feats = recording_hook()
-    z = encode_text(np.array([], dtype=int), store, TCFG, modulate=record)
+    z = encode_text(np.array([], dtype=int), store, CFG, modulate=record)
     assert z.shape == (1, 8)
-    assert [x.shape for x in feats] == [(1, 1, 8)] * TCFG.layers  # the EOS row alone
+    assert [x.shape for x in feats] == [(1, 1, 8)] * CFG.text_layers  # the EOS row alone
 
 
 def test_encode_text_determinism():
     store = make_store()
     tokens = np.array([3, 1, 4])
-    z1 = encode_text(tokens, store, TCFG)
-    z2 = encode_text(tokens, store, TCFG)
+    z1 = encode_text(tokens, store, CFG)
+    z2 = encode_text(tokens, store, CFG)
     np.testing.assert_array_equal(z1.data, z2.data)
 
 
 def test_encode_text_rejects_overlong_and_bad_ids():
     store = make_store()
     with pytest.raises(InputError):
-        encode_text(np.arange(6), store, TCFG)
+        encode_text(np.arange(6), store, CFG)
     with pytest.raises(InputError):
-        encode_text(np.array([99]), store, TCFG)
+        encode_text(np.array([99]), store, CFG)
     with pytest.raises(InputError, match="1-D or 2-D"):
-        encode_text(np.zeros((2, 2, 3), dtype=int), store, TCFG)
+        encode_text(np.zeros((2, 2, 3), dtype=int), store, CFG)
 
 
 def test_encode_text_matches_dense_reference():
     store = make_store()
     tokens = np.array([3, 1, 4])
-    z = encode_text(tokens, store, TCFG)
+    z = encode_text(tokens, store, CFG)
 
-    seq = np.concatenate([tokens, [TCFG.eos_id]])
+    seq = np.concatenate([tokens, [CFG.vocab - 1]])
     x = store["backbone/text/embed"].data[seq] + store["backbone/text/pos"].data[: len(seq)]
     for layer in (1, 2):
-        x = ref_block(x[None], block_params(store, f"backbone/text/block{layer}"), TCFG.heads)[0]
+        x = ref_block(x[None], block_params(store, f"backbone/text/block{layer}"), CFG.heads_t)[0]
     np.testing.assert_allclose(z.data[0], x[-1], atol=1e-12)
 
 
@@ -291,10 +291,10 @@ def test_text_modulate_hook_sees_every_row_of_every_block():
 
     def hook(layer, x):
         seen.append((layer, x.shape))
-        return x * 2.0 if layer == TCFG.layers else x
+        return x * 2.0 if layer == CFG.text_layers else x
 
-    z_plain = encode_text(tokens, store, TCFG)
-    z_hooked = encode_text(tokens, store, TCFG, modulate=hook)
+    z_plain = encode_text(tokens, store, CFG)
+    z_hooked = encode_text(tokens, store, CFG, modulate=hook)
     assert seen == [(1, (2, 4, 8)), (2, (2, 4, 8))]  # three words and the EOS row
     np.testing.assert_allclose(z_hooked.data, 2.0 * z_plain.data, atol=0)
 
@@ -302,9 +302,9 @@ def test_text_modulate_hook_sees_every_row_of_every_block():
 def test_encode_text_batch_matches_single():
     store = make_store()
     tokens = np.array([[3, 1, 4], [0, 7, 2]])
-    z = encode_text(tokens, store, TCFG)
+    z = encode_text(tokens, store, CFG)
     for i in range(2):
-        zi = encode_text(tokens[i], store, TCFG)
+        zi = encode_text(tokens[i], store, CFG)
         np.testing.assert_allclose(z.data[i], zi.data[0], atol=1e-12)
 
 
@@ -332,19 +332,34 @@ def test_each_tower_resumes_bitwise_from_its_own_stop(text_lowrank):
         candidates = model.encode_texts(data.tokens).data
         select = model.selection_plan(data.videos, candidates)(slice(None))
         hooks = model.attention_hooks(select)
-        for f in range(1, model.vcfg.layers + 1):
+        for f in range(1, model.config.layers + 1):
             above = {layer: hook for layer, hook in hooks.items() if layer > f}
             run = dict(modulate=model.video_mod.apply, attention=above)
-            whole = encode_video(data.videos, model.store, model.vcfg, **run)
-            states = encode_video(data.videos, model.store, model.vcfg, stop=f, **run)
-            resumed = encode_video(states.data, model.store, model.vcfg, start=f, **run)
+            whole = encode_video(data.videos, model.store, model.config, **run)
+            states = encode_video(data.videos, model.store, model.config, stop=f, **run)
+            resumed = encode_video(states.data, model.store, model.config, start=f, **run)
             assert (_bits(resumed) == _bits(whole)).all(), f
-        for f in range(1, model.tcfg.layers + 1):
+        for f in range(1, model.config.text_layers + 1):
             run = dict(modulate=model.text_mod.apply)
-            whole = encode_text(data.tokens, model.store, model.tcfg, **run)
-            states = encode_text(data.tokens, model.store, model.tcfg, stop=f, **run)
-            resumed = encode_text(states.data, model.store, model.tcfg, start=f, **run)
+            whole = encode_text(data.tokens, model.store, model.config, **run)
+            states = encode_text(data.tokens, model.store, model.config, stop=f, **run)
+            resumed = encode_text(states.data, model.store, model.config, start=f, **run)
             assert (_bits(resumed) == _bits(whole)).all(), f
+
+
+# -- generated weights ------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg, backbone, adapter", [
+    (toy_config(), "3aaf03ad08135d8c98e7e9ec8ad49aac", "d6cb40f5f4b16ec8f8ccd01d74e54eeb"),
+    (replace(CFG, seed=7), "a942d1146615bd6be385921fcb0bedfa", "d6462ce41584c9087e6abecca3db9d29"),
+], ids=["toy", "small-seed7"])
+def test_generated_weights_match_pinned_digests(cfg, backbone, adapter):
+    # restore_model rejects a backbone whose digest differs from the one a
+    # checkpoint stored, so these pin that checkpoints written before stay loadable
+    store = AdapterModel(cfg).store
+    assert store.hash_bytes("backbone/") == backbone
+    assert store.hash_bytes("adapter/") == adapter
 
 
 # -- freeze ------------------------------------------------------------------
@@ -354,7 +369,7 @@ def test_freeze_blocks_backbone_grads_but_not_adapters():
     store = make_store()  # init_backbone registers every tensor frozen
     adapter = store.add("adapter/scale", Tensor(np.ones((1, 8))))
     video = rng_for(7, "fz").normal(size=(3, 4, 4, 1))
-    f = encode_video(video, store, VCFG,
+    f = encode_video(video, store, CFG,
                      modulate=lambda layer, x: x * adapter if layer == 1 else x)
     T.tsum(f * f).backward()
     assert adapter.grad is not None

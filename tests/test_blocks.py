@@ -35,7 +35,7 @@ from tvadapt.model import AdapterModel
 from tvadapt.tensor import no_grad, rng_for
 
 BASE = toy_config()
-ROWS_PER_VIDEO = BASE.frames * (BASE.visual().patches + 1)  # 6 x 5 on the toy config
+ROWS_PER_VIDEO = BASE.frames * (BASE.patches + 1)  # 6 x 5 on the toy config
 PER_BLOCK = 4
 SIZES = (1, PER_BLOCK - 1, PER_BLOCK + 1, 3 * PER_BLOCK + 1)
 CONFIGS = {mode: replace(BASE, selection=mode) for mode in (
@@ -199,7 +199,7 @@ def test_tape_free_encode_videos_is_bitwise_the_taped_pass(mode, count, small_bl
     assert (_bits(free.data) == _bits(taped.data)).all()
 
 
-@pytest.mark.parametrize("decompose, rows", [("temporal", BASE.visual().patches + 1),
+@pytest.mark.parametrize("decompose, rows", [("temporal", BASE.patches + 1),
                                              ("none", 1)])  # f = 1, or the last block's CLS rows
 def test_forked_frozen_prefix_is_bitwise_the_inline_prefix(decompose, rows, small_blocks,
                                                            three_processes, monkeypatch,

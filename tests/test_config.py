@@ -90,8 +90,7 @@ def test_toy_defaults_match_stated_hyperparameters():
 
 def test_vit_b32_shaped_preset_dimensions():
     cfg = cm.vit_b32_shaped_config()
-    v = cfg.visual()
-    assert (v.layers, v.dim, v.frames, v.patches) == (12, 768, 12, 49)
+    assert (cfg.layers, cfg.dim_v, cfg.frames, cfg.patches) == (12, 768, 12, 49)
 
 
 def test_effective_data_seed():
@@ -107,6 +106,38 @@ def test_zero_divisor_fields_rejected_before_divisibility_checks(field, tmp_path
     path.write_text(f"{field} = 0\n")
     assert main(["count-params", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+TOWER_SIZES = ["layers", "dim_v", "heads_v", "patch", "frame_h", "frame_w", "frames", "channels",
+               "text_layers", "dim_t", "heads_t", "max_words"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("field", TOWER_SIZES)
+def test_every_tower_size_must_be_positive(field, value, tmp_path, capsys):
+    # text_layers <= 0 used to build a text tower without blocks, and
+    # max_words <= -2 reached a negative array size in init_backbone
+    with pytest.raises(ConfigError, match="positive"):
+        cm.loads(f"{field} = {value}\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {value}\n")
+    assert main(["count-params", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_vocab_must_exceed_the_eos_id(value):
+    with pytest.raises(ConfigError, match="EOS"):
+        cm.loads(f"vocab = {value}\n")
+
+
+def test_train_rejects_negative_max_words_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("max_words = -2\nepochs = 1\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

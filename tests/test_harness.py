@@ -319,7 +319,7 @@ def test_export_identity_scale_is_all_ones(tmp_path):
     np.testing.assert_array_equal(shift, 0.0)
     sim = np.loadtxt(os.path.join(tmp_path, "patch_similarity_item0_frame2_patch1.csv"),
                      delimiter=",")
-    assert sim.shape == (cfg.frames, cfg.visual().patches)
+    assert sim.shape == (cfg.frames, cfg.patches)
     np.testing.assert_allclose(sim.sum(axis=1), 1.0, atol=1e-12)
     assert "manifest.json" in written
 
@@ -338,7 +338,7 @@ def _assert_map_row_is_vanilla_attention(asa):
     sim = attention_similarity_map(model, data.videos[0], candidates=cands,
                                    frame=1, patch=2)
     with no_grad():
-        x = patchify(data.videos[0], model.store, model.vcfg)
+        x = patchify(data.videos[0], model.store, model.config)
         p = lambda n: model.store[f"backbone/visual/block1/{n}"]
         h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
         q = (T.linear(h, p("wq"), p("bq"))).data[1, 3, :]  # patch 2 -> token 3

@@ -43,18 +43,18 @@ def full_rows_last_block(x, store, prefix, heads, attention_fn):
     return x + h
 
 
-def encode_video_full_rows(video, store, vcfg, modulate=None, attention=None, start=0, stop=None):
+def encode_video_full_rows(video, store, config, modulate=None, attention=None, start=0, stop=None):
     """``encode_video`` with the full-rows last block and its hook on every row."""
     assert (start, stop) == (0, None)  # the passes below run whole towers from raw videos
     attention = attention or {}
-    x = patchify(video, store, vcfg)
-    for layer in range(1, vcfg.layers + 1):
+    x = patchify(video, store, config)
+    for layer in range(1, config.layers + 1):
         fn = attention.get(layer, vanilla_attention)
         prefix = f"backbone/visual/block{layer}"
-        if layer < vcfg.layers:
-            x = vit_block(x, store, prefix, vcfg.heads, fn)
+        if layer < config.layers:
+            x = vit_block(x, store, prefix, config.heads_v, fn)
         else:
-            x = full_rows_last_block(x, store, prefix, vcfg.heads, fn)
+            x = full_rows_last_block(x, store, prefix, config.heads_v, fn)
         if modulate is not None:
             x = modulate(layer, x)
     return x[..., 0, :]
@@ -111,7 +111,7 @@ def _assert_bitwise_as_full_rows(cfg, videos, monkeypatch, call_log):
     # with ASA the sentence-pick prepass, one call per block of videos (an
     # equal share of the videos per process, each share in blocks), then the
     # taped forward in one call
-    per_block = model_mod._BLOCK_ROWS // (cfg.frames * (cfg.visual().patches + 1))
+    per_block = model_mod._BLOCK_ROWS // (cfg.frames * (cfg.patches + 1))
     blocks = -(-len(videos) // per_block)
     parts = min(workers.processes(), len(videos), blocks)
     shares = [(i + 1) * len(videos) // parts - i * len(videos) // parts for i in range(parts)]

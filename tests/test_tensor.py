@@ -11,7 +11,8 @@ import pytest
 from scipy import special
 
 from tvadapt import tensor as T
-from tvadapt.backbone import TextConfig, VisualConfig, init_backbone, vanilla_attention, vit_block
+from tvadapt.backbone import init_backbone, vanilla_attention, vit_block
+from tvadapt.config import toy_config
 from tvadapt.exceptions import ContractError, DimensionError, NumericError
 from tvadapt.tensor import ParamStore, Tensor, fd_check, no_grad, rng_for
 
@@ -552,8 +553,8 @@ def test_fused_ops_bitwise_in_a_residual_topology():
 def test_fused_ops_bitwise_in_a_vit_block(monkeypatch):
     # h feeds three linears and x two residual adds: the fused nodes must
     # hand shared inputs their contributions in the composites' order
-    vcfg = VisualConfig(layers=1, dim=8, heads=2, patch=2, frame_h=4, frame_w=4, frames=3)
-    tcfg = TextConfig(layers=1, dim=8, vocab=16, max_words=4, heads=2)
+    cfg = toy_config(layers=1, dim_v=8, heads_v=2, patch=2, frame_h=4, frame_w=4, frames=3,
+                     text_layers=1, dim_t=8, vocab=16, max_words=4, heads_t=2)
     prefix = "backbone/visual/block1"
     rng = rng_for(8, "fused-block")
     x0 = _with_signed_zeros(rng.normal(size=(2, 3, 5, 8)), 8)
@@ -561,14 +562,14 @@ def test_fused_ops_bitwise_in_a_vit_block(monkeypatch):
 
     def run():
         store = ParamStore()
-        init_backbone(store, vcfg, tcfg, 0)
+        init_backbone(store, cfg)
         params = [t for name, t in store.items() if name.startswith(prefix)]
         noise = rng_for(9, "fused-block-params")
         for t in params:
             t.data = t.data + 0.3 * noise.normal(size=t.shape)
             t.requires_grad = True
         x = Tensor(x0, requires_grad=True)
-        out = vit_block(x, store, prefix, vcfg.heads, vanilla_attention)
+        out = vit_block(x, store, prefix, cfg.heads_v, vanilla_attention)
         T.tsum(out * Tensor(adjoint)).backward()
         return [out.data, x.grad] + [t.grad for t in params]
 
