@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import config as config_mod
-from .ablation import format_table, rows_to_json, run_suite
+from .ablation import SUITES, format_table, rows_to_json, run_suite
 from .checkpoint import load_model, save_checkpoint
 from .counting import count_params
 from .data import generate_dataset
@@ -43,6 +44,13 @@ def _load_config(path):
     return config_mod.load(path) if path else config_mod.toy_config()
 
 
+def _check_out_dir(path):
+    """Fail before any work if the directory that would receive ``path`` is missing."""
+    folder = os.path.dirname(path or "")
+    if folder and not os.path.isdir(folder):
+        raise InputError(f"cannot write {path}: directory {folder} does not exist")
+
+
 def _print_reports(reports):
     for name, rep in reports.items():
         suffix = "  [dsl]" if "dsl" in name else ""
@@ -50,6 +58,7 @@ def _print_reports(reports):
 
 
 def _cmd_train(args):
+    _check_out_dir(args.out)
     cfg = _load_config(args.config)
     dataset = generate_dataset(cfg.effective_data_seed, cfg.pairs, cfg)
     model, history, steps = train(
@@ -66,6 +75,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    _check_out_dir(args.json)
     model, ckpt = load_model(args.ckpt)
     # replace validates, so --pairs meets the config's size cap before any video exists
     cfg = ckpt.config if args.pairs is None else replace(ckpt.config, pairs=args.pairs)
@@ -82,6 +92,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ablate(args):
+    _check_out_dir(args.out)
     cfg = _load_config(args.config)
     rows = run_suite(
         args.suite, cfg,
@@ -113,6 +124,7 @@ def _cmd_export_diag(args):
 
 
 def _cmd_gen_data(args):
+    _check_out_dir(args.out)
     cfg = replace(_load_config(args.config), pairs=args.pairs)  # validates, as in eval
     dataset = generate_dataset(args.seed, cfg.pairs, cfg)
     if not np.isfinite(dataset.videos).all():
@@ -152,8 +164,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run one ablation suite")
-    p.add_argument("--suite", required=True,
-                   choices=("decompose", "selection", "warp", "layers"))
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--config")
     p.add_argument("--out", help="also write rows to this JSON file")
     p.add_argument("--verbose", action="store_true")

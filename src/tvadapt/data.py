@@ -90,6 +90,8 @@ def generate_dataset(seed, pairs, config):
     """Deterministic paired dataset of ``pairs`` videos and captions."""
     if pairs < 2:
         raise InputError(f"need at least 2 pairs, got {pairs}")
+    if config.max_words < _WORDS:
+        raise InputError(f"max_words {config.max_words} is below the caption length {_WORDS}")
     captions = (config.vocab - 1) ** _WORDS  # the last id is EOS
     if captions < 2 * pairs:
         raise InputError(f"{pairs} pairs need {2 * pairs} distinct {_WORDS}-word captions, "

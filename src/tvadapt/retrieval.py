@@ -150,9 +150,6 @@ def dsl(sim):
     Scores are scaled by ``DSL_INV_TEMP`` first. Inference-time only;
     returns a new SimilarityMatrix ranked in place of the raw scores.
     """
-    s = sim.scores * DSL_INV_TEMP
-    row = np.exp(s - s.max(axis=1, keepdims=True))
-    row /= row.sum(axis=1, keepdims=True)
-    col = np.exp(s - s.max(axis=0, keepdims=True))
-    col /= col.sum(axis=0, keepdims=True)
-    return SimilarityMatrix(scores=row * col, video_to_text=sim.video_to_text.copy())
+    s = Tensor(sim.scores * DSL_INV_TEMP)
+    scores = T.softmax(s, axis=1).data * T.softmax(s, axis=0).data
+    return SimilarityMatrix(scores=scores, video_to_text=sim.video_to_text.copy())

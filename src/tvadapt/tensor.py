@@ -23,10 +23,11 @@ and standard deviation. Backward recomputes the rest (Chen et al.,
 2016, "Training Deep Nets with Sublinear Memory Cost").
 
 A ``row_blocks`` node runs a row-wise function over contiguous blocks of
-its input's leading rows, one block per thread. It holds one private
-tape per block, rooted at a fresh leaf over the block's rows, which the
-outer sweep does not see: the node's closure sweeps each private tape
-(``_sweep``) on its own thread and hands the input one gradient.
+its input's leading rows, one block per thread (``workers.map_threads``).
+It holds one private tape per block, rooted at a fresh leaf over the
+block's rows, which the outer sweep does not see: the node's closure
+sweeps each private tape (``_sweep``) on its own thread and hands the
+input one gradient.
 
 Also hosts the deterministic counter-based RNG helper, the named
 parameter store, and the central-difference gradient checker used as the
@@ -37,13 +38,12 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
-import threading
 
 import numpy as np
 from scipy.special import erf as _erf
 
 from .exceptions import ContractError, DimensionError, NumericError
-from .workers import map_shares
+from .workers import map_shares, map_threads, shares
 
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
@@ -614,7 +614,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(data, (gain, x, bias), _bw)
 
 
-# -- row blocks on threads -------------------------------------------------
+# -- row blocks ----------------------------------------------------------
 
 
 def row_blocks(fn, x, parts):
@@ -622,7 +622,7 @@ def row_blocks(fn, x, parts):
 
     Each block gets a fresh leaf that shares its rows' data, and ``fn``
     runs on it with a private tape: the caller runs block 0, one helper
-    thread each further block. The outputs are concatenated into one
+    thread each further block (``workers.map_threads``). The outputs are concatenated into one
     node, whose backward sweeps each private tape on its own thread and
     writes the blocks' input gradients into one buffer by slice. ``fn``
     must act on each leading row alone and hold no leaf that requires
@@ -635,14 +635,14 @@ def row_blocks(fn, x, parts):
     rows = len(x.data) if x.ndim else 0
     if not 1 < parts <= rows:
         raise ContractError(f"row_blocks: cannot cut {rows} rows into {parts} blocks")
-    bounds = [slice(i * rows // parts, (i + 1) * rows // parts) for i in range(parts)]
+    bounds = shares(rows, parts)
     leaves = [Tensor(x.data[rs], requires_grad=x.requires_grad) for rs in bounds]
-    outs = _on_threads(fn, leaves)
+    outs = map_threads(fn, leaves)
     data = np.concatenate([out.data for out in outs])
     ends = np.cumsum([len(out.data) for out in outs[:-1]])
 
     def _bw(g):
-        _on_threads(lambda pair: _sweep(*pair), list(zip(outs, np.split(g, ends))))
+        map_threads(lambda pair: _sweep(*pair), list(zip(outs, np.split(g, ends))))
         # slice assignment, not a sum into zeros, which would turn -0.0 into +0.0
         gx = np.empty_like(x.data)
         for rs, leaf in zip(bounds, leaves):
@@ -650,38 +650,6 @@ def row_blocks(fn, x, parts):
         x._accumulate(gx)
 
     return _make(data, (x,), _bw)
-
-
-def _on_threads(fn, args):
-    """``[fn(a) for a in args]``: ``args[0]`` in the caller, each other on a helper thread.
-
-    Each helper runs in a copy of the caller's context, so grad mode
-    holds, and is joined before this returns or raises. If calls fail,
-    the error of the lowest-numbered one is raised with its own type.
-    """
-    results = [None] * len(args)
-    errors = [None] * len(args)
-
-    def run(i):
-        try:
-            results[i] = fn(args[i])
-        except BaseException as exc:  # raised in the caller, in argument order
-            errors[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, len(args)):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 # -- parameter store -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tape-free work split over forked worker processes, one per usable core.
+"""Work on every usable core: forked processes for tape-free shares, threads for taped ones.
 
 ``map_shares(fn, count)`` returns ``[fn(share) for share in shares]`` for
 contiguous, near-equal slices of ``range(count)``. The caller runs the
@@ -16,17 +16,20 @@ grandchildren. A fork and its reaping cost about 6 ms from a 110 MB
 process on a 2-core x86_64 VM, more from a larger one, since the page
 tables are copied.
 
-``processes()`` also sizes the helper threads of a taped block split by
-rows (``tensor.row_blocks``). Those threads are joined inside the op,
-before it returns or raises, so no helper is alive when a map forks.
+``map_threads(fn, args)`` runs taped row blocks (``tensor.row_blocks``),
+whose tapes cannot leave the process, on the standard library's thread
+pool, sized by ``processes()``. Every helper is joined before it returns
+or raises, so no helper is alive when a map forks.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import signal
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from .exceptions import WorkerError
 
@@ -43,6 +46,11 @@ def processes():
     return len(os.sched_getaffinity(0))
 
 
+def shares(count, parts):
+    """``range(count)`` cut into ``parts`` contiguous, near-equal slices, in order."""
+    return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
+
 def map_shares(fn, count, most=None):
     """``[fn(share) for share in shares]``, the shares on every usable core.
 
@@ -54,15 +62,15 @@ def map_shares(fn, count, most=None):
     """
     global _in_share
     parts = max(1, min(processes(), count, most or count))
-    shares = [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+    cuts = shares(count, parts)
     if parts == 1:
-        return [fn(shares[0])]
+        return [fn(cuts[0])]
     children = []
     _in_share = True
     try:
-        for share in shares[1:]:
+        for share in cuts[1:]:
             children.append(_fork(fn, share))
-        results = [fn(shares[0])]
+        results = [fn(cuts[0])]
         while children:
             results.append(_result(*children.pop(0)))
         return results
@@ -72,6 +80,19 @@ def map_shares(fn, count, most=None):
             os.kill(pid, signal.SIGKILL)
             reader.close()
             os.waitpid(pid, 0)
+
+
+def map_threads(fn, args):
+    """``[fn(a) for a in args]``: ``args[0]`` in the caller, each other on a helper thread.
+
+    Each helper runs in a copy of the caller's context, so grad mode
+    holds, and is joined before this returns or raises. If calls fail,
+    the error of the lowest-numbered one is raised with its own type.
+    """
+    with ThreadPoolExecutor(len(args)) as pool:  # leaving the block joins every helper
+        helpers = [pool.submit(contextvars.copy_context().run, fn, a) for a in args[1:]]
+        first = fn(args[0])
+    return [first] + [helper.result() for helper in helpers]
 
 
 def _fork(fn, share):

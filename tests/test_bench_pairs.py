@@ -101,6 +101,22 @@ def test_status_without_reference_checked_stops_the_comparison(bench, tmp_path, 
                                            "record in r.json"}
 
 
+def test_run_past_the_timeout_stops_the_comparison(bench, tmp_path, monkeypatch):
+    timeouts = []
+
+    def stuck(argv, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(
+        run=stuck, TimeoutExpired=subprocess.TimeoutExpired))
+    code, report = drive(bench, tmp_path)
+    assert code == 1 and timeouts == [bench.RUN_TIMEOUT_S] == [600]
+    assert report["incomplete"] is True and report["runs"] == []
+    assert report["refused"] == {"workload": WORKLOAD, "seed": 40, "side": "parent",
+                                 "status": "timed out after 600 s"}
+
+
 def test_fingerprint_unlike_the_first_runs_is_refused(bench, tmp_path, monkeypatch):
     moved = dict(FINGERPRINT, nproc="y")
     run_once, calls = canned(lambda side, seed: 1.0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvadapt import data as data_mod
 from tvadapt.config import toy_config
 from tvadapt.data import _frozen_alignment, generate_dataset
 from tvadapt.exceptions import InputError
@@ -41,6 +42,17 @@ def test_too_small_vocab_raises_instead_of_looping():
         generate_dataset(0, 9, cfg)
     data = generate_dataset(0, 8, cfg)
     assert len({tuple(row) for row in data.tokens}) == 8
+
+
+@pytest.mark.parametrize("max_words", [1, 3])
+def test_max_words_below_caption_length_raises_before_any_video(max_words, monkeypatch):
+    # validate accepts max_words 1-3, but every synthetic caption holds 4 words
+    def render(*args):
+        raise AssertionError("a video was rendered before the check")
+
+    monkeypatch.setattr(data_mod, "_render_video", render)
+    with pytest.raises(InputError, match=f"^max_words {max_words} is below the caption length 4$"):
+        generate_dataset(0, 4, toy_config(max_words=max_words))
 
 
 def test_captions_are_unique_and_in_vocab():

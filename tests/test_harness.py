@@ -91,6 +91,23 @@ def test_cli_directory_for_a_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_missing_output_directory_fails_before_any_work(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, **FAST)
+    ckpt = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(ckpt, AdapterModel(cm.toy_config(**FAST)), steps=0)
+    missing = os.path.join(tmp_path, "missing")
+    path = os.path.join(missing, "x.out")
+    for argv in (["train", "--config", cfg_path, "--verbose", "--out", path],
+                 ["ablate", "--suite", "warp", "--config", cfg_path, "--verbose", "--out", path],
+                 ["eval", "--ckpt", ckpt, "--json", path],
+                 ["gen-data", "--seed", "0", "--pairs", "4", "--out", path]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv  # no epoch, no ablation row, no report
+        assert err == f"error: cannot write {path}: directory {missing} does not exist\n", argv
+    assert not os.path.exists(missing)
+
+
 def test_cli_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     bad = os.path.join(tmp_path, "latin1.cfg")
     with open(bad, "wb") as fh:

@@ -13,11 +13,11 @@ directory under ``--scratch``, so each runs its own unchanged
 to the repository's git metadata. A pair is one seed run on both sides
 with ``--trace 0``; even seeds run the parent first, odd seeds the change
 first, and the workloads take turns within a seed. Every run lasts
-``BENCHMARK.json``'s ``run_seconds``. A run that exits non-zero, whose
-``#`` status line does not say "reference checked", that failed a task,
-or whose machine fingerprint differs from the first run's, stops the
-whole comparison: its timings would describe an output nobody checked,
-or another machine. The output file holds each end-to-end metric's
+``BENCHMARK.json``'s ``run_seconds``. A run that exits non-zero, that
+runs past ``RUN_TIMEOUT_S``, whose ``#`` status line does not say
+"reference checked", that failed a task, or whose machine fingerprint
+differs from the first run's, stops the whole comparison: its timings
+would describe an output nobody checked, or another machine. The output file holds each end-to-end metric's
 medians, interquartile ranges and pair wins, the verdict against the
 bounds in ``BENCHMARK.json``, the seeds, the machine, each side's
 ``src/tvadapt/`` line count, and every run with its status line. A
@@ -43,6 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MACHINE_KEYS = ("python", "numpy", "scipy", "openblas", "openblas_core",
                 "blas_threads", "nproc", "cpu_count", "machine")
+
+
+# seconds one perfbench run may take before it is refused; perfbench is
+# designed to finish within three minutes, so a run past this is stuck
+RUN_TIMEOUT_S = 600
 
 
 class Refused(Exception):
@@ -87,10 +92,13 @@ def src_lines(tree):
 
 def run_once(tree, workload, seed, seconds):
     """One ``perfbench/run.py`` run: (status line, result, machine fingerprint)."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+    try:
+        out = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise Refused(f"timed out after {RUN_TIMEOUT_S} s") from None
     lines = out.stdout.splitlines()
     status = next((l for l in lines if l.startswith(f"# {workload} seed=")), None)
     if out.returncode != 0 or status is None:
