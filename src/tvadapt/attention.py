@@ -4,7 +4,8 @@ Per frame, the K most text-relevant patches are chosen (hard, gradient
 free), and for those patches the key/value fields are resampled at the
 real-valued grid position (t + delta_t, n + gamma_n), where gamma (per
 patch slot) and delta (per frame) are learnable offsets shared by every
-layer. Fractional positions are bilinearly interpolated over the
+layer; a warp restricted to one axis registers only that axis's offset.
+Fractional positions are bilinearly interpolated over the
 (frame, patch-index) grid with coordinates clamped to the valid range,
 which keeps the offsets trainable by gradient descent; exact integer
 positions reduce to direct indexing, so zero offsets reproduce vanilla
@@ -46,22 +47,18 @@ class WarpAxes(str, Enum):
 class OffsetParams:
     """Layer-shared patch offsets gamma (N x 1) and frame offsets delta (T x 1).
 
-    Values are unconstrained reals, zero at init. ``axes`` is the warp's
-    one record of which grid axes move: restricting the warp to one axis
-    freezes the other axis's offsets at zero.
+    Values are unconstrained reals, zero at init. Only the axes the warp
+    moves register an offset; the other attribute is ``None``, and that
+    axis keeps its grid position.
     """
 
     def __init__(self, store, patches, frames, axes=WarpAxes.BOTH):
         axes = WarpAxes(axes)
-        self.axes = axes
-        self.gamma = store.add(
-            "adapter/asa/gamma", Tensor(np.zeros((patches, 1))),
-            frozen=(axes is WarpAxes.TEMPORAL_ONLY),
-        )
-        self.delta = store.add(
-            "adapter/asa/delta", Tensor(np.zeros((frames, 1))),
-            frozen=(axes is WarpAxes.SPATIAL_ONLY),
-        )
+        self.gamma = self.delta = None
+        if axes is not WarpAxes.TEMPORAL_ONLY:
+            self.gamma = store.add("adapter/asa/gamma", Tensor(np.zeros((patches, 1))))
+        if axes is not WarpAxes.SPATIAL_ONLY:
+            self.delta = store.add("adapter/asa/delta", Tensor(np.zeros((frames, 1))))
 
 
 def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=None,
@@ -116,13 +113,15 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
 _AxisPlan = namedtuple("_AxisPlan", "lo hi frac exact inside")
 
 
-def _axis_plan(offset, size, enabled, axis):
-    coords = np.arange(size, dtype=np.float64) + (offset.data.reshape(size) if enabled else 0.0)
+def _axis_plan(offset, size, axis):
+    coords = np.arange(size, dtype=np.float64)
+    if offset is not None:
+        coords = coords + offset.data.reshape(size)
     inside = (coords >= 0.0) & (coords <= size - 1)
     coords = np.clip(coords, 0.0, float(size - 1))
     lo = np.floor(coords).astype(np.intp)
     trailing = (size,) + (1,) * (-1 - axis)
-    inside = inside.reshape(offset.shape) if enabled and offset.requires_grad else None
+    inside = inside.reshape(offset.shape) if offset is not None and offset.requires_grad else None
     return _AxisPlan(lo, np.minimum(lo + 1, size - 1), (coords - lo).reshape(trailing),
                      (coords == lo).reshape(trailing), inside)
 
@@ -159,21 +158,21 @@ def warp_kv(k, v, offsets, selection):
     patches to warp. For n in S_t the output row is the field at
     (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
     clamped to the grid; rows outside the selection pass through
-    bitwise. Only the axes in ``offsets.axes`` move; the other axis
-    keeps its grid position.
+    bitwise. An axis whose offset is ``None`` keeps its grid position.
 
-    One tape node with parents (k, v, gamma, delta) yields K-hat and V-hat
-    stacked. Its backward repeats the arithmetic and summation order of
-    the composite of primitive ops it replaces: K fully, then V; per
-    field the frame stage, then the patch stage; each field sums its
-    unselected rows, then the scatter to its ``lo`` rows, then to its
-    ``hi`` rows; each offset sums its four blend terms (K through
-    1 - frac, K through frac, V likewise), masked by the in-grid mask.
+    One tape node with parents k, v and the offsets that exist yields
+    K-hat and V-hat stacked. Its backward repeats the arithmetic and
+    summation order of the composite of primitive ops it replaces: K
+    fully, then V; per field the frame stage, then the patch stage; each
+    field sums its unselected rows, then the scatter to its ``lo`` rows,
+    then to its ``hi`` rows; each offset sums its four blend terms (K
+    through 1 - frac, K through frac, V likewise), masked by the in-grid
+    mask.
     """
     k, v = T.astensor(k), T.astensor(v)
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_plan = _axis_plan(offsets.gamma, n_n, offsets.axes is not WarpAxes.TEMPORAL_ONLY, -2)
-    t_plan = _axis_plan(offsets.delta, t_n, offsets.axes is not WarpAxes.SPATIAL_ONLY, -3)
+    n_plan = _axis_plan(offsets.gamma, n_n, -2)
+    t_plan = _axis_plan(offsets.delta, t_n, -3)
     mask = np.asarray(selection, dtype=bool)[..., None]
     data = np.stack([np.where(mask, _blend(_blend(f.data, n_plan, -2)[2], t_plan, -3)[2], f.data)
                      for f in (k, v)])
@@ -194,7 +193,8 @@ def warp_kv(k, v, offsets, selection):
             if plan.inside is not None:  # the four terms sum left to right
                 offset._accumulate(sum(terms[1:], terms[0]).reshape(offset.shape) * plan.inside)
 
-    w = T._make(data, (k, v, offsets.gamma, offsets.delta), _bw)
+    moving = tuple(o for o in (offsets.gamma, offsets.delta) if o is not None)
+    w = T._make(data, (k, v, *moving), _bw)
     return w[0], w[1]
 
 

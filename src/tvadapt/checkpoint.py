@@ -4,11 +4,12 @@ Layout (little-endian): magic ``RAPC``, u32 format version, u32 config
 length + flat-text config, u64 completed-step counter (the RNG state:
 every stream is derived from the config seed plus counters), the 16-byte
 digest ``store.hash_bytes("backbone/")``, u32 entry count, then per
-``adapter/`` entry: u16 name length + name, u8 frozen flag, u8 ndim,
-u32 dims, raw float64 payload; last, the 64-byte blake2b digest of every
-preceding byte, so a flipped bit fails to load. The frozen backbone is a
-pure function of the config: ``restore_model`` regenerates it and checks
-its digest. Older versions, which stored the backbone too, are rejected.
+trainable tensor (all under ``adapter/``): u16 name length + name, u8
+ndim, u32 dims, raw float64 payload; last, the 64-byte blake2b digest of
+every preceding byte, so a flipped bit fails to load. The frozen backbone
+is a pure function of the config: ``restore_model`` regenerates it and
+checks its digest. Older versions are rejected: 1 and 2 also stored the
+backbone, 3 a frozen flag per entry.
 """
 
 from __future__ import annotations
@@ -25,22 +26,16 @@ from .exceptions import ConfigError, VersionError
 from .model import AdapterModel
 
 MAGIC = b"RAPC"
-VERSION = 3
+VERSION = 4
 DIGEST_SIZE = 64
 
 
 @dataclass
 class Checkpoint:
     config: object
-    params: dict  # name -> (ndarray, frozen)
+    params: dict  # name -> ndarray
     steps: int
     backbone: str  # hex digest of the frozen towers the adapters belong to
-
-
-def adapter_items(store):
-    """The entries a checkpoint holds: every trainable one, and the offsets
-    an axis-restricted warp freezes, all under ``adapter/``."""
-    return [(name, t) for name, t in store.items() if name.startswith("adapter/")]
 
 
 def save_checkpoint(path, model, steps=0):
@@ -51,15 +46,13 @@ def save_checkpoint(path, model, steps=0):
     cfg_text = config_mod.dumps(model.config).encode("utf-8")
     blob += struct.pack("<I", len(cfg_text))
     blob += cfg_text
-    blob += struct.pack("<Q16s", steps, bytes.fromhex(model.store.hash_bytes("backbone/")))
-    entries = adapter_items(model.store)
-    blob += struct.pack("<I", len(entries))
+    entries = list(model.store.trainable_items())
+    backbone = bytes.fromhex(model.store.hash_bytes("backbone/"))
+    blob += struct.pack("<Q16sI", steps, backbone, len(entries))
     for name, t in entries:
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<BB", 0 if t.requires_grad else 1, t.data.ndim)
-        blob += struct.pack(f"<{t.data.ndim}I", *t.data.shape)
+        blob += struct.pack("<H", len(encoded)) + encoded
+        blob += struct.pack(f"<B{t.data.ndim}I", t.data.ndim, *t.data.shape)
         blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
     blob += hashlib.blake2b(blob, digest_size=DIGEST_SIZE).digest()
     with open(path, "wb") as fh:
@@ -70,9 +63,8 @@ def load_checkpoint(path):
     """Parse a checkpoint file.
 
     A truncated or corrupt file raises ``VersionError``, as does an entry
-    that repeats a name, holds a frozen flag other than 0 or 1, or claims
-    more values than the file holds; an intact one whose stored config
-    fails validation raises ``ConfigError``.
+    that repeats a name or claims more values than the file holds; an
+    intact one whose stored config fails validation raises ``ConfigError``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -89,30 +81,25 @@ def load_checkpoint(path):
         offset = 12
         cfg = config_mod.loads(bytes(view[offset : offset + cfg_len]).decode("utf-8"))
         offset += cfg_len
-        steps, backbone = struct.unpack_from("<Q16s", view, offset)
-        offset += 24
-        (count,) = struct.unpack_from("<I", view, offset)
-        offset += 4
+        steps, backbone, count = struct.unpack_from("<Q16sI", view, offset)
+        offset += 28
         params = {}
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", view, offset)
             offset += 2
             name = bytes(view[offset : offset + name_len]).decode("utf-8")
             offset += name_len
-            frozen, ndim = struct.unpack_from("<BB", view, offset)
-            offset += 2
-            shape = struct.unpack_from(f"<{ndim}I", view, offset)
-            offset += 4 * ndim
+            (ndim,) = struct.unpack_from("<B", view, offset)
+            shape = struct.unpack_from(f"<{ndim}I", view, offset + 1)
+            offset += 1 + 4 * ndim
             size = math.prod(shape)
             if name in params:
                 raise VersionError(f"{path}: entry {name!r} is repeated")
-            if frozen > 1:
-                raise VersionError(f"{path}: entry {name!r} has frozen flag {frozen}, not 0 or 1")
             if 8 * size > len(view) - offset:
                 raise VersionError(f"{path}: entry {name!r} holds {size} values, past the end of the file")
             data = np.frombuffer(view, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
-            params[name] = (data.reshape(shape).astype(np.float64), frozen == 1)
+            params[name] = data.reshape(shape).astype(np.float64)
     except ConfigError as err:
         raise ConfigError(f"{path}: stored config is invalid: {err}") from None
     except (struct.error, ValueError, UnicodeDecodeError) as err:
@@ -127,7 +114,7 @@ def restore_model(checkpoint):
     model = AdapterModel(checkpoint.config)
     if model.store.hash_bytes("backbone/") != checkpoint.backbone:
         raise VersionError("the config builds a backbone whose digest differs from the checkpoint's")
-    expected = {name for name, _ in adapter_items(model.store)}
+    expected = {name for name, _ in model.store.trainable_items()}
     got = set(checkpoint.params)
     if expected != got:
         missing = sorted(expected - got)[:3]
@@ -135,12 +122,10 @@ def restore_model(checkpoint):
         raise VersionError(
             f"checkpoint does not match config-built model (missing {missing}, extra {extra})"
         )
-    for name, (data, frozen) in checkpoint.params.items():
+    for name, data in checkpoint.params.items():
         t = model.store[name]
         if t.data.shape != data.shape:
             raise VersionError(f"shape mismatch for {name}: {t.data.shape} vs {data.shape}")
-        if frozen == t.requires_grad:
-            raise VersionError(f"frozen flag of {name} differs from the config-built model")
         t.data[:] = data
     return model
 

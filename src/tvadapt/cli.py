@@ -44,11 +44,13 @@ def _load_config(path):
     return config_mod.load(path) if path else config_mod.toy_config()
 
 
-def _check_out_dir(path):
-    """Fail before any work if the directory that would receive ``path`` is missing."""
+def _check_out_dir(path, suffix=""):
+    """Fail before any work if ``path``'s folder is missing or ``path + suffix`` is a directory."""
     folder = os.path.dirname(path or "")
     if folder and not os.path.isdir(folder):
         raise InputError(f"cannot write {path}: directory {folder} does not exist")
+    if path and os.path.isdir(path + suffix):
+        raise InputError(f"cannot write {path + suffix}: it is a directory")
 
 
 def _print_reports(reports):
@@ -124,14 +126,15 @@ def _cmd_export_diag(args):
 
 
 def _cmd_gen_data(args):
-    _check_out_dir(args.out)
+    # np.savez appends ".npz" to a path that lacks it
+    suffix = "" if (args.out or "").endswith(".npz") else ".npz"
+    _check_out_dir(args.out, suffix)
     cfg = replace(_load_config(args.config), pairs=args.pairs)  # validates, as in eval
     dataset = generate_dataset(args.seed, cfg.pairs, cfg)
     if not np.isfinite(dataset.videos).all():
         raise NumericError("generated videos contain non-finite values")
     if args.out:
-        # np.savez appends ".npz" to a path that lacks it
-        path = args.out if args.out.endswith(".npz") else args.out + ".npz"
+        path = args.out + suffix
         np.savez(path, videos=dataset.videos, tokens=dataset.tokens,
                  latents=dataset.latents, seed=dataset.seed)
         print(f"dataset written to {path}")

@@ -267,16 +267,22 @@ def test_warp_offset_gradients_pass_fd_at_safe_points():
 
 
 def test_warp_axis_restriction_freezes_other_axis():
-    store, off = make_offsets(axes=WarpAxes.TEMPORAL_ONLY)
-    assert not off.gamma.requires_grad and off.delta.requires_grad
-    store, off = make_offsets(axes=WarpAxes.SPATIAL_ONLY)
-    assert off.gamma.requires_grad and not off.delta.requires_grad
-    # spatial-only leaves the frame axis untouched even with nonzero delta
-    off.delta.data[:] = 2.0
-    off.gamma.data[:] = 0.0
+    """A one-axis warp registers only the offset it moves, trainable; the
+    other axis has no offset and keeps its grid position."""
     k = Tensor(rng_for(14, "ax").normal(size=(FRAMES, PATCHES, DIM)))
-    k_hat, _ = warp_kv(k, k, off, np.ones((FRAMES, PATCHES), bool))
-    assert (k_hat.data == k.data).all()
+    everywhere = np.ones((FRAMES, PATCHES), bool)
+    store, off = make_offsets(axes=WarpAxes.TEMPORAL_ONLY)
+    assert off.gamma is None and store.names() == ["adapter/asa/delta"]
+    assert off.delta.requires_grad
+    off.delta.data[:] = 1.0  # one frame on, clamped at the last
+    frames = np.minimum(np.arange(FRAMES) + 1, FRAMES - 1)
+    assert (warp_kv(k, k, off, everywhere)[0].data == k.data[frames]).all()
+    store, off = make_offsets(axes=WarpAxes.SPATIAL_ONLY)
+    assert off.delta is None and store.names() == ["adapter/asa/gamma"]
+    assert off.gamma.requires_grad
+    off.gamma.data[:] = 1.0  # one patch on, clamped at the last
+    patches = np.minimum(np.arange(PATCHES) + 1, PATCHES - 1)
+    assert (warp_kv(k, k, off, everywhere)[0].data == k.data[:, patches]).all()
 
 
 # -- the warp node against the composite of tape ops it replaces ---------------
@@ -315,9 +321,9 @@ def _clip(a, lo, hi):
     return T._make(np.clip(a.data, lo, hi), (a,), _bw)
 
 
-def _composite_axis(offset, size, enabled):
+def _composite_axis(offset, size):
     coords = Tensor(np.arange(size, dtype=np.float64))
-    if enabled:
+    if offset is not None:  # an axis without an offset keeps its grid position
         coords = _clip(coords + T.reshape(offset, (size,)), 0.0, float(size - 1))
     lo = np.floor(coords.data).astype(np.intp)
     frac = coords - Tensor(lo.astype(np.float64))
@@ -328,10 +334,8 @@ def composite_warp_kv(k, v, offsets, selection):
     """The warp as a chain of primitive tape ops: the reference that the
     one-node ``warp_kv`` must match bit for bit."""
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_on = offsets.axes is not WarpAxes.TEMPORAL_ONLY
-    t_on = offsets.axes is not WarpAxes.SPATIAL_ONLY
-    n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n, n_on)
-    t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n, t_on)
+    n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n)
+    t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n)
     fn = T.reshape(n_frac, (n_n, 1))
     ft = T.reshape(t_frac, (t_n, 1, 1))
 
@@ -358,8 +362,9 @@ def _warp_case(warp, fields, axes, gamma, delta):
     """
     rng = rng_for(22, "oracle")
     store, off = make_offsets(axes)
-    off.gamma.data[:] = gamma
-    off.delta.data[:] = delta
+    for offset, value in ((off.gamma, gamma), (off.delta, delta)):
+        if offset is not None:
+            offset.data[:] = value
     shape = (2, FRAMES, PATCHES, DIM)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     k = Tensor(rng.normal(size=shape), requires_grad=fields == "leaves")
@@ -374,7 +379,8 @@ def _warp_case(warp, fields, axes, gamma, delta):
     q[..., 1::3] *= -0.0
     k_hat, v_hat = warp(k, v, off, mask)
     T.tsum(k_hat * Tensor(p) + v_hat * Tensor(q) + x * x).backward()
-    return [k_hat.data, v_hat.data, x.grad, off.gamma.grad, off.delta.grad, k.grad, v.grad]
+    offset_grads = [None if o is None else o.grad for o in (off.gamma, off.delta)]
+    return [k_hat.data, v_hat.data, x.grad, *offset_grads, k.grad, v.grad]
 
 
 @pytest.mark.parametrize("axes", list(WarpAxes))

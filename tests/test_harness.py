@@ -108,6 +108,25 @@ def test_cli_missing_output_directory_fails_before_any_work(tmp_path, capsys):
     assert not os.path.exists(missing)
 
 
+def test_cli_output_path_that_is_a_directory_fails_before_any_work(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, **FAST)
+    ckpt = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(ckpt, AdapterModel(cm.toy_config(**FAST)), steps=0)
+    folder = os.path.join(tmp_path, "out.npz")
+    os.mkdir(folder)
+    for argv in (["train", "--config", cfg_path, "--verbose", "--out", folder],
+                 ["ablate", "--suite", "warp", "--config", cfg_path, "--verbose", "--out", folder],
+                 ["eval", "--ckpt", ckpt, "--json", folder],
+                 ["gen-data", "--seed", "0", "--pairs", "4", "--out", folder],
+                 # the file gen-data writes is the path plus ".npz"
+                 ["gen-data", "--seed", "0", "--pairs", "4", "--out", folder[:-4]]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv  # no epoch, no ablation row, no report
+        assert err == f"error: cannot write {folder}: it is a directory\n", argv
+    assert os.listdir(folder) == []
+
+
 def test_cli_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     bad = os.path.join(tmp_path, "latin1.cfg")
     with open(bad, "wb") as fh:
