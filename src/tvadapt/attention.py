@@ -126,10 +126,14 @@ def _axis_plan(offset, size, axis):
                      (coords == lo).reshape(trailing), inside)
 
 
-def _blend(field, plan, axis):
-    """The rows at ``lo`` and ``hi`` along ``axis`` and their blend."""
-    a, b = np.take(field, plan.lo, axis=axis), np.take(field, plan.hi, axis=axis)
-    return a, b, np.where(plan.exact, a, (1.0 - plan.frac) * a + plan.frac * b)
+def _gather(field, plan, axis):
+    """The rows of ``field`` at ``lo`` and at ``hi`` along ``axis``."""
+    return np.take(field, plan.lo, axis=axis), np.take(field, plan.hi, axis=axis)
+
+
+def _blend(a, b, plan):
+    """Gathered rows ``a`` and ``b`` blended by ``frac``; ``a`` where the position is exact."""
+    return np.where(plan.exact, a, (1.0 - plan.frac) * a + plan.frac * b)
 
 
 def _blend_grad(g, a, b, plan, terms):
@@ -174,20 +178,26 @@ def warp_kv(k, v, offsets, selection):
     n_plan = _axis_plan(offsets.gamma, n_n, -2)
     t_plan = _axis_plan(offsets.delta, t_n, -3)
     mask = np.asarray(selection, dtype=bool)[..., None]
-    data = np.stack([np.where(mask, _blend(_blend(f.data, n_plan, -2)[2], t_plan, -3)[2], f.data)
-                     for f in (k, v)])
+    fields = [(f.data, T._grad_node(f)) for f in (k, v)]  # backward reads both values
+
+    def warped(f):
+        s = _blend(*_gather(f, n_plan, -2), n_plan)
+        return np.where(mask, _blend(*_gather(s, t_plan, -3), t_plan), f)
+
+    data = np.stack([warped(f) for f, _ in fields])
 
     def _bw(g):
         n_terms, t_terms = [], []
-        for field, g_field in zip((k, v), g):
-            a, b, s = _blend(field.data, n_plan, -2)
-            g_lo, g_hi = _blend_grad(g_field * mask, *_blend(s, t_plan, -3)[:2], t_plan, t_terms)
+        for (field, node), g_field in zip(fields, g):
+            a, b = _gather(field, n_plan, -2)
+            s = _blend(a, b, n_plan)
+            g_lo, g_hi = _blend_grad(g_field * mask, *_gather(s, t_plan, -3), t_plan, t_terms)
             g_s = _scatter(g_lo, t_plan.lo, -3, s.shape) + _scatter(g_hi, t_plan.hi, -3, s.shape)
             g_lo, g_hi = _blend_grad(g_s, a, b, n_plan, n_terms)
-            if field.requires_grad:
-                field._accumulate(g_field * ~mask)
-                field._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
-                field._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
+            if node is not None:
+                node._accumulate(g_field * ~mask)
+                node._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
+                node._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
         for offset, plan, terms in ((offsets.gamma, n_plan, n_terms),
                                     (offsets.delta, t_plan, t_terms)):
             if plan.inside is not None:  # the four terms sum left to right

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from .exceptions import ConfigError, VersionError
+from .exceptions import ConfigError, ContractError, VersionError
 from .model import AdapterModel
 
 MAGIC = b"RAPC"
@@ -39,7 +39,12 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model, steps=0):
-    """Write a checkpoint of ``model``'s adapter set, config and step count."""
+    """Write a checkpoint of ``model``'s adapter set, config and step count.
+
+    A model whose trainable set is not its ``adapter/`` set (a caller froze
+    an adapter tensor, or unfroze a backbone one) raises ``ContractError``
+    and writes nothing: ``restore_model`` could not load it.
+    """
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
@@ -47,6 +52,14 @@ def save_checkpoint(path, model, steps=0):
     blob += struct.pack("<I", len(cfg_text))
     blob += cfg_text
     entries = list(model.store.trainable_items())
+    adapter = [name for name in model.store.names() if name.startswith("adapter/")]
+    if [name for name, _ in entries] != adapter:
+        trainable = {name for name, _ in entries}
+        raise ContractError(
+            f"cannot save a model whose trainable set is not its adapter set "
+            f"(frozen {sorted(set(adapter) - trainable)[:3]}, "
+            f"trainable outside adapter/ {sorted(trainable - set(adapter))[:3]})"
+        )
     backbone = bytes.fromhex(model.store.hash_bytes("backbone/"))
     blob += struct.pack("<Q16sI", steps, backbone, len(entries))
     for name, t in entries:

@@ -5,29 +5,41 @@ executed while gradients are enabled record a closure that scatters the
 output adjoint back into the operands; ``Tensor.backward`` seeds a
 scalar loss and ``_sweep`` replays the tape in reverse topological order
 and consumes it: each interior node drops its gradient, its closure and
-its parent links as soon as its closure has run, so the activations it
-held are freed during the sweep and a graph can be differentiated only
-once. Leaves (tensors created
-with ``requires_grad``, e.g. trainable parameters) keep ``grad`` and
+its parent links as soon as its closure has run, and a graph can be
+differentiated only once. Leaves (tensors created with
+``requires_grad``, e.g. trainable parameters) keep ``grad`` and
 accumulate across graphs. Frozen tensors (``requires_grad`` False) never
 receive a grad array and are skipped by the tape. A node exists only
 when some parent requires grad, so one-input closures accumulate
 unconditionally; multi-input closures check each parent.
 
+A recorded op result is two objects: the value the op returns and the
+tape node it points at (``Tensor.node``). A node keeps its gradient,
+its parents' nodes and the arrays its backward reads, nothing else: not
+its own value, and not the parents' values unless its arithmetic reads
+them (``mul`` keeps a's value only when b takes a gradient). So a value
+that no backward reads is freed as soon as the forward code drops it,
+as PyTorch saves per op only the tensors its derivative formula reads
+(Paszke et al., 2019, "PyTorch: An Imperative Style, High-Performance
+Deep Learning Library"). Leaves and constants are their own nodes,
+since their values persist anyway.
+
 The three elementwise-heavy block ops are one tape node each, bitwise
 equal to the composites of primitive ops they stand for, and keep for
-backward only what cannot be recomputed bit for bit from their inputs:
-``linear`` (``x @ w + b``) keeps nothing beyond its inputs; ``gelu``
-keeps ``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean
-and standard deviation. Backward recomputes the rest (Chen et al.,
-2016, "Training Deep Nets with Sublinear Memory Cost").
+backward, beyond the input values it reads, only what cannot be
+recomputed bit for bit from them: ``linear`` (``x @ w + b``) keeps
+nothing more (and x's value only if w trains); ``gelu`` keeps
+``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean and
+standard deviation. Backward recomputes the rest (Chen et al., 2016,
+"Training Deep Nets with Sublinear Memory Cost").
 
 A ``row_blocks`` node runs a row-wise function over contiguous blocks of
 its input's leading rows, one block per thread (``workers.map_threads``).
 It holds one private tape per block, rooted at a fresh leaf over the
 block's rows, which the outer sweep does not see: the node's closure
-sweeps each private tape (``_sweep``) on its own thread and hands the
-input one gradient.
+keeps each private tape's root node, not the block's output, sweeps
+each private tape (``_sweep``) on its own thread and hands the input
+one gradient.
 
 Also hosts the deterministic counter-based RNG helper, the named
 parameter store, and the central-difference gradient checker used as the
@@ -37,6 +49,7 @@ independent oracle for every differentiable path in the package.
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 
 import numpy as np
@@ -98,6 +111,11 @@ class Tensor:
         self._backward = None
 
     @property
+    def node(self):
+        """The tape node standing for this tensor: itself, for a leaf or a constant."""
+        return self
+
+    @property
     def shape(self):
         return self.data.shape
 
@@ -115,10 +133,13 @@ class Tensor:
     def _accumulate(self, g):
         if self.grad is None:
             # a fresh buffer in this tensor's layout; never alias ``g``
-            self.grad = np.empty_like(self.data)
+            self.grad = self._grad_buffer()
             self.grad[...] = g
         else:
             self.grad += g
+
+    def _grad_buffer(self):
+        return np.empty_like(self.data)
 
     # -- autodiff core --------------------------------------------------
 
@@ -134,7 +155,7 @@ class Tensor:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        _sweep(self, np.ones_like(self.data))
+        _sweep(self.node, np.ones_like(self.data))
 
     # -- operator sugar --------------------------------------------------
 
@@ -173,8 +194,84 @@ class Tensor:
         raise TypeError(f"a Tensor of shape {self.shape} is not iterable; iterate over .data")
 
 
+_NO_VALUE = np.full(1, np.nan)
+_NO_VALUE.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1024)
+def _stand_in(shape):
+    """A read-only, zero-strided array of ``shape`` over one NaN.
+
+    Shared by every node of that shape, since nothing writes it; NaN, so
+    that a closure that reads a value it did not keep shows it.
+    """
+    return np.ndarray(shape, np.float64, _NO_VALUE, 0, (0,) * len(shape))
+
+
+class _Node(Tensor):
+    """The tape node of a recorded op result: grad, parents and closure, no value.
+
+    ``data`` is ``_stand_in(shape)``, so ``shape`` and ``data.nbytes`` read
+    as the value's. ``_layout`` is None for a C-ordered value, else its
+    ``_memory_order``, so that the gradient buffer has the layout
+    ``np.empty_like`` would give the value.
+    """
+
+    __slots__ = ("_layout",)
+
+    def __init__(self, data, parents, backward_fn):
+        self.data = _stand_in(data.shape)
+        self.requires_grad = True
+        self.grad = None
+        self._parents = parents
+        self._backward = backward_fn
+        self._layout = None
+        if not data.flags.c_contiguous:
+            self._layout = _memory_order(data.shape, data.strides, data.flags.f_contiguous)
+
+    def _grad_buffer(self):
+        if self._layout is None:
+            return np.empty(self.data.shape)
+        shape, axes = self._layout
+        return np.empty(shape).transpose(axes)
+
+
+@functools.lru_cache(maxsize=1024)
+def _memory_order(shape, strides, fortran):
+    """How ``np.empty_like`` lays out a non-C-ordered array of this shape and strides.
+
+    Returns the shape with the axes in memory order (F order, else by
+    falling stride, ties in axis order) and the axes that put them back.
+    """
+    n = len(shape)
+    order = range(n - 1, -1, -1) if fortran else sorted(range(n), key=lambda i: -abs(strides[i]))
+    return tuple(shape[i] for i in order), tuple(sorted(range(n), key=order.__getitem__))
+
+
+def _on_node(name):
+    return property(lambda self: getattr(self.node, name),
+                    lambda self, value: setattr(self.node, name, value))
+
+
+class _Result(Tensor):
+    """A recorded op result: its value, and the node that stands for it on the tape.
+
+    ``grad``, ``_parents`` and ``_backward`` are the node's.
+    """
+
+    __slots__ = ("node",)
+    grad = _on_node("grad")
+    _parents = _on_node("_parents")
+    _backward = _on_node("_backward")
+
+    def __init__(self, data, node):
+        self.data = data
+        self.requires_grad = True
+        self.node = node
+
+
 def _sweep(root, g):
-    """Seed ``root`` with the adjoint ``g``, then run its tape in reverse, consuming it."""
+    """Seed node ``root`` with the adjoint ``g``, then run its tape in reverse, consuming it."""
     if not root.requires_grad:
         return
     topo = []
@@ -194,7 +291,7 @@ def _sweep(root, g):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
     root._accumulate(g)
     # pop so that the sweep holds no reference to a node it has passed
@@ -219,13 +316,34 @@ def astensor(x):
 
 
 def _make(data, parents, backward_fn):
-    """Wrap an op result, recording the tape only when it can matter."""
-    out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-    return out
+    """Wrap an op result, recording the tape only when it can matter.
+
+    A recorded result points at a new node whose parents are the nodes
+    of the ``parents`` that take a gradient, in order. ``backward_fn``
+    should hold those nodes (``_grad_node``) and the arrays it reads,
+    not the parents themselves, so that it keeps no value it does not read.
+    """
+    nodes = _grad_enabled.get() and tuple([p.node for p in parents if p.requires_grad])
+    if not nodes:
+        return Tensor(data)
+    data = np.asarray(data, dtype=np.float64)
+    return _Result(data, _Node(data, nodes, backward_fn))
+
+
+def _grad_node(t):
+    """The node ``t``'s gradient goes to, or None if it takes none."""
+    return t.node if t.requires_grad else None
+
+
+def _cross(a, b):
+    """(node of a, node of b, value of a, value of b) for a product's backward.
+
+    A node is None where that factor takes no gradient; each factor's
+    gradient reads the other's value, so a value is None where the other
+    factor takes no gradient.
+    """
+    na, nb = _grad_node(a), _grad_node(b)
+    return na, nb, (None if nb is None else a.data), (None if na is None else b.data)
 
 
 def _unbroadcast(g, shape):
@@ -247,12 +365,13 @@ def add(a, b):
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: cannot broadcast {a.shape} with {b.shape}")
+    na, nb = _grad_node(a), _grad_node(b)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -263,12 +382,13 @@ def sub(a, b):
         data = a.data - b.data
     except ValueError:
         raise DimensionError(f"sub: cannot broadcast {a.shape} with {b.shape}")
+    na, nb = _grad_node(a), _grad_node(b)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(-g, nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -279,12 +399,13 @@ def mul(a, b):
         data = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: cannot broadcast {a.shape} with {b.shape}")
+    na, nb, ad, bd = _cross(a, b)
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g * bd, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * ad, nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -295,12 +416,14 @@ def div(a, b):
         data = a.data / b.data
     except ValueError:
         raise DimensionError(f"div: cannot broadcast {a.shape} with {b.shape}")
+    na, nb, ad, _ = _cross(a, b)
+    bd = b.data  # both gradients read it
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g / bd, na.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(-g * ad / (bd * bd), nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -311,28 +434,31 @@ def div(a, b):
 def exp(a):
     a = astensor(a)
     data = np.exp(a.data)
+    na = a.node
 
     def _bw(g):
-        a._accumulate(g * data)
+        na._accumulate(g * data)
 
     return _make(data, (a,), _bw)
 
 
 def log(a):
     a = astensor(a)
+    na, ad = a.node, a.data
 
     def _bw(g):
-        a._accumulate(g / a.data)
+        na._accumulate(g / ad)
 
-    return _make(np.log(a.data), (a,), _bw)
+    return _make(np.log(ad), (a,), _bw)
 
 
 def sqrt(a):
     a = astensor(a)
     data = np.sqrt(a.data)
+    na = a.node
 
     def _bw(g):
-        a._accumulate(g * 0.5 / data)
+        na._accumulate(g * 0.5 / data)
 
     return _make(data, (a,), _bw)
 
@@ -358,23 +484,24 @@ def _matmul_data(a, b):
         )
 
 
-def _matmul_grads(a, b, g):
-    """Scatter the adjoint ``g`` of ``a @ b`` into ``a``, then ``b``."""
-    if a.requires_grad:
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        a._accumulate(_unbroadcast(ga, a.data.shape))
-    if b.requires_grad:
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+def _matmul_grads(g, na, nb, ad, bd):
+    """Scatter the adjoint ``g`` of ``a @ b`` into ``na``, then ``nb`` (``_cross``)."""
+    if na is not None:
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        na._accumulate(_unbroadcast(ga, na.shape))
+    if nb is not None:
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        nb._accumulate(_unbroadcast(gb, nb.shape))
 
 
 def matmul(a, b):
     """Batched matrix product; leading axes broadcast, last two contract."""
     a, b = astensor(a), astensor(b)
     data = _matmul_data(a, b)
+    na, nb, ad, bd = _cross(a, b)
 
     def _bw(g):
-        _matmul_grads(a, b, g)
+        _matmul_grads(g, na, nb, ad, bd)
 
     return _make(data, (a, b), _bw)
 
@@ -382,11 +509,12 @@ def matmul(a, b):
 def tsum(a, axis=None, keepdims=False):
     a = astensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    na = a.node
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        na._accumulate(np.broadcast_to(g, na.shape).copy())
 
     return _make(data, (a,), _bw)
 
@@ -407,10 +535,11 @@ def softmax(a, axis):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
+    na = a.node
 
     def _bw(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (g - inner))
+        na._accumulate(data * (g - inner))
 
     return _make(data, (a,), _bw)
 
@@ -428,18 +557,20 @@ def logsumexp(a, axis):
 
 def reshape(a, shape):
     a = astensor(a)
+    na = a.node
 
     def _bw(g):
-        a._accumulate(g.reshape(a.data.shape))
+        na._accumulate(g.reshape(na.shape))
 
     return _make(a.data.reshape(shape), (a,), _bw)
 
 
 def swapaxes(a, ax1, ax2):
     a = astensor(a)
+    na = a.node
 
     def _bw(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
+        na._accumulate(np.swapaxes(g, ax1, ax2))
 
     return _make(np.swapaxes(a.data, ax1, ax2), (a,), _bw)
 
@@ -448,11 +579,12 @@ def concat(parts, axis):
     parts = [astensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
+    nodes = [_grad_node(p) for p in parts]
 
     def _bw(g):
-        for p, gp in zip(parts, np.split(g, ends, axis=axis)):
-            if p.requires_grad:
-                p._accumulate(gp)
+        for node, gp in zip(nodes, np.split(g, ends, axis=axis)):
+            if node is not None:
+                node._accumulate(gp)
 
     return _make(data, tuple(parts), _bw)
 
@@ -460,9 +592,10 @@ def concat(parts, axis):
 def broadcast_to(a, shape):
     a = astensor(a)
     data = np.broadcast_to(a.data, shape).copy()
+    na = a.node
 
     def _bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
+        na._accumulate(_unbroadcast(g, na.shape))
 
     return _make(data, (a,), _bw)
 
@@ -482,14 +615,15 @@ def getitem(a, key):
     a = astensor(a)
     data = a.data[key]
     basic = _is_basic_key(key)
+    na = a.node
 
     def _bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(na.shape)
         if basic:
             ga[key] += g  # a basic key hits each element at most once
         else:
             np.add.at(ga, key, g)
-        a._accumulate(ga)
+        na._accumulate(ga)
 
     return _make(data, (a,), _bw)
 
@@ -519,11 +653,13 @@ def linear(x, w, b):
         data += b.data
     except ValueError:
         raise DimensionError(f"linear: bias {b.shape} does not broadcast to {data.shape}")
+    nx, nw, xd, wd = _cross(x, w)
+    nb = _grad_node(b)
 
     def _bw(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-        _matmul_grads(x, w, g)
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, nb.shape))
+        _matmul_grads(g, nx, nw, xd, wd)
 
     return _make(data, (x, w, b), _bw)
 
@@ -540,22 +676,23 @@ def gelu(x):
     s += 1.0
     data = 0.5 * x.data
     data *= s
+    nx, xd = x.node, x.data
 
     def _bw(g):
         # the composite's two paths to x: ga (through 0.5 x) reaches x before
         # gb (through erf)
         ga = g * s
         ga *= 0.5
-        x._accumulate(ga)
-        gb = g * (0.5 * x.data)
+        nx._accumulate(ga)
+        gb = g * (0.5 * xd)
         gb *= 2.0
         gb *= _INV_SQRT_PI
-        e = x.data * _INV_SQRT_2
+        e = xd * _INV_SQRT_2
         e *= -e
         np.exp(e, out=e)
         gb *= e
         gb *= _INV_SQRT_2
-        x._accumulate(gb)
+        nx._accumulate(gb)
 
     return _make(data, (x,), _bw)
 
@@ -582,16 +719,22 @@ def layer_norm(x, gain, bias, eps=1e-5):
     except ValueError:
         raise DimensionError(f"layer_norm: gain {gain.shape} or bias {bias.shape} "
                              f"does not broadcast to {data.shape}")
+    ng, nx, nbias = _grad_node(gain), _grad_node(x), _grad_node(bias)
+    # the centred input serves both the gain's and x's gradient; x's reads the gain
+    xd = None if ng is None and nx is None else x.data
+    gd = None if nx is None else gain.data
 
     def _bw(g):
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        c = x.data - mu
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * (c / sd), gain.data.shape))
-        if not x.requires_grad:
+        if nbias is not None:
+            nbias._accumulate(_unbroadcast(g, nbias.shape))
+        if xd is None:
             return
-        gn = g * gain.data
+        c = xd - mu
+        if ng is not None:
+            ng._accumulate(_unbroadcast(g * (c / sd), ng.shape))
+        if nx is None:
+            return
+        gn = g * gd
         # variance path, down to the adjoint of the row sum of c * c
         gs = -gn
         gs *= c
@@ -605,11 +748,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gc = np.divide(gn, sd, out=c)
         gc += t
         gc += t
-        x._accumulate(gc)
+        nx._accumulate(gc)
         # mean path, a second call: a held gradient r must become (r + a) + b
         gm = _unbroadcast(np.negative(gc, out=gc), mu.shape)
         gm *= inv_n
-        x._accumulate(np.broadcast_to(gm, x.data.shape))
+        nx._accumulate(np.broadcast_to(gm, nx.shape))
 
     return _make(data, (gain, x, bias), _bw)
 
@@ -622,12 +765,13 @@ def row_blocks(fn, x, parts):
 
     Each block gets a fresh leaf that shares its rows' data, and ``fn``
     runs on it with a private tape: the caller runs block 0, one helper
-    thread each further block (``workers.map_threads``). The outputs are concatenated into one
-    node, whose backward sweeps each private tape on its own thread and
-    writes the blocks' input gradients into one buffer by slice. ``fn``
-    must act on each leading row alone and hold no leaf that requires
-    grad; then the output and x's gradient are bitwise those of
-    ``fn(x)``. With ``parts`` == 1, returns ``fn(x)``.
+    thread each further block (``workers.map_threads``). The outputs are
+    concatenated into one node, which keeps the private roots' nodes and
+    not their values; its backward sweeps each private tape on its own
+    thread and writes the blocks' input gradients into one buffer by
+    slice. ``fn`` must act on each leading row alone and hold no leaf
+    that requires grad; then the output and x's gradient are bitwise
+    those of ``fn(x)``. With ``parts`` == 1, returns ``fn(x)``.
     """
     x = astensor(x)
     if parts == 1:
@@ -640,14 +784,15 @@ def row_blocks(fn, x, parts):
     outs = map_threads(fn, leaves)
     data = np.concatenate([out.data for out in outs])
     ends = np.cumsum([len(out.data) for out in outs[:-1]])
+    roots, nx = [out.node for out in outs], x.node
 
     def _bw(g):
-        map_threads(lambda pair: _sweep(*pair), list(zip(outs, np.split(g, ends))))
+        map_threads(lambda pair: _sweep(*pair), list(zip(roots, np.split(g, ends))))
         # slice assignment, not a sum into zeros, which would turn -0.0 into +0.0
-        gx = np.empty_like(x.data)
+        gx = nx._grad_buffer()
         for rs, leaf in zip(bounds, leaves):
             gx[rs] = 0.0 if leaf.grad is None else leaf.grad
-        x._accumulate(gx)
+        nx._accumulate(gx)
 
     return _make(data, (x,), _bw)
 

@@ -22,6 +22,7 @@ from tvadapt.diagnostics import attention_similarity_map, export_diagnostics
 from tvadapt.exceptions import ConfigError, ConsistencyError, WorkerError
 from tvadapt.model import AdapterModel
 from tvadapt.tensor import no_grad
+from tvadapt.train import train
 
 FAST = dict(epochs=3, pairs=4, batch_size=4, lr=1e-2)
 
@@ -554,13 +555,18 @@ def _resolve(module, attr):
     return owner
 
 
-def test_benchmark_tracer_patches_existing_names_and_restores_them():
-    # perfbench/tracer.py patches these names from outside the package, so a
-    # renamed or deleted name would otherwise fail only a traced benchmark run
+def _tracer_module():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_patches_existing_names_and_restores_them():
+    # perfbench/tracer.py patches these names from outside the package, so a
+    # renamed or deleted name would otherwise fail only a traced benchmark run
+    tracer = _tracer_module()
     originals = {(module, attr): _resolve(module, attr) for _, module, attr in tracer.SPANS}
     tr = tracer.Tracer()
     tr.install()
@@ -575,3 +581,35 @@ def test_benchmark_tracer_patches_existing_names_and_restores_them():
         assert getattr(owner, attr) is original, (owner, attr)
     for key, original in originals.items():
         assert _resolve(*key) is original, key
+
+
+# (nodes, taped nodes) per op kind over two toy training steps, pinned when
+# every tape node still held its value; the counts are those the benchmark's
+# per-layer table reports, so the tracer must keep seeing every node
+TRACED_TOY_OPS = {
+    "add": (74, 46), "broadcast_to": (3, 0), "concat": (25, 22), "div": (4, 4),
+    "exp": (6, 6), "gelu": (20, 12), "getitem": (82, 60), "layer_norm": (40, 22),
+    "linear": (123, 66), "log": (4, 4), "matmul": (76, 44), "mul": (56, 40),
+    "reshape": (118, 68), "softmax": (20, 12), "sqrt": (4, 4), "sub": (8, 8),
+    "swapaxes": (102, 60), "tsum": (14, 14), "warp_kv": (8, 8),
+}
+
+
+def test_benchmark_tracer_counts_every_node_and_gradient_write():
+    # toy blocks stay below backbone._SPLIT_MIN and the 16 pairs are one
+    # tape-free block, so no count depends on the number of cores
+    tracer = _tracer_module()
+    cfg = cm.toy_config(pairs=16, batch_size=16, epochs=2, lr=1e-2, seed=3)
+    data = generate_dataset(cfg.effective_data_seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        train(cfg, data, model=model, max_steps=2, eval_each_epoch=False)
+    finally:
+        tr.uninstall()
+    ops = {kind: (row["nodes"], row["taped"]) for kind, row in tr.op_table().items()
+           if row["nodes"]}
+    assert ops == TRACED_TOY_OPS
+    assert tr.counters["accumulate_calls"] == 704
+    assert tr.counters["grad_alloc_bytes"] == 34_892_704

@@ -1,10 +1,13 @@
 """Assembled-model tests: identity behavior, hooks, gradient reach."""
 
+import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tvadapt import tensor as T
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import InputError
@@ -123,6 +126,44 @@ def test_backbone_untouched_by_backward():
     for name, t in model.store.items():
         if name.startswith("backbone/"):
             assert t.grad is None
+
+
+# blake2b of every trainable gradient after one taped loss on DATA, taken
+# before the tape stopped holding forward values
+HELD_VALUES_GRAD_DIGEST = "a809fd7d81465d365b1a66f5889f0694"
+
+
+def test_tape_holds_only_what_backward_reads(monkeypatch):
+    # ASA on: the video blocks are hooked, the text blocks are not. While the
+    # loss graph is alive, the values no backward reads are already freed:
+    # every taped LN output and GELU output (each feeds a frozen linear) and
+    # every taped attention-score array (softmax's input, read by nothing)
+    refs = {"layer_norm": [], "gelu": [], "scores": []}
+
+    def watch(kind, fn, value):
+        def watched(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.requires_grad:
+                refs[kind].append(weakref.ref(value(args, out)))
+            return out
+        return watched
+
+    monkeypatch.setattr(T, "layer_norm", watch("layer_norm", T.layer_norm, lambda a, out: out.data))
+    monkeypatch.setattr(T, "gelu", watch("gelu", T.gelu, lambda a, out: out.data))
+    monkeypatch.setattr(T, "softmax", watch("scores", T.softmax, lambda a, out: a[0].data))
+    model = AdapterModel(CFG)
+    loss = model.batch_loss(DATA.videos, DATA.tokens, sel_key=("train", 0))
+    for kind, held in refs.items():
+        assert held, kind
+        assert [ref() for ref in held] == [None] * len(held), kind
+    model.store.zero_grad()
+    loss.backward()
+    digest = hashlib.blake2b(digest_size=16)
+    for name, t in model.store.trainable_items():
+        assert t.grad is not None, name
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(t.grad).tobytes())
+    assert digest.hexdigest() == HELD_VALUES_GRAD_DIGEST
 
 
 def test_light_layer_subset_restricts_hooks():

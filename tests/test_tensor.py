@@ -404,6 +404,28 @@ def test_first_gradient_does_not_alias_shared_adjoint():
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("view", [
+    lambda a: a,
+    lambda a: a.T,
+    lambda a: np.swapaxes(a, -3, -2),
+    lambda a: a[:, ::2, 1:],
+    lambda a: a[::-1].transpose(2, 0, 1),
+    lambda a: a[:, :1].transpose(1, 2, 0),
+    lambda a: np.swapaxes(a[None], 0, 2),
+], ids=["c", "f", "swap", "stepped", "reversed", "unit-axis", "new-axis"])
+def test_a_node_lays_out_its_gradient_as_empty_like_its_value(view):
+    # a node keeps no value, so it rebuilds the layout its value had: the
+    # gradient buffer a closure receives is the one a value-holding node
+    # made, whatever the summation order downstream depends on
+    p = Tensor(np.zeros((3, 4, 5)), requires_grad=True)
+    value = view(p.data)
+    node = T._make(value, (p,), lambda g: None).node
+    assert node.data.shape == value.shape and node.data.nbytes == value.nbytes
+    assert node._grad_buffer().strides == np.empty_like(value).strides
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 

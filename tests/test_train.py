@@ -416,6 +416,17 @@ def test_checkpoint_holds_the_adapter_set_only(tmp_path, warp_axes):
     assert params_bytes(load_model(str(path))[0]) == params_bytes(model)
 
 
+@pytest.mark.parametrize("name", ["adapter/temperature/log_tau", "backbone/text/block1/wq"])
+def test_checkpoint_refuses_a_model_it_could_not_restore(tmp_path, name):
+    # the file would hold the trainable set, and restore_model expects the adapter set
+    model = AdapterModel(CFG)
+    model.store[name].requires_grad = not model.store[name].requires_grad
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ContractError, match=name):
+        save_checkpoint(str(path), model)
+    assert not path.exists()
+
+
 def test_checkpoint_on_another_backbone_is_a_version_error(tmp_path, monkeypatch, capsys):
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), AdapterModel(CFG))
