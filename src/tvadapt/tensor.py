@@ -249,6 +249,7 @@ def _memory_order(shape, strides, fortran):
 
 
 def _on_node(name):
+    """A property that reads and writes attribute ``name`` of the tensor's node."""
     return property(lambda self: getattr(self.node, name),
                     lambda self, value: setattr(self.node, name, value))
 
