@@ -13,7 +13,9 @@ attention bitwise. Unselected patches pass through untouched.
 
 The warp of K and V is one tape node over a per-axis sampling plan,
 bitwise equal to the chain of gather, blend and select ops it replaces
-(see ``warp_kv`` for the summation order its backward repeats).
+(see ``warp_kv`` for the summation order its backward repeats). The
+offsets are fixed during a tower pass, so an ASA pass builds both axis
+plans once, when it starts (``warp_plan``), and every layer reuses them.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=Non
 
 # Sampling plan along one grid axis, broadcasting over it: slot i blends rows
 # lo[i] and hi[i] by frac[i], or takes row lo[i] where exact[i]; inside is the
-# in-grid mask the clamp passes gradient through, None if the offset takes none.
-_AxisPlan = namedtuple("_AxisPlan", "lo hi frac exact inside")
+# in-grid mask the clamp passes gradient through to offset, None if it takes none.
+_AxisPlan = namedtuple("_AxisPlan", "offset lo hi frac exact inside")
 
 
 def _axis_plan(offset, size, axis):
@@ -122,8 +124,13 @@ def _axis_plan(offset, size, axis):
     lo = np.floor(coords).astype(np.intp)
     trailing = (size,) + (1,) * (-1 - axis)
     inside = inside.reshape(offset.shape) if offset is not None and offset.requires_grad else None
-    return _AxisPlan(lo, np.minimum(lo + 1, size - 1), (coords - lo).reshape(trailing),
+    return _AxisPlan(offset, lo, np.minimum(lo + 1, size - 1), (coords - lo).reshape(trailing),
                      (coords == lo).reshape(trailing), inside)
+
+
+def warp_plan(offsets, frames, patches):
+    """The (patch axis, frame axis) plans of ``offsets`` on a (frames, patches) grid."""
+    return _axis_plan(offsets.gamma, patches, -2), _axis_plan(offsets.delta, frames, -3)
 
 
 def _gather(field, plan, axis):
@@ -158,8 +165,9 @@ def _scatter(g, idx, axis, shape):
 def warp_kv(k, v, offsets, selection):
     """Resample key/value fields at offset grid positions for selected patches.
 
-    k, v: (..., T, N, D); ``selection``: boolean (..., T, N) mask of the
-    patches to warp. For n in S_t the output row is the field at
+    k, v: (..., T, N, D); ``offsets``: an ``OffsetParams``, or its
+    ``warp_plan`` over this grid; ``selection``: boolean (..., T, N) mask
+    of the patches to warp. For n in S_t the output row is the field at
     (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
     clamped to the grid; rows outside the selection pass through
     bitwise. An axis whose offset is ``None`` keeps its grid position.
@@ -174,9 +182,8 @@ def warp_kv(k, v, offsets, selection):
     mask.
     """
     k, v = T.astensor(k), T.astensor(v)
-    t_n, n_n = k.shape[-3], k.shape[-2]
-    n_plan = _axis_plan(offsets.gamma, n_n, -2)
-    t_plan = _axis_plan(offsets.delta, t_n, -3)
+    plans = warp_plan(offsets, *k.shape[-3:-1]) if isinstance(offsets, OffsetParams) else offsets
+    n_plan, t_plan = plans
     mask = np.asarray(selection, dtype=bool)[..., None]
     fields = [(f.data, T._grad_node(f)) for f in (k, v)]  # backward reads both values
 
@@ -198,12 +205,12 @@ def warp_kv(k, v, offsets, selection):
                 node._accumulate(g_field * ~mask)
                 node._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
                 node._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
-        for offset, plan, terms in ((offsets.gamma, n_plan, n_terms),
-                                    (offsets.delta, t_plan, t_terms)):
+        for plan, terms in ((n_plan, n_terms), (t_plan, t_terms)):
             if plan.inside is not None:  # the four terms sum left to right
+                offset = plan.offset
                 offset._accumulate(sum(terms[1:], terms[0]).reshape(offset.shape) * plan.inside)
 
-    moving = tuple(o for o in (offsets.gamma, offsets.delta) if o is not None)
+    moving = tuple(p.offset for p in plans if p.offset is not None)
     w = T._make(data, (k, v, *moving), _bw)
     return w[0], w[1]
 
@@ -212,8 +219,9 @@ def asa_block_attention(x_in, q, k, v, heads, offsets, selection):
     """Drop-in block attention: warp patch K/V rows, keep the CLS row.
 
     q, k, v: (..., T, N+1, D) projected tokens from the frozen block;
-    ``selection`` is the (..., T, N) patch mask. With zero offsets the
-    result is bitwise identical to vanilla attention on the same inputs.
+    ``offsets`` as in ``warp_kv``; ``selection`` is the (..., T, N)
+    patch mask. With zero offsets the result is bitwise identical to
+    vanilla attention on the same inputs.
     """
     k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection)
     k_hat = T.concat([k[..., :1, :], k_hat_p], axis=-2)

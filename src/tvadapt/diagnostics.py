@@ -5,8 +5,9 @@ scale/shift matrices plus their singular values, which show how much of
 the temporal variation the rank-R factorization carries; (b) for one
 query patch of one video, its per-frame attention distribution over all
 patches of every frame under the current (possibly warped) keys. The
-map reads the model's own forward through an attention-hook probe, with
-the patch mask that the model's selection plan serves for that layer.
+map reads the model's own forward through an attention-hook probe, and
+warps the keys with the plans and the mask that the forward's ASA pass
+(``model.ASAPass``) recorded for that layer.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import tensor as T
 from .attention import warp_kv
 from .backbone import vanilla_attention
 from .exceptions import ConfigError
+from .model import ASAPass
 from .tensor import no_grad
 
 
@@ -29,12 +31,12 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
     Runs the model's own video tower pass (``model.video_tower``) with a
     probe at ``layer`` (default: the final adapted layer; the tower
     rejects one outside it). The probe calls that layer's attention hook
-    once and reads the block's projected queries and keys and the patch
-    mask the hook's ``select`` served for that layer, which in random
-    mode is the draw the model's plan made for it. Row t is softmax_n of
-    q[frame, patch] . k_hat[t, n] / sqrt(D) (single head, full-dimension
-    scale), where k_hat warps the keys with that mask (unwarped at a
-    layer without ASA). With zero offsets row ``frame`` equals the
+    once and reads the block's projected queries and keys, the pass's
+    warp plans and the patch mask the hook recorded for that layer
+    (``ASAPass.masks``), in random mode the pass's draw. Row t is
+    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D) (single head,
+    full-dimension scale), where k_hat warps the keys with that mask
+    (unwarped at a layer without ASA). With zero offsets row ``frame`` equals the
     vanilla patch-attention row of that frame.
     """
     cfg = model.config
@@ -43,24 +45,16 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
-        served = None  # the plan for the one video, as a one-block pass serves it
-        if cfg.asa:
-            served = model.selection_plan(video[None], candidates, ("diag",))(slice(None))
-        masks = {}
-
-        def select(asa_layer, x_in):
-            masks[asa_layer] = served(asa_layer, x_in)
-            return masks[asa_layer]
-
-        attention = model.attention_hooks(select)
+        asa = ASAPass(model, video[None], candidates, ("diag",)) if cfg.asa else None
+        attention = asa.hooks(slice(None)) if asa else {}  # one video: one inline block
         hook = attention.get(layer, vanilla_attention)
         seen = {}
 
         def probe(x_in, q, k, v, heads):
-            out = hook(x_in, q, k, v, heads)  # an ASA hook selects this layer's mask
+            out = hook(x_in, q, k, v, heads)  # an ASA hook records this layer's mask
             k_hat = k.data[0, :, 1:, :]
-            if layer in masks:
-                k_hat = warp_kv(k_hat, k_hat, model.offsets, masks[layer][0])[0].data
+            if layer in attention:
+                k_hat = warp_kv(k_hat, k_hat, asa.plans, asa.masks[layer][0])[0].data
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 

@@ -24,8 +24,9 @@ tower call; inside it, each unhooked frozen block whose input reaches a
 size floor splits its rows over helper threads on every usable core
 (``backbone.vit_block``), bitwise one block too.
 
-Each block of an ASA pass picks its own videos' sentences
-(``selection_plan``) just before its warped pass, in the same share, so
+An ASA tower pass is one ``ASAPass``: it builds the offsets' warp plan
+once, and each block of it picks its own videos' sentences
+(``ASAPass.hooks``) just before its warped pass, in the same share, so
 the prepass runs inline there as one block and a tape-free pass forks
 its workers once. The pick is a per-video argmax, so this is bitwise
 one pick over the batch; a taped pass makes one pick for its one block.
@@ -39,12 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    OffsetParams,
-    SelectionMode,
-    asa_block_attention,
-    selection_masks,
-)
+from .attention import OffsetParams, SelectionMode, asa_block_attention, selection_masks, warp_plan
 from .backbone import encode_text, encode_video, init_backbone
 from .exceptions import InputError
 from .modulation import TextModulation, VideoModulation
@@ -143,10 +139,10 @@ class AdapterModel:
 
         ``attention(rows)`` is the attention hook map for the videos at
         ``rows``, called by the block that runs them, in its share, just
-        before its tower call (the ASA map picks those videos' sentences
-        there). With ``states``, these videos' rows of ``frozen_prefix``,
-        the tower starts after block f from them, so ``attention`` may hold
-        no hook at or before f. With ``stop``, it returns the output of
+        before its tower call (``ASAPass.hooks`` picks those videos'
+        sentences there). With ``states``, these videos' rows of
+        ``frozen_prefix``, the tower starts after block f from them, so
+        ``attention`` may hold no hook at or before f. With ``stop``, it returns the output of
         block ``stop`` before its modulation (``encode_video``).
         With no tape recording, a batch is cut into contiguous, equal
         shares of videos, one per usable process but no more than there
@@ -196,78 +192,21 @@ class AdapterModel:
         scores = probe @ candidates.T
         return scores.argmax(axis=-1)
 
-    def selection_plan(self, videos, candidates=None, sel_key=("eval",), states=None):
-        """Per-block patch selection, shared by every adapted layer.
-
-        Returns ``plan(rows)``, which returns ``select(layer, x)`` mapping
-        ASA layer ``layer``'s block input x (..., T, N+1, D) of the videos
-        at ``rows`` to the boolean (..., T, N) mask of patches to warp
-        under ``config.selection``. In the text modes ``plan(rows)`` picks
-        those videos' sentences (``_pick_sentences``, from their rows of
-        ``states``), so a tape-free tower pass picks each block's inside
-        the share that runs the block. Random mode draws each layer's mask
-        for the whole batch here, in layer order, from the ``randsel``
-        stream keyed by ``sel_key``, and serves its rows.
-        """
-        cfg = self.config
-        mode = SelectionMode(cfg.selection)
-        if mode is SelectionMode.RANDOM:  # a draw reads only the mask's shape
-            rng = rng_for(cfg.seed, "randsel", *sel_key)
-            shape = (*np.shape(videos)[:-4], cfg.frames, cfg.patches, 0)
-            masks = {layer: selection_masks(mode, cfg.top_k, np.empty(shape), rng=rng)
-                     for layer in cfg.visual_adapter_layers()}
-            return lambda rows: lambda layer, x: masks[layer][rows]
-        text = mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K)
-        if text and candidates is None:
-            raise InputError("text-conditioned selection needs candidate sentences")
-
-        def plan(rows):
-            w_star = None
-            if text:
-                picked = self._pick_sentences(videos[rows], candidates,
-                                              None if states is None else states[rows])
-                w_star = np.asarray(candidates)[picked]
-
-            def select(layer, x):
-                return selection_masks(
-                    mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
-                    proj_w=self.proj_w.data, proj_b=self.proj_b.data, cls_feats=x[..., 0, :],
-                )
-            return select
-        return plan
-
-    def attention_hooks(self, select):
-        """The video tower's attention hook map: ASA at every adapted layer.
-
-        ``select`` is a patch-selection function from ``selection_plan``,
-        called once per ASA layer on its block input. Empty with ASA off.
-        """
-        if not self.config.asa:
-            return {}
-
-        def hook(layer):
-            def attend(x_in, q, k, v, heads):
-                mask = select(layer, x_in.data)
-                return asa_block_attention(x_in, q, k, v, heads, self.offsets, mask)
-            return attend
-
-        return {layer: hook(layer) for layer in self.config.visual_adapter_layers()}
-
     def encode_videos(self, videos, candidates=None, sel_key=("eval",), states=None):
         """Normalized video embeddings (V, D_t).
 
         ``candidates``: detached (Q, D_t) sentence embeddings used by
         text-conditioned selection -- the batch's sentences in training,
         the full query set at evaluation. The tower runs through
-        ``video_tower``, whose blocks each pick their own videos' sentences
-        (``selection_plan``) before their warped pass, so a tape-free pass
-        fans out to the workers once. ``states``, the videos' rows of
+        ``video_tower`` with one ``ASAPass``, whose ``hooks`` pick each
+        block's sentences before its warped pass, so a tape-free pass fans
+        out to the workers once. ``states``, the videos' rows of
         ``frozen_prefix``, serve the sentence pick, and the pass itself
         with ASA off (ASA hooks the block that ends the prefix).
         """
         if self.config.asa:
-            plan = self.selection_plan(videos, candidates, sel_key, states)
-            f_last = self.video_tower(videos, lambda rows: self.attention_hooks(plan(rows)))
+            asa = ASAPass(self, videos, candidates, sel_key, states)
+            f_last = self.video_tower(videos, asa.hooks)
         else:
             f_last = self.video_tower(videos, states=states)
         emb = video_embedding(f_last, self.proj_w, self.proj_b)
@@ -288,3 +227,60 @@ class AdapterModel:
     def batch_loss(self, videos, tokens, sel_key, prefix=None):
         scores, _, _ = self.batch_scores(videos, tokens, sel_key=sel_key, prefix=prefix)
         return contrastive_loss(scores, self.log_tau)
+
+
+class ASAPass:
+    """One ASA pass of the video tower: its warp plans, sentence picks and masks.
+
+    The offsets are fixed during a pass, so it builds their two axis plans
+    (``warp_plan``) once, when it starts. Random mode draws each adapted
+    layer's mask for the whole batch there too, in layer order, from the
+    ``randsel`` stream keyed by ``sel_key``. ``hooks`` is the attention
+    map ``video_tower`` takes; each hook records the (..., T, N) patch
+    mask it served in ``masks[layer]``. A pass is built per call and the
+    model holds none; a forked share's writes to ``masks`` do not reach
+    the caller.
+    """
+
+    def __init__(self, model, videos, candidates=None, sel_key=("eval",), states=None):
+        cfg = model.config
+        self.model, self.videos, self.states = model, videos, states
+        self.mode = SelectionMode(cfg.selection)
+        self.plans = warp_plan(model.offsets, cfg.frames, cfg.patches)
+        self.masks, self.drawn = {}, {}
+        if self.mode is SelectionMode.RANDOM:  # a draw reads only the mask's shape
+            rng = rng_for(cfg.seed, "randsel", *sel_key)
+            shape = (*np.shape(videos)[:-4], cfg.frames, cfg.patches, 0)
+            self.drawn = {layer: selection_masks(self.mode, cfg.top_k, np.empty(shape), rng=rng)
+                          for layer in cfg.visual_adapter_layers()}
+        text = self.mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K)
+        if text and candidates is None:
+            raise InputError("text-conditioned selection needs candidate sentences")
+        self.candidates = np.asarray(candidates) if text else None
+
+    def hooks(self, rows):
+        """ASA at every adapted layer for the videos at ``rows``.
+
+        In the text modes it first picks those videos' sentences
+        (``_pick_sentences``, from their rows of ``states``), so a
+        tape-free tower pass picks each block's inside the share that runs
+        the block. Each layer's mask is then selected from its block input.
+        """
+        model, cfg = self.model, self.model.config
+        w_star = None
+        if self.candidates is not None:
+            states = None if self.states is None else self.states[rows]
+            picked = model._pick_sentences(self.videos[rows], self.candidates, states)
+            w_star = self.candidates[picked]
+
+        def hook(layer):
+            def attend(x_in, q, k, v, heads):
+                x = x_in.data
+                mask = self.drawn[layer][rows] if self.drawn else selection_masks(
+                    self.mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
+                    proj_w=model.proj_w.data, proj_b=model.proj_b.data, cls_feats=x[..., 0, :])
+                self.masks[layer] = mask
+                return asa_block_attention(x_in, q, k, v, heads, self.plans, mask)
+            return attend
+
+        return {layer: hook(layer) for layer in cfg.visual_adapter_layers()}

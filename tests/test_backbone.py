@@ -19,7 +19,7 @@ from tvadapt.backbone import (
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ConfigError, InputError
-from tvadapt.model import AdapterModel
+from tvadapt.model import AdapterModel, ASAPass
 from tvadapt.tensor import ParamStore, Tensor, no_grad, rng_for
 
 CFG = toy_config(layers=2, dim_v=8, heads_v=2, patch=2, frame_h=4, frame_w=4, frames=3, channels=1,
@@ -330,8 +330,7 @@ def test_each_tower_resumes_bitwise_from_its_own_stop(text_lowrank):
     data = generate_dataset(model.config.seed, 3, model.config)
     with no_grad():
         candidates = model.encode_texts(data.tokens).data
-        select = model.selection_plan(data.videos, candidates)(slice(None))
-        hooks = model.attention_hooks(select)
+        hooks = ASAPass(model, data.videos, candidates).hooks(slice(None))
         for f in range(1, model.config.layers + 1):
             above = {layer: hook for layer, hook in hooks.items() if layer > f}
             run = dict(modulate=model.video_mod.apply, attention=above)

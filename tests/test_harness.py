@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from tvadapt import attention as attention_mod
 from tvadapt import config as cm
 from tvadapt import diagnostics
 from tvadapt import model as model_mod
@@ -20,7 +21,7 @@ from tvadapt.counting import count_params
 from tvadapt.data import generate_dataset
 from tvadapt.diagnostics import attention_similarity_map, export_diagnostics
 from tvadapt.exceptions import ConfigError, ConsistencyError, WorkerError
-from tvadapt.model import AdapterModel
+from tvadapt.model import AdapterModel, ASAPass
 from tvadapt.tensor import no_grad
 from tvadapt.train import train
 
@@ -431,10 +432,20 @@ def test_similarity_map_runs_one_sentence_pick_per_map(monkeypatch):
         return pick(videos, candidates, states)
 
     monkeypatch.setattr(model, "_pick_sentences", counting_pick)
+    plans = []
+    axis_plan = attention_mod._axis_plan
+
+    def counting_plan(offset, size, axis):
+        plans.append(axis)
+        return axis_plan(offset, size, axis)
+
+    monkeypatch.setattr(attention_mod, "_axis_plan", counting_plan)
     for layer in (1, 3):
         picks.clear()
+        plans.clear()
         attention_similarity_map(model, data.videos[0], candidates=cands, layer=layer)
         assert picks == [1], layer
+        assert plans == [-2, -3], layer  # the map's one pass builds both axis plans once
 
 
 def test_similarity_map_runs_the_models_tower_pass(monkeypatch):
@@ -462,17 +473,10 @@ def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
     video = data.videos[0]
     model = AdapterModel(cfg)
     # the masks a forward pass draws from the map's selection stream
-    plan = model.selection_plan(video[None], sel_key=("diag",))
-    drawn = []
-
-    def recording(select):
-        def record(layer, x_in):
-            drawn.append(select(layer, x_in))
-            return drawn[-1]
-        return record
-
+    asa = ASAPass(model, video[None], sel_key=("diag",))
     with no_grad():
-        model.video_tower(video[None], lambda rows: model.attention_hooks(recording(plan(rows))))
+        model.video_tower(video[None], asa.hooks)
+    drawn = [asa.masks[layer] for layer in cfg.visual_adapter_layers()]
     assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
 
     seen = []
@@ -595,6 +599,11 @@ TRACED_TOY_OPS = {
 }
 
 
+# the observations behind attention.warp_rows_useful_frac and model.pick_hit_frac
+TRACED_TOY_RATIOS = {"warp_rows_selected": 2_304, "warp_rows_resampled": 3_072,
+                     "picks": 32, "pick_hits": 1}
+
+
 def test_benchmark_tracer_counts_every_node_and_gradient_write():
     # toy blocks stay below backbone._SPLIT_MIN and the 16 pairs are one
     # tape-free block, so no count depends on the number of cores
@@ -613,3 +622,6 @@ def test_benchmark_tracer_counts_every_node_and_gradient_write():
     assert ops == TRACED_TOY_OPS
     assert tr.counters["accumulate_calls"] == 704
     assert tr.counters["grad_alloc_bytes"] == 34_892_704
+    # the tracer reads the mask as warp_kv's 4th argument and the picks
+    # from _pick_sentences; a pass that moved either would zero these
+    assert {name: tr.counters[name] for name in TRACED_TOY_RATIOS} == TRACED_TOY_RATIOS

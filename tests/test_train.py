@@ -31,6 +31,7 @@ from tvadapt.train import Adam, evaluate_model, lr_at, train
 train_module = importlib.import_module("tvadapt.train")  # the package rebinds .train
 model_module = importlib.import_module("tvadapt.model")
 backbone_module = importlib.import_module("tvadapt.backbone")
+attention_module = importlib.import_module("tvadapt.attention")
 
 CFG = toy_config(pairs=6, batch_size=6, epochs=8, lr=1e-2)
 DATA = generate_dataset(CFG.seed, CFG.pairs, CFG)
@@ -309,6 +310,38 @@ def test_training_runs_each_frozen_first_block_once(monkeypatch, call_log):
     passes = 1 + cfg.epochs
     assert ran.count("encode_video") == ran.count("encode_text") == 1 + passes
     assert ran.count("backbone/visual/block2") == ran.count("backbone/text/block2") == passes
+
+
+def test_each_asa_pass_builds_its_warp_plans_once(monkeypatch):
+    # the offsets are fixed during a tower pass, so the pass builds both
+    # axis plans when it starts, not in every ASA layer or block
+    plans = []
+    axis_plan = attention_module._axis_plan
+
+    def counted(offset, size, axis):
+        plans.append(axis)
+        return axis_plan(offset, size, axis)
+
+    monkeypatch.setattr(attention_module, "_axis_plan", counted)
+    model = AdapterModel(CFG)
+    model.batch_loss(DATA.videos, DATA.tokens, ("train", 0))  # taped: one block
+    assert plans == [-2, -3]
+    # tape-free: three blocks of two videos, every block inline in the caller
+    rows = 2 * CFG.frames * (CFG.patches + 1)
+    monkeypatch.setattr(model_module, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    blocks = []
+    tower = model_module.encode_video
+
+    def counted_tower(videos, *args, **kwargs):
+        blocks.append(len(videos))
+        return tower(videos, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode_video", counted_tower)
+    plans.clear()
+    evaluate_model(model, DATA)
+    assert blocks == [2, 2, 2] * 2  # each block's sentence pick, then its ASA pass
+    assert plans == [-2, -3]
 
 
 @pytest.mark.parametrize("config, max_steps", [
