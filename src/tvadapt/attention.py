@@ -157,6 +157,7 @@ def _scatter(g, idx, axis, shape):
     """Adjoint of a gather at ``idx``: one slice add per index, in index order."""
     out = np.zeros(shape)
     dst, src = np.moveaxis(out, axis, 0), np.moveaxis(g, axis, 0)
+    # np.add.at is bitwise too, but 2-4x slower per call at toy training shapes (x86_64)
     for i, j in enumerate(idx):
         dst[j] += src[i]
     return out

@@ -132,14 +132,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            # a fresh buffer in this tensor's layout; never alias ``g``
-            self.grad = self._grad_buffer()
+            # a fresh buffer; never alias ``g``
+            self.grad = np.empty_like(self.data)
             self.grad[...] = g
         else:
             self.grad += g
-
-    def _grad_buffer(self):
-        return np.empty_like(self.data)
 
     # -- autodiff core --------------------------------------------------
 
@@ -212,12 +209,11 @@ class _Node(Tensor):
     """The tape node of a recorded op result: grad, parents and closure, no value.
 
     ``data`` is ``_stand_in(shape)``, so ``shape`` and ``data.nbytes`` read
-    as the value's. ``_layout`` is None for a C-ordered value, else its
-    ``_memory_order``, so that the gradient buffer has the layout
-    ``np.empty_like`` would give the value.
+    as the value's, and ``np.empty_like(data)``, the gradient buffer, is
+    C-ordered whatever the value's layout.
     """
 
-    __slots__ = ("_layout",)
+    __slots__ = ()
 
     def __init__(self, data, parents, backward_fn):
         self.data = _stand_in(data.shape)
@@ -225,27 +221,6 @@ class _Node(Tensor):
         self.grad = None
         self._parents = parents
         self._backward = backward_fn
-        self._layout = None
-        if not data.flags.c_contiguous:
-            self._layout = _memory_order(data.shape, data.strides, data.flags.f_contiguous)
-
-    def _grad_buffer(self):
-        if self._layout is None:
-            return np.empty(self.data.shape)
-        shape, axes = self._layout
-        return np.empty(shape).transpose(axes)
-
-
-@functools.lru_cache(maxsize=1024)
-def _memory_order(shape, strides, fortran):
-    """How ``np.empty_like`` lays out a non-C-ordered array of this shape and strides.
-
-    Returns the shape with the axes in memory order (F order, else by
-    falling stride, ties in axis order) and the axes that put them back.
-    """
-    n = len(shape)
-    order = range(n - 1, -1, -1) if fortran else sorted(range(n), key=lambda i: -abs(strides[i]))
-    return tuple(shape[i] for i in order), tuple(sorted(range(n), key=order.__getitem__))
 
 
 def _on_node(name):
@@ -515,7 +490,7 @@ def tsum(a, axis=None, keepdims=False):
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        na._accumulate(np.broadcast_to(g, na.shape).copy())
+        na._accumulate(np.broadcast_to(g, na.shape))
 
     return _make(data, (a,), _bw)
 
@@ -790,7 +765,7 @@ def row_blocks(fn, x, parts):
     def _bw(g):
         map_threads(lambda pair: _sweep(*pair), list(zip(roots, np.split(g, ends))))
         # slice assignment, not a sum into zeros, which would turn -0.0 into +0.0
-        gx = nx._grad_buffer()
+        gx = np.empty_like(nx.data)
         for rs, leaf in zip(bounds, leaves):
             gx[rs] = 0.0 if leaf.grad is None else leaf.grad
         nx._accumulate(gx)

@@ -413,15 +413,18 @@ def test_first_gradient_does_not_alias_shared_adjoint():
     lambda a: a[:, :1].transpose(1, 2, 0),
     lambda a: np.swapaxes(a[None], 0, 2),
 ], ids=["c", "f", "swap", "stepped", "reversed", "unit-axis", "new-axis"])
-def test_a_node_lays_out_its_gradient_as_empty_like_its_value(view):
-    # a node keeps no value, so it rebuilds the layout its value had: the
-    # gradient buffer a closure receives is the one a value-holding node
-    # made, whatever the summation order downstream depends on
+def test_a_node_keeps_its_value_shape_and_a_c_ordered_gradient(view):
+    # a node keeps no value and no layout: whatever the value's strides, its
+    # gradient is a fresh C-ordered buffer holding the adjoint bit for bit
     p = Tensor(np.zeros((3, 4, 5)), requires_grad=True)
     value = view(p.data)
     node = T._make(value, (p,), lambda g: None).node
     assert node.data.shape == value.shape and node.data.nbytes == value.nbytes
-    assert node._grad_buffer().strides == np.empty_like(value).strides
+    g = np.empty_like(value)
+    g[...] = _signed_adjoint(value.shape, 11)
+    node._accumulate(g)
+    assert node.grad.flags.c_contiguous and not np.shares_memory(node.grad, g)
+    assert _bits(node.grad).tobytes() == _bits(g).tobytes()
 
 
 def _bits(x):

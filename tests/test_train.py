@@ -430,6 +430,26 @@ def test_trained_adapters_and_reports_match_pinned_digests(warp_axes, selection)
     assert run_digest(cfg) == RUN_DIGESTS[warp_axes, selection]
 
 
+# The config axes RUN_DIGESTS leaves at CFG's values, one at a time.
+AXIS_DIGESTS = {
+    "spatial_temporal": (dict(decompose="spatial_temporal"), "e478b755fefa0ab0a337bbe207dcf23f"),
+    "spatial_temporal_layer": (dict(decompose="spatial_temporal_layer"),
+                               "ccfedfaff7e535baca0e2b0711ebccb1"),
+    "no-decompose": (dict(decompose="none"), "3193cb201949414540d311ed09b4b348"),
+    "frozen-prefix": (dict(adapter_layers="3,4"), "725fa1653fd7586e6bae9c505e29dc2f"),
+    "text-lowrank": (dict(text_lowrank=True), "98ac02c72b0f343ca53167778312fcf3"),
+    "no-asa": (dict(asa=False), "69f28a3e440e71210c286a5dca61f6c7"),
+    "vision_top_k": (dict(selection="vision_top_k"), "0164c8122bc3e6a9b48652a2a6398a98"),
+    "mini-batches": (dict(batch_size=4), "30ad0bd8be807061dbb789f40d98758c"),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIS_DIGESTS))
+def test_each_config_axis_matches_its_pinned_digest(case):
+    kw, digest = AXIS_DIGESTS[case]
+    assert run_digest(replace(CFG, epochs=6, **kw)) == digest
+
+
 @pytest.mark.parametrize("warp_axes", ["both", "temporal", "spatial"])
 def test_checkpoint_holds_the_adapter_set_only(tmp_path, warp_axes):
     model = AdapterModel(replace(CFG, warp_axes=warp_axes))
