@@ -4,7 +4,9 @@
 The temporal factorization c = c_a . c_b (T x R times R x D) keeps the
 per-frame calibration on a rank-R budget; this script shows the exact
 identity initialization, the rank structure of trained-looking factors,
-and the alternative decomposition modes.
+and the alternative decomposition modes. Every mode composes a (rows, D)
+matrix: rows are the T frames in temporal mode and the T*(N+1)
+(frame, token) pairs in the per-token modes.
 """
 
 import numpy as np
@@ -42,6 +44,8 @@ print("frame 0 scale row applied to every token:",
       np.allclose(u.data[0], c.data[0] * x.data[0] + s.data[0]))
 
 print("\n=== decomposition variants ===")
+print(f"composed shape (rows, D): rows = T = {FRAMES} per frame, "
+      f"or T*(N+1) = {FRAMES * TOKENS} per (frame, token) pair")
 for mode in ("temporal", "spatial_temporal", "spatial_temporal_layer", "none"):
     st = ParamStore()
     m = VideoModulation(st, mode, [1, 2], RANK, FRAMES, TOKENS, DIM, seed=0)

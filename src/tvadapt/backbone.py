@@ -196,8 +196,8 @@ def patchify(video, store, config):
     patches = patches.reshape(*lead, config.frames, config.patches, p * p * config.channels)
 
     x = T.linear(Tensor(patches), store["backbone/visual/patch_w"], store["backbone/visual/patch_b"])
-    cls = T.broadcast_to(store["backbone/visual/cls"], (*lead, config.frames, 1, config.dim_v))
-    x = T.concat([cls, x], axis=-2)
+    cls = np.broadcast_to(store["backbone/visual/cls"].data, (*lead, config.frames, 1, config.dim_v))
+    x = T.concat([Tensor(cls), x], axis=-2)
     return x + store["backbone/visual/pos"]
 
 

@@ -1,21 +1,23 @@
 """Low-rank feature modulation for the frozen towers.
 
 Per adapted layer the video tower gets a learnable scale/shift pair,
-each factorized along the temporal axis as a rank-R product
-(c = c_a . c_b with c_a: T x R, c_b: R x D), applied multiplicatively
-and additively to the block output: u = c * x + s, with one modulation
-row per frame shared by all N+1 tokens of that frame. The text tower
-gets a full-rank sentence-level pair (1 x D_t) per layer, applied to the
-sentence (EOS) row only; word features are never modulated, except by
-the word-level low-rank ablation.
+each factorized as a rank-R product c = c_a . c_b (c_a: rows x R,
+c_b: R x D), applied multiplicatively and additively to the block
+output: u = c * x + s. In the default temporal mode the rows are the T
+frames, so one modulation row per frame is shared by all N+1 tokens of
+that frame. The text tower gets a full-rank sentence-level pair
+(1 x D_t) per layer, applied to the sentence (EOS) row only; word
+features are never modulated, except by the word-level low-rank
+ablation.
 
 Both classes are the towers' modulation hooks: ``apply(layer, x)``
 takes a block's whole output and returns it modulated, or ``x`` itself
 at a layer without an adapter.
 
-Alternative decompositions (per-token spatial-temporal factors, and a
-single factorization shared across layers) are provided as ablation
-modes, plus an off mode that holds no layers. Initialization
+Alternative decompositions are provided as ablation modes: per-token
+factors, whose rows are the T*(N+1) (frame, token) pairs, frame-major;
+the same per-token rows from one factorization shared across layers;
+and an off mode that holds no layers. Initialization
 is exact-identity: the composed scale is bitwise ones and the composed
 shift bitwise zeros, so a freshly attached adapter preserves the frozen
 model's function.
@@ -69,50 +71,33 @@ class VideoModulation:
                     name = f"adapter/lorm/shared/{tag}_{suffix}"
                     self.params[f"{tag}_{suffix}"] = store.add(name, Tensor(arr))
         else:
-            a_shape = (frames, rank)
-            if self.mode is not DecomposeMode.TEMPORAL:
-                a_shape = (frames, tokens, rank)
+            rows = frames if self.mode is DecomposeMode.TEMPORAL else frames * tokens
             for layer in self.layers:
-                entry = {}
+                entry = self.params[layer] = {}
                 for tag in ("c", "s"):
                     rng = rng_for(seed, "lorm", layer, tag)
-                    prefix = f"adapter/lorm/layer{layer}/{tag}"
-                    entry[f"{tag}_a"] = store.add(f"{prefix}_a", Tensor(np.zeros(a_shape)))
-                    entry[f"{tag}_b"] = store.add(
-                        f"{prefix}_b", Tensor(rng.normal(size=(rank, dim)) * 1e-3)
-                    )
-                self.params[layer] = entry
+                    entry.update(_factor_pair(store, f"adapter/lorm/layer{layer}", tag, rows, rank, dim, rng))
         identity_init(self)
 
     def compose(self, layer):
-        """Composed (scale, shift) tensors for one layer.
+        """Composed rank-R (scale, shift) for one layer, (rows, D) each.
 
-        Temporal mode: (T, D) each. Per-token modes: (T, N+1, D) each.
+        The rows are the T frames in temporal mode and the T*(N+1)
+        (frame, token) pairs, frame-major, in the per-token modes.
         """
         if layer not in self.layers:
             raise ConfigError(f"layer {layer} has no modulation attached")
-        if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
-            m = self.layers.index(layer)
-            out = []
-            for tag in ("c", "s"):
-                a = self.params[f"{tag}_a"]
-                b = self.params[f"{tag}_b"]
-                c = self.params[f"{tag}_c"]
-                bc = T.matmul(T.reshape(b, (self.rank * self.frames * self.tokens, self.rank)), c)
-                bc = T.reshape(bc, (self.rank, self.frames * self.tokens * self.dim))
-                full = T.matmul(a, bc)
-                full = T.reshape(full, (len(self.layers), self.frames, self.tokens, self.dim))
-                out.append(full[m])
-            return tuple(out)
-        entry = self.params[layer]
+        if self.mode is not DecomposeMode.SPATIAL_TEMPORAL_LAYER:
+            entry = self.params[layer]
+            return tuple(T.matmul(entry[f"{tag}_a"], entry[f"{tag}_b"]) for tag in ("c", "s"))
+        m = self.layers.index(layer)
+        rows = self.frames * self.tokens
         out = []
         for tag in ("c", "s"):
-            a, b = entry[f"{tag}_a"], entry[f"{tag}_b"]
-            if self.mode is DecomposeMode.TEMPORAL:
-                out.append(T.matmul(a, b))
-            else:
-                flat = T.matmul(T.reshape(a, (self.frames * self.tokens, self.rank)), b)
-                out.append(T.reshape(flat, (self.frames, self.tokens, self.dim)))
+            a, b, c = (self.params[f"{tag}_{suffix}"] for suffix in "abc")
+            bc = T.matmul(T.reshape(b, (self.rank * rows, self.rank)), c)
+            full = T.matmul(a, T.reshape(bc, (self.rank, rows * self.dim)))
+            out.append(T.reshape(full, (len(self.layers), rows, self.dim))[m])
         return tuple(out)
 
     def apply(self, layer, x):
@@ -120,16 +105,12 @@ class VideoModulation:
 
         x is (..., T, N+1, D), or (..., T, 1, D) at the video tower's last
         layer, which computes only the CLS rows; per-token factors then
-        apply their token-0 row.
+        apply their token-0 row. A per-frame row is shared by every token.
         """
         if layer not in self.layers:
             return x
-        c, s = self.compose(layer)
-        if self.mode is DecomposeMode.TEMPORAL:
-            # one (T, D) row per frame, broadcast over its N+1 tokens
-            c = T.reshape(c, (self.frames, 1, self.dim))
-            s = T.reshape(s, (self.frames, 1, self.dim))
-        elif x.shape[-2] == 1:
+        c, s = (T.reshape(m, (self.frames, -1, self.dim)) for m in self.compose(layer))
+        if c.shape[1] > x.shape[-2]:
             c, s = c[:, :1, :], s[:, :1, :]
         return c * x + s
 
@@ -152,12 +133,7 @@ class TextModulation:
                 # appendix ablation: word-level low-rank modulation over token positions
                 rng = rng_for(seed, "textmod/lowrank", layer)
                 for tag in ("w", "v"):
-                    entry[f"{tag}_a"] = store.add(
-                        f"{prefix}/{tag}_a", Tensor(np.zeros((positions, rank)))
-                    )
-                    entry[f"{tag}_b"] = store.add(
-                        f"{prefix}/{tag}_b", Tensor(rng.normal(size=(rank, dim)) * 1e-3)
-                    )
+                    entry.update(_factor_pair(store, prefix, tag, positions, rank, dim, rng))
             self.params[layer] = entry
         identity_init(self)
 
@@ -178,6 +154,15 @@ class TextModulation:
             x = cw * x + sw
         w = entry["c_t"] * x[..., -1:, :] + entry["s_t"]
         return T.concat([x[..., :-1, :], w], axis=-2)
+
+
+def _factor_pair(store, prefix, tag, rows, rank, dim, rng):
+    """Register a zero (rows, R) leading factor and a (R, D) trailing factor
+    of 1e-3 noise as ``{prefix}/{tag}_a`` and ``{prefix}/{tag}_b``."""
+    return {
+        f"{tag}_a": store.add(f"{prefix}/{tag}_a", Tensor(np.zeros((rows, rank)))),
+        f"{tag}_b": store.add(f"{prefix}/{tag}_b", Tensor(rng.normal(size=(rank, dim)) * 1e-3)),
+    }
 
 
 def identity_init(mod):

@@ -565,17 +565,6 @@ def concat(parts, axis):
     return _make(data, tuple(parts), _bw)
 
 
-def broadcast_to(a, shape):
-    a = astensor(a)
-    data = np.broadcast_to(a.data, shape).copy()
-    na = a.node
-
-    def _bw(g):
-        na._accumulate(_unbroadcast(g, na.shape))
-
-    return _make(data, (a,), _bw)
-
-
 def _is_basic_key(key):
     """True for keys numpy treats as basic indexing (a view, no repeats)."""
     parts = key if isinstance(key, tuple) else (key,)

@@ -4,6 +4,7 @@ import os
 import pickle
 import time
 
+import numpy as np
 import pytest
 
 
@@ -44,3 +45,8 @@ def assert_no_child_left():
     """No child process of this one is running or waiting to be reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _bits(x):
+    """The raw float64 bits of an array, for bitwise comparisons."""
+    return np.ascontiguousarray(x).view(np.uint64)

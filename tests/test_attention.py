@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import _bits
 
 from tvadapt import tensor as T
 from tvadapt.attention import (
@@ -347,10 +348,6 @@ def composite_warp_kv(k, v, offsets, selection):
 
     mask = np.asarray(selection, dtype=bool)[..., None]
     return _where_const(mask, bilinear(k), k), _where_const(mask, bilinear(v), v)
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def _warp_case(warp, fields, axes, gamma, delta):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.special import erf
+from conftest import _bits
 
 from tvadapt import tensor as T
 from tvadapt.backbone import (
@@ -320,10 +321,6 @@ def _adapted_model(text_lowrank):
     return model
 
 
-def _bits(t):
-    return np.ascontiguousarray(t.data).view(np.uint64)
-
-
 @pytest.mark.parametrize("text_lowrank", [False, True], ids=["sentence", "lowrank"])
 def test_each_tower_resumes_bitwise_from_its_own_stop(text_lowrank):
     model = _adapted_model(text_lowrank)
@@ -337,13 +334,13 @@ def test_each_tower_resumes_bitwise_from_its_own_stop(text_lowrank):
             whole = encode_video(data.videos, model.store, model.config, **run)
             states = encode_video(data.videos, model.store, model.config, stop=f, **run)
             resumed = encode_video(states.data, model.store, model.config, start=f, **run)
-            assert (_bits(resumed) == _bits(whole)).all(), f
+            assert (_bits(resumed.data) == _bits(whole.data)).all(), f
         for f in range(1, model.config.text_layers + 1):
             run = dict(modulate=model.text_mod.apply)
             whole = encode_text(data.tokens, model.store, model.config, **run)
             states = encode_text(data.tokens, model.store, model.config, stop=f, **run)
             resumed = encode_text(states.data, model.store, model.config, start=f, **run)
-            assert (_bits(resumed) == _bits(whole)).all(), f
+            assert (_bits(resumed.data) == _bits(whole.data)).all(), f
 
 
 # -- generated weights ------------------------------------------------------

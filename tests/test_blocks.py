@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left
+from conftest import _bits, assert_no_child_left
 
 from tvadapt import model as model_mod
 from tvadapt import tensor as T
@@ -72,10 +72,6 @@ def another_thread():
     release.set()
     thread.join(timeout=60)
     assert not thread.is_alive()
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def _model(cfg):

@@ -591,7 +591,7 @@ def test_benchmark_tracer_patches_existing_names_and_restores_them():
 # every tape node still held its value; the counts are those the benchmark's
 # per-layer table reports, so the tracer must keep seeing every node
 TRACED_TOY_OPS = {
-    "add": (74, 46), "broadcast_to": (3, 0), "concat": (25, 22), "div": (4, 4),
+    "add": (74, 46), "concat": (25, 22), "div": (4, 4),
     "exp": (6, 6), "gelu": (20, 12), "getitem": (82, 60), "layer_norm": (40, 22),
     "linear": (123, 66), "log": (4, 4), "matmul": (76, 44), "mul": (56, 40),
     "reshape": (118, 68), "softmax": (20, 12), "sqrt": (4, 4), "sub": (8, 8),
@@ -619,6 +619,9 @@ def test_benchmark_tracer_counts_every_node_and_gradient_write():
         tr.uninstall()
     ops = {kind: (row["nodes"], row["taped"]) for kind, row in tr.op_table().items()
            if row["nodes"]}
+    # every op kind training builds must also run its backward at least
+    # once, or the op's gradient code is never exercised by training
+    assert [kind for kind, (_, taped) in ops.items() if not taped] == []
     assert ops == TRACED_TOY_OPS
     assert tr.counters["accumulate_calls"] == 704
     assert tr.counters["grad_alloc_bytes"] == 34_892_704

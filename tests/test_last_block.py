@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import _bits
 
 from tvadapt import model as model_mod
 from tvadapt import tensor as T
@@ -63,10 +64,6 @@ def encode_video_full_rows(video, store, config, modulate=None, attention=None, 
 def _videos(cfg, count, tag):
     shape = (count, cfg.frames, cfg.frame_h, cfg.frame_w, cfg.channels)
     return rng_for(cfg.seed, "last-block", tag).normal(size=shape)
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def _perturbed_model(cfg):

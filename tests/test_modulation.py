@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import _bits
 
 from tvadapt import tensor as T
 from tvadapt.exceptions import ConfigError
@@ -126,7 +127,8 @@ def test_spatial_temporal_replication_degenerates_to_temporal():
         b = rng.normal(size=(RANK, DIM))
         mod_t.params[1][f"{tag}_a"].data[:] = a
         mod_t.params[1][f"{tag}_b"].data[:] = b
-        mod_s.params[1][f"{tag}_a"].data[:] = np.repeat(a[:, None, :], TOKENS, axis=1)
+        mod_s.params[1][f"{tag}_a"].data[:] = np.repeat(a[:, None, :], TOKENS, axis=1).reshape(
+            FRAMES * TOKENS, RANK)
         mod_s.params[1][f"{tag}_b"].data[:] = b
     x = Tensor(rng.normal(size=(FRAMES, TOKENS, DIM)))
     np.testing.assert_allclose(mod_s.apply(1, x).data, mod_t.apply(1, x).data, atol=1e-12)
@@ -137,7 +139,7 @@ def test_spatial_temporal_matches_brute_force_contraction():
     rng = rng_for(8, "bf")
     a = rng.normal(size=(FRAMES, TOKENS, RANK))
     b = rng.normal(size=(RANK, DIM))
-    mod.params[1]["c_a"].data[:] = a
+    mod.params[1]["c_a"].data[:] = a.reshape(FRAMES * TOKENS, RANK)
     mod.params[1]["c_b"].data[:] = b
     c, _ = mod.compose(1)
     want = np.zeros((FRAMES, TOKENS, DIM))
@@ -145,7 +147,7 @@ def test_spatial_temporal_matches_brute_force_contraction():
         for n in range(TOKENS):
             for d in range(DIM):
                 want[t, n, d] = sum(a[t, n, r] * b[r, d] for r in range(RANK))
-    np.testing.assert_allclose(c.data, want, atol=1e-12)
+    np.testing.assert_allclose(c.data, want.reshape(FRAMES * TOKENS, DIM), atol=1e-12)
 
 
 def test_layer_shared_mode_composes_and_bounds_rank():
@@ -161,9 +163,36 @@ def test_layer_shared_mode_composes_and_bounds_rank():
     want = np.einsum("mi,itsj,jd->mtsd", a, b, cmat)
     for idx, layer in enumerate((1, 2, 3)):
         c, s = mod.compose(layer)
-        np.testing.assert_allclose(c.data, want[idx], atol=1e-12)
-        sv = np.linalg.svd(c.data.reshape(FRAMES * TOKENS, DIM), compute_uv=False)
+        np.testing.assert_allclose(c.data, want[idx].reshape(FRAMES * TOKENS, DIM), atol=1e-12)
+        sv = np.linalg.svd(c.data, compute_uv=False)
         assert (sv[RANK:] < 1e-10 * max(1.0, sv[0])).all()
+
+
+@pytest.mark.parametrize("mode, rows", [
+    ("temporal", FRAMES),
+    ("spatial_temporal", FRAMES * TOKENS),
+    ("spatial_temporal_layer", FRAMES * TOKENS),
+])
+def test_compose_is_a_rank_r_matrix_that_apply_reshapes_per_frame(mode, rows):
+    # at random factors every mode composes (rows, D) matrices of rank at
+    # most R; apply reads them as (T, rows / T, D) and, at the last block's
+    # one-row input, a per-token factor keeps its CLS row
+    store, mod = make_video_mod(mode=mode, layers=(1, 2))
+    rng = rng_for(19, "contract", mode)
+    for _, t in store.items():
+        t.data[:] = rng.normal(size=t.shape)
+    for layer in (1, 2):
+        c, s = mod.compose(layer)
+        for m in (c, s):
+            assert m.shape == (rows, DIM)
+            sv = np.linalg.svd(m.data, compute_uv=False)
+            assert (sv[RANK:] < 1e-10 * max(1.0, sv[0])).all()
+        scale = c.data.reshape(FRAMES, -1, DIM)
+        shift = s.data.reshape(FRAMES, -1, DIM)
+        for tokens in (TOKENS, 1):
+            x = rng.normal(size=(3, FRAMES, tokens, DIM))
+            want = scale[:, :tokens] * x + shift[:, :tokens]
+            np.testing.assert_array_equal(mod.apply(layer, Tensor(x)).data, want)
 
 
 def test_none_mode_is_passthrough():
@@ -228,10 +257,6 @@ def two_hook_text_modulation(tm, layer, x):
         x = cw * x + sw
     w = entry["c_t"] * x[:, -1:, :] + entry["s_t"]
     return T.concat([x[:, :-1, :], w], axis=1)
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 @pytest.mark.parametrize("lowrank", [False, True])

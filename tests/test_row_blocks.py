@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import _bits
 
 from tvadapt import backbone
 from tvadapt import tensor as T
@@ -35,10 +36,6 @@ WIDE = toy_config(layers=4, dim_v=64, frame_h=12, frame_w=12, patch=4, frames=8,
                   pairs=16, batch_size=16, asa=False, seed=7)
 DATA = generate_dataset(WIDE.seed, 16, WIDE)
 CORES = {1: {0}, 2: {0, 1}, 3: {0, 1, 2}}
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def _use_cores(monkeypatch, count):

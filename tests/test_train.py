@@ -376,13 +376,17 @@ def test_non_finite_scores_raise_instead_of_perfect_reports(tmp_path, capsys):
     assert captured.err.startswith("numeric failure:") and "non-finite" in captured.err
 
 
-def test_checkpoint_roundtrip_is_bitwise(tmp_path):
-    model, _, steps = train(CFG, DATA, eval_each_epoch=False)
+@pytest.mark.parametrize("decompose", [mode.value for mode in DecomposeMode])
+def test_checkpoint_roundtrip_is_bitwise(tmp_path, decompose):
+    cfg = replace(CFG, decompose=decompose)
+    model, _, steps = train(cfg, DATA, eval_each_epoch=False)
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(path, model, steps=steps)
     restored, ckpt = load_model(path)
     assert ckpt.steps == steps
-    assert ckpt.config == CFG
+    assert ckpt.config == cfg
+    shapes = {name: t.shape for name, t in model.store.items()}
+    assert {name: t.shape for name, t in restored.store.items()} == shapes
     assert params_bytes(restored) == params_bytes(model)
     live = evaluate_model(model, DATA)
     loaded = evaluate_model(restored, DATA)
