@@ -9,9 +9,9 @@ through two hooks: one ``modulate(layer, x) -> x`` callable, which
 both towers call on every block's output, and in the video tower a
 per-layer map of replacement attention operations inside the blocks.
 Every size is a field of the one ``ExperimentConfig`` the functions
-take (``layers``, ``dim_v``, ``heads_v``, ... ``text_layers``,
-``dim_t``, ``heads_t``, ``vocab``, ``max_words``); the EOS id is
-``vocab - 1``.
+take; the EOS id is ``vocab - 1``. Every frozen tensor is declared once,
+in the tables ``_STEM_SHAPES`` and ``_BLOCK_SHAPES``, from which
+``init_backbone`` builds the towers and ``counting`` sizes them.
 """
 
 from __future__ import annotations
@@ -23,67 +23,62 @@ from .exceptions import ConfigError, InputError
 from .tensor import Tensor, rng_for
 from .workers import processes
 
+# One row per frozen tensor: (name, init rule, shape in the sizes
+# ``tower_sizes`` names). "ones" and "zeros" draw nothing; "proj" draws a
+# Gaussian over sqrt(first dimension), the fan-in, "embed" over sqrt(last).
+_STEM_SHAPES = {
+    "visual": (
+        ("patch_w", "proj", ("P", "D")), ("patch_b", "zeros", ("D",)),
+        ("cls", "embed", ("1", "D")), ("pos", "embed", ("N+1", "D")),
+    ),
+    "text": (("embed", "embed", ("vocab", "D")), ("pos", "embed", ("W+1", "D"))),
+}
 _BLOCK_SHAPES = (
-    ("ln1_g", "ones", ("D",)),
-    ("ln1_b", "zeros", ("D",)),
-    ("wq", "proj", ("D", "D")),
-    ("bq", "zeros", ("D",)),
-    ("wk", "proj", ("D", "D")),
-    ("bk", "zeros", ("D",)),
-    ("wv", "proj", ("D", "D")),
-    ("bv", "zeros", ("D",)),
-    ("wo", "proj", ("D", "D")),
-    ("bo", "zeros", ("D",)),
-    ("ln2_g", "ones", ("D",)),
-    ("ln2_b", "zeros", ("D",)),
-    ("mlp_w1", "proj", ("D", "4D")),
-    ("mlp_b1", "zeros", ("4D",)),
-    ("mlp_w2", "proj4", ("4D", "D")),
-    ("mlp_b2", "zeros", ("D",)),
+    ("ln1_g", "ones", ("D",)), ("ln1_b", "zeros", ("D",)),
+    ("wq", "proj", ("D", "D")), ("bq", "zeros", ("D",)),
+    ("wk", "proj", ("D", "D")), ("bk", "zeros", ("D",)),
+    ("wv", "proj", ("D", "D")), ("bv", "zeros", ("D",)),
+    ("wo", "proj", ("D", "D")), ("bo", "zeros", ("D",)),
+    ("ln2_g", "ones", ("D",)), ("ln2_b", "zeros", ("D",)),
+    ("mlp_w1", "proj", ("D", "4D")), ("mlp_b1", "zeros", ("4D",)),
+    ("mlp_w2", "proj", ("4D", "D")), ("mlp_b2", "zeros", ("D",)),
 )
 
 
-def _block_param(kind, shape, rng):
+def tower_sizes(config, tower):
+    """(block count, the sizes ``tower``'s shape specs name) from the config's integers."""
+    if tower == "visual":
+        dim, layers = config.dim_v, config.layers
+        sizes = {"P": config.patch * config.patch * config.channels, "N+1": config.patches + 1}
+    else:
+        dim, layers = config.dim_t, config.text_layers
+        sizes = {"vocab": config.vocab, "W+1": config.max_words + 1}
+    return layers, {"1": 1, "D": dim, "4D": 4 * dim, **sizes}
+
+
+def _draw(kind, shape, rng):
     if kind == "ones":
         return np.ones(shape)
     if kind == "zeros":
         return np.zeros(shape)
-    # scaled Gaussian, std 1/sqrt(fan_in)
-    return rng.normal(size=shape) / np.sqrt(shape[0])
-
-
-def _init_blocks(store, prefix, layers, dim, seed):
-    dims = {"D": dim, "4D": 4 * dim}
-    for layer in range(1, layers + 1):
-        for name, kind, shape_spec in _BLOCK_SHAPES:
-            shape = tuple(dims[s] for s in shape_spec)
-            rng = rng_for(seed, prefix, layer, name)
-            store.add(f"{prefix}/block{layer}/{name}", Tensor(_block_param(kind, shape, rng)), frozen=True)
+    return rng.normal(size=shape) / np.sqrt(shape[0] if kind == "proj" else shape[-1])
 
 
 def init_backbone(store, config):
-    """Register all frozen tower parameters under ``backbone/``, seeded by ``config.seed``."""
-    seed, dim_v, dim_t = config.seed, config.dim_v, config.dim_t
-    pdim = config.patch * config.patch * config.channels
-    rng = rng_for(seed, "backbone/visual/stem")
-    store.add("backbone/visual/patch_w", Tensor(rng.normal(size=(pdim, dim_v)) / np.sqrt(pdim)), frozen=True)
-    store.add("backbone/visual/patch_b", Tensor(np.zeros(dim_v)), frozen=True)
-    store.add("backbone/visual/cls", Tensor(rng.normal(size=(1, dim_v)) / np.sqrt(dim_v)), frozen=True)
-    store.add(
-        "backbone/visual/pos",
-        Tensor(rng.normal(size=(config.patches + 1, dim_v)) / np.sqrt(dim_v)),
-        frozen=True,
-    )
-    _init_blocks(store, "backbone/visual", config.layers, dim_v, seed)
+    """Register all frozen tower parameters under ``backbone/``, seeded by ``config.seed``.
 
-    rng = rng_for(seed, "backbone/text/stem")
-    store.add("backbone/text/embed", Tensor(rng.normal(size=(config.vocab, dim_t)) / np.sqrt(dim_t)), frozen=True)
-    store.add(
-        "backbone/text/pos",
-        Tensor(rng.normal(size=(config.max_words + 1, dim_t)) / np.sqrt(dim_t)),
-        frozen=True,
-    )
-    _init_blocks(store, "backbone/text", config.text_layers, dim_t, seed)
+    A tower's stem draws in table order from one stream, each block tensor from its own.
+    """
+    for tower, stem in _STEM_SHAPES.items():
+        layers, sizes = tower_sizes(config, tower)
+        prefix = f"backbone/{tower}"
+        stem_rng = rng_for(config.seed, f"{prefix}/stem")
+        rows = [(name, kind, spec, stem_rng) for name, kind, spec in stem]
+        rows += [(f"block{layer}/{name}", kind, spec, rng_for(config.seed, prefix, layer, name))
+                 for layer in range(1, layers + 1) for name, kind, spec in _BLOCK_SHAPES]
+        for name, kind, spec, rng in rows:
+            shape = tuple(sizes[s] for s in spec)
+            store.add(f"{prefix}/{name}", Tensor(_draw(kind, shape, rng)), frozen=True)
 
 
 def attention_core(q, k, v, heads):

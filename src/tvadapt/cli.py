@@ -1,9 +1,9 @@
 """Command-line harness: train, eval, ablate, count-params, export-diag, gen-data.
 
-Exit codes: 0 success, 1 validation error (config, input, checkpoint
-versioning), 2 numeric failure (non-finite loss or values), 3 worker
-failure (a forked worker process could not start, was killed, or sent
-no result back).
+Exit codes: 0 success, 1 validation error (usage, config, input,
+checkpoint versioning), 2 numeric failure (non-finite loss or values),
+3 worker failure (a forked worker process could not start, was killed,
+or sent no result back).
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def _cmd_eval(args):
     model, ckpt = load_model(args.ckpt)
     # replace validates, so --pairs meets the config's size cap before any video exists
     cfg = ckpt.config if args.pairs is None else replace(ckpt.config, pairs=args.pairs)
-    data_seed = args.data_seed if args.data_seed is not None else cfg.effective_data_seed
-    dataset = generate_dataset(data_seed, cfg.pairs, cfg)
+    dataset = generate_dataset(cfg.effective_data_seed, cfg.pairs, cfg)
     reports = evaluate_model(model, dataset, use_dsl=args.dsl)
     _print_reports(reports)
     if args.json:
@@ -145,8 +144,15 @@ def _cmd_gen_data(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors (exit 1)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvadapt",
         description="frozen two-tower retrieval with low-rank modulation and warped attention",
     )
@@ -160,7 +166,6 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data-seed", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--dsl", action="store_true", help="apply dual-softmax rescoring")
     p.add_argument("--json", help="also write reports to this JSON file")
@@ -195,9 +200,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

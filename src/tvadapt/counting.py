@@ -2,9 +2,10 @@
 
 Adapter tensors are instantiated (cheap at any scale) and enumerated
 per group; each group count is verified against the closed form implied
-by the factor shapes. The frozen backbone size is computed from the
-same shape table the tower construction uses, without materializing
-weights, so full-scale configurations can be audited instantly.
+by the factor shapes. The frozen towers are sized from the stem and
+block tables in ``backbone`` (``_STEM_SHAPES``, ``_BLOCK_SHAPES``) that
+``init_backbone`` builds them from: closed forms in the layer count, so
+a full-scale or a million-layer configuration is audited without a weight.
 """
 
 from __future__ import annotations
@@ -13,40 +14,27 @@ import math
 from dataclasses import dataclass
 
 from .attention import WarpAxes
-from .backbone import _BLOCK_SHAPES
+from .backbone import _BLOCK_SHAPES, _STEM_SHAPES, tower_sizes
 from .exceptions import ConsistencyError
 from .model import ADAPTER_GROUPS, build_adapters
 from .modulation import DecomposeMode
 from .tensor import ParamStore
 
 
-def _block_elements(dim):
-    dims = {"D": dim, "4D": 4 * dim}
-    return sum(math.prod(dims[s] for s in shape) for _, _, shape in _BLOCK_SHAPES)
-
-
 def backbone_elements(config):
     """Closed-form frozen parameter count for both towers."""
-    d_v, d_t = config.dim_v, config.dim_t
-    pdim = config.patch * config.patch * config.channels
-    visual = (
-        pdim * d_v + d_v  # patch projection
-        + d_v  # CLS
-        + (config.patches + 1) * d_v  # positions
-        + config.layers * _block_elements(d_v)
-    )
-    text = (
-        config.vocab * d_t
-        + (config.max_words + 1) * d_t
-        + config.text_layers * _block_elements(d_t)
-    )
-    return visual + text
+    total = 0
+    for tower, stem in _STEM_SHAPES.items():
+        layers, sizes = tower_sizes(config, tower)
+        size = lambda rows: sum(math.prod(sizes[s] for s in spec) for _, _, spec in rows)
+        total += size(stem) + layers * size(_BLOCK_SHAPES)
+    return total
 
 
 def backbone_tensors(config):
     """Closed-form count of the frozen towers' named tensors, from the config's integers."""
-    stems = 4 + 2  # patch_w, patch_b, cls, pos; embed, pos
-    return stems + (config.layers + config.text_layers) * len(_BLOCK_SHAPES)
+    return sum(len(stem) + tower_sizes(config, tower)[0] * len(_BLOCK_SHAPES)
+               for tower, stem in _STEM_SHAPES.items())
 
 
 def closed_forms(config):

@@ -1,8 +1,8 @@
 """CSV exports of modulation weights and patch attention-similarity maps.
 
 Two bundles back the usual qualitative figures: (a) per-layer composed
-scale/shift matrices plus their singular values, which show how much of
-the temporal variation the rank-R factorization carries; (b) for one
+scale/shift matrices, the rank-R (rows, D) pair ``compose`` returns, plus
+the scale's singular values, which show the rank structure; (b) for one
 query patch of one video, its per-frame attention distribution over all
 patches of every frame under the current (possibly warped) keys. The
 map reads the model's own forward through an attention-hook probe, and
@@ -88,13 +88,11 @@ def export_diagnostics(model, dataset, out_dir, item=0, frame=0, patch=0):
     for layer in model.video_mod.layers:
         with no_grad():
             scale, shift = model.video_mod.compose(layer)
-        scale = scale.data.reshape(model.config.frames, -1)
-        shift = shift.data.reshape(model.config.frames, -1)
-        save(f"modulation_scale_layer{layer}.csv", scale)
-        save(f"modulation_shift_layer{layer}.csv", shift)
+        save(f"modulation_scale_layer{layer}.csv", scale.data)
+        save(f"modulation_shift_layer{layer}.csv", shift.data)
         save(
             f"modulation_scale_layer{layer}_singular_values.csv",
-            np.linalg.svd(scale, compute_uv=False)[None, :],
+            np.linalg.svd(scale.data, compute_uv=False)[None, :],
         )
 
     save(f"patch_similarity_item{item}_frame{frame}_patch{patch}.csv", sim_map)

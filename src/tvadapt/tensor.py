@@ -766,7 +766,7 @@ def row_blocks(fn, x, parts):
 
 
 class ParamStore:
-    """Named map of parameters with per-entry frozen flags.
+    """Named map of parameters; ``add(frozen=...)`` sets each tensor's ``requires_grad``.
 
     Names are unique; all iteration is in lexicographic order so that
     optimizer sweeps and serialization are deterministic.

@@ -29,8 +29,9 @@ class Adam:
         for name, p in store.trainable_items():
             if p.grad is None:
                 continue
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * p.grad
             v *= self.beta2

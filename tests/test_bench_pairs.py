@@ -9,6 +9,7 @@ writes a tree holding the repository's ``BENCHMARK.json``.
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 from types import SimpleNamespace
 
@@ -30,6 +31,10 @@ def bench(monkeypatch):
         (dest / "src" / "tvadapt").mkdir(parents=True)
         (dest / "src" / "tvadapt" / "m.py").write_text("a = 1\nb = 2\n")
         (dest / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+        # perfbench holds a reference digest for seeds 0-63 of every workload
+        (dest / "perfbench").mkdir()
+        (dest / "perfbench" / "reference.json").write_text(json.dumps({"digests": {
+            w["name"]: {str(s): "d" for s in range(64)} for w in BENCHMARK["workloads"]}}))
 
     monkeypatch.setattr(module, "git", lambda *argv, text=True: f"rev-{argv[-1]}\n")
     monkeypatch.setattr(module, "export", export)
@@ -136,6 +141,18 @@ def test_even_seeds_run_the_parent_first(bench, tmp_path, monkeypatch):
     assert drive(bench, tmp_path)[0] == 0
     assert calls == [("parent", 40), ("change", 40), ("change", 41), ("parent", 41),
                      ("parent", 42), ("change", 42), ("change", 43), ("parent", 43)]
+
+
+def test_seed_without_a_reference_stops_before_the_first_run(bench, tmp_path, monkeypatch):
+    run_once, calls = canned(lambda side, seed: 1.0)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    missing = {WORKLOAD: [64, 65, 66, 67, 68, 69]}
+    with pytest.raises(SystemExit, match=re.escape(f"digest for seeds {missing}")):
+        bench.main(["--parent", "p", "--change", "c", "--scratch", str(tmp_path / "s"),
+                    "--pairs", f"{WORKLOAD}=10", "--first-seed", "60", "--out", str(out)])
+    assert calls == [] and not out.exists()
+    assert list((tmp_path / "s").iterdir()) == []  # the exported trees are removed
 
 
 LOWER = {"better": "lower", "bound": 0.1}

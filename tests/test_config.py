@@ -4,7 +4,7 @@ import pytest
 
 from tvadapt import config as cm
 from tvadapt.cli import main
-from tvadapt.counting import backbone_tensors, count_params
+from tvadapt.counting import backbone_elements, backbone_tensors, count_params
 from tvadapt.exceptions import ConfigError
 from tvadapt.model import AdapterModel
 
@@ -201,7 +201,12 @@ def test_model_too_large_to_build_is_a_config_error(field, tmp_path, capsys):
 
 
 def test_backbone_tensor_count_is_the_built_store_count():
-    for cfg in (cm.toy_config(), cm.toy_config(layers=1, text_layers=5, dim_v=8, heads_v=2)):
-        built = [name for name in AdapterModel(cfg).store.names() if name.startswith("backbone/")]
+    # the third config gives every stem size its own value: patch dim 4,
+    # N+1 = 17, vocab 13 and max_words + 1 = 10 against widths 32 and 24
+    for cfg in (cm.toy_config(), cm.toy_config(layers=1, text_layers=5, dim_v=8, heads_v=2),
+                cm.toy_config(channels=1, patch=2, vocab=13, max_words=9)):
+        store = AdapterModel(cfg).store
+        built = [name for name in store.names() if name.startswith("backbone/")]
         assert backbone_tensors(cfg) == len(built)
+        assert backbone_elements(cfg) == store.num_elements(prefix="backbone/")
     assert backbone_tensors(cm.vit_b32_shaped_config()) == 390

@@ -52,16 +52,16 @@ def test_cli_train_eval_roundtrip(tmp_path, capsys):
     assert "video->text" in payload and "r@1" in payload["video->text"]
 
 
-def test_cli_eval_data_seed_override(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path, **FAST)
-    ckpt = os.path.join(tmp_path, "m.ckpt")
-    main(["train", "--config", cfg_path, "--out", ckpt])
-    capsys.readouterr()
-    assert main(["eval", "--ckpt", ckpt, "--data-seed", "123"]) == 0
-    a = capsys.readouterr().out
-    assert main(["eval", "--ckpt", ckpt, "--data-seed", "123"]) == 0
-    b = capsys.readouterr().out
-    assert a == b  # same data seed -> identical reports
+def test_cli_usage_errors_exit_1(capsys):
+    # exit code 2 means a numeric failure, so argparse's own 2 must not leak out
+    for argv in (["eval", "--ckpt", "m.ckpt", "--pairs", "two"], ["train", "--nope"],
+                 ["bogus"], [], ["eval", "--ckpt", "m.ckpt", "--data-seed", "3"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    with pytest.raises(SystemExit) as stop:
+        main(["eval", "--help"])
+    assert stop.value.code == 0 and "--ckpt" in capsys.readouterr().out
 
 
 def test_cli_validation_errors_exit_1(tmp_path, capsys):
@@ -416,6 +416,25 @@ def test_diagnostics_shapes_after_training(tmp_path):
                     delimiter=",")
     assert sv.shape == (min(cfg.frames, cfg.dim_v),)
     assert (sv[cfg.rank:] < 1e-10).all()
+
+
+@pytest.mark.parametrize("mode", ["temporal", "spatial_temporal", "spatial_temporal_layer"])
+def test_export_writes_compose_matrices_of_rank_r(tmp_path, mode):
+    cfg = cm.toy_config(pairs=4, asa=False, decompose=mode)
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    for name, t in model.store.trainable_items():
+        if name.startswith("adapter/lorm/"):
+            t.data += 0.05 * np.random.default_rng(0).normal(size=t.shape)
+    export_diagnostics(model, data, tmp_path)
+    for layer in model.video_mod.layers:
+        with no_grad():
+            want = model.video_mod.compose(layer)[0].data
+        scale = np.loadtxt(tmp_path / f"modulation_scale_layer{layer}.csv", delimiter=",")
+        np.testing.assert_array_equal(scale, want)
+        sv = np.loadtxt(tmp_path / f"modulation_scale_layer{layer}_singular_values.csv",
+                        delimiter=",")
+        assert (sv > 1e-10 * sv[0]).sum() <= cfg.rank
 
 
 def test_similarity_map_runs_one_sentence_pick_per_map(monkeypatch):

@@ -13,7 +13,9 @@ directory under ``--scratch``, so each runs its own unchanged
 to the repository's git metadata. A pair is one seed run on both sides
 with ``--trace 0``; even seeds run the parent first, odd seeds the change
 first, and the workloads take turns within a seed. Every run lasts
-``BENCHMARK.json``'s ``run_seconds``. A run that exits non-zero, that
+``BENCHMARK.json``'s ``run_seconds``. A seed for which the parent's
+``perfbench/reference.json`` holds no digest on a requested workload stops
+the comparison before the first run. A run that exits non-zero, that
 runs past ``RUN_TIMEOUT_S``, whose ``#`` status line does not say
 "reference checked", that failed a task, or whose machine fingerprint
 differs from the first run's, stops the whole comparison: its timings
@@ -182,6 +184,12 @@ def main(argv=None):
         seconds = bench["run_seconds"]
         seeds = {w: list(range(args.first_seed, args.first_seed + n))
                  for w, n in args.pairs.items()}
+        reference = trees["parent"] / "perfbench" / "reference.json"
+        digests = json.loads(reference.read_text())["digests"] if reference.is_file() else {}
+        missing = {w: gaps for w, ws in seeds.items()
+                   if (gaps := [s for s in ws if str(s) not in digests.get(w, {})])}
+        if missing:
+            raise SystemExit(f"no perfbench reference digest for seeds {missing}")
         runs, machine, refused = run_pairs(trees, seeds, seconds)
         src = {side: src_lines(trees[side]) for side in SIDES}
     finally:
