@@ -5,11 +5,11 @@ free), and for those patches the key/value fields are resampled at the
 real-valued grid position (t + delta_t, n + gamma_n), where gamma (per
 patch slot) and delta (per frame) are learnable offsets shared by every
 layer; a warp restricted to one axis registers only that axis's offset.
-Fractional positions are bilinearly interpolated over the
-(frame, patch-index) grid with coordinates clamped to the valid range,
-which keeps the offsets trainable by gradient descent; exact integer
-positions reduce to direct indexing, so zero offsets reproduce vanilla
-attention bitwise. Unselected patches pass through untouched.
+Fractional positions are bilinearly interpolated over the (frame,
+patch-index) grid with coordinates clamped to the valid range. Exact
+integer positions reduce to direct indexing, so zero offsets reproduce
+vanilla attention bitwise, but the offset gradient there is 0: offsets
+that start at 0 never move. Unselected patches pass through untouched.
 
 The warp of K and V is one tape node over a per-axis sampling plan,
 bitwise equal to the chain of gather, blend and select ops it replaces
@@ -65,46 +65,33 @@ class OffsetParams:
 
 def selection_masks(mode, k_sel, u_patches, w_star=None, proj_w=None, proj_b=None,
                     cls_feats=None, rng=None):
-    """Boolean (..., T, N) mask of patches to warp.
+    """Boolean (..., T, N) mask of the K top-ranked patches per frame.
 
     ``u_patches``: detached (..., T, N, D) patch features. Text modes
     score Proj(u) = u @ proj_w + proj_b against ``w_star`` (..., D_t),
-    so they need all three; vision modes score u
-    against the frame CLS feature (..., T, D). Scoring is value-only:
-    selection is hard and carries no gradient. Ties break toward the
-    lower patch index; random mode draws K per frame without replacement
-    from ``rng``.
+    so they need all three; vision modes score u against the frame CLS
+    feature (..., T, D); random mode scores uniform numbers drawn from
+    ``rng`` in one call, so each frame gets a uniform K-subset. Top and
+    random modes rank highest first, bottom modes lowest first; ties
+    break toward the lower patch index. Selection is hard: no gradient.
     """
     mode = SelectionMode(mode)
     u = np.asarray(u_patches)
-    t_n, n_n = u.shape[-3], u.shape[-2]
-    lead = u.shape[:-3]
-    if k_sel > n_n or k_sel < 0:
-        raise ConfigError(f"selection K={k_sel} outside [0, N={n_n}]")
+    if k_sel > u.shape[-2] or k_sel < 0:
+        raise ConfigError(f"selection K={k_sel} outside [0, N={u.shape[-2]}]")
     if mode is SelectionMode.NONE:
-        return np.ones((*lead, t_n, n_n), dtype=bool)
-    if k_sel == 0:
-        return np.zeros((*lead, t_n, n_n), dtype=bool)
+        return np.ones(u.shape[:-1], dtype=bool)
     if mode is SelectionMode.RANDOM:
-        mask = np.zeros((*lead, t_n, n_n), dtype=bool)
-        flat = mask.reshape(-1, t_n, n_n)
-        for b in range(flat.shape[0]):
-            for t in range(t_n):
-                flat[b, t, rng.choice(n_n, size=k_sel, replace=False)] = True
-        return mask
-
-    if mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
-        probe = u @ proj_w + proj_b
-        w = np.broadcast_to(np.asarray(w_star), (*lead, probe.shape[-1]))
-        scores = np.einsum("...tnd,...d->...tn", probe, w)
+        scores, descending = rng.random(u.shape[:-1]), True
+    elif mode in (SelectionMode.TEXT_TOP_K, SelectionMode.TEXT_BOTTOM_K):
+        scores = np.einsum("...tnd,...d->...tn", u @ proj_w + proj_b, w_star)
         descending = mode is SelectionMode.TEXT_TOP_K
     else:
-        cls = np.broadcast_to(np.asarray(cls_feats), (*lead, t_n, u.shape[-1]))
-        scores = np.einsum("...tnd,...td->...tn", u, cls)
+        scores = np.einsum("...tnd,...td->...tn", u, cls_feats)
         descending = mode is SelectionMode.VISION_TOP_K
 
     order = np.argsort(-scores if descending else scores, axis=-1, kind="stable")
-    mask = np.zeros((*lead, t_n, n_n), dtype=bool)
+    mask = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k_sel], True, axis=-1)
     return mask
 

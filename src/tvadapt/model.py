@@ -235,11 +235,12 @@ class ASAPass:
     The offsets are fixed during a pass, so it builds their two axis plans
     (``warp_plan``) once, when it starts. Random mode draws each adapted
     layer's mask for the whole batch there too, in layer order, from the
-    ``randsel`` stream keyed by ``sel_key``. ``hooks`` is the attention
-    map ``video_tower`` takes; each hook records the (..., T, N) patch
-    mask it served in ``masks[layer]``. A pass is built per call and the
-    model holds none; a forked share's writes to ``masks`` do not reach
-    the caller.
+    ``randsel`` stream keyed by ``sel_key``: ``selection_masks`` ranks one
+    uniform draw per layer, so no share or block boundary changes a mask.
+    ``hooks`` is the attention map ``video_tower`` takes; each hook records
+    the (..., T, N) patch mask it served in ``masks[layer]``. A pass is
+    built per call and the model holds none; a forked share's writes to
+    ``masks`` do not reach the caller.
     """
 
     def __init__(self, model, videos, candidates=None, sel_key=("eval",), states=None):

@@ -133,10 +133,11 @@ def selected(mask):
 
 def test_select_patches_exhaustive_and_empty():
     u, text = crafted_frame([3.0, 1.0, 4.0, 2.0])
-    mask = selection_masks("text_top_k", 4, u, **text)
-    assert selected(mask) == [0, 1, 2, 3]
-    mask = selection_masks("text_top_k", 0, u, **text)
-    assert selected(mask) == []
+    inputs = dict(text, cls_feats=np.ones((1, DIM)), rng=rng_for(9, "sel"))
+    for mode in ("text_top_k", "text_bottom_k", "vision_top_k", "vision_bottom_k", "random"):
+        assert selected(selection_masks(mode, 4, u, **inputs)) == [0, 1, 2, 3], mode
+        assert selected(selection_masks(mode, 0, u, **inputs)) == [], mode
+    assert selected(selection_masks("none", 0, u)) == [0, 1, 2, 3]
 
 
 def test_select_patches_topk_sort_oracle():
@@ -169,6 +170,29 @@ def test_select_patches_random_deterministic_and_k_validation():
     assert m1.sum() == 3
     with pytest.raises(ConfigError):
         selection_masks("random", PATCHES + 1, u, rng=rng_for(9, "sel"))
+
+
+class CountingRng:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls += 1
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+def test_select_patches_random_is_one_draw():
+    rng, k, n = CountingRng(rng_for(9, "one-draw")), 3, 4
+    mask = selection_masks("random", k, np.empty((256, 6, n, 0)), rng=rng)
+    assert rng.calls == 1
+    rows = mask.reshape(-1, n)
+    assert (rows.sum(axis=1) == k).all()
+    # each patch's count is Binomial(1536, K/N): mean 1152, sd 17; the bound is 6 sd
+    assert np.abs(rows.sum(axis=0) - len(rows) * k / n).max() <= 102
 
 
 def test_selection_none_warps_all():

@@ -422,9 +422,9 @@ RUN_DIGESTS = {
     ("both", "text_top_k"): "1fc34776dda6b9d0f4df350731d35ed0",
     ("temporal", "text_top_k"): "05367f30655a43b7db0f7c35b888fd66",
     ("spatial", "text_top_k"): "a8a1ff8f5811944bae7665219cc236e2",
-    ("both", "random"): "45402210152be4c0d085479763a2e244",
-    ("temporal", "random"): "94491a7796e51892b8d2492356aa7fa9",
-    ("spatial", "random"): "761881ee9817cb0242bb97d97d45252b",
+    ("both", "random"): "77f2952fe0195b2169aa408098cd785d",
+    ("temporal", "random"): "56ece9529eba6141fac1d91fbee0253e",
+    ("spatial", "random"): "997bee96c89a4e9da52b2a6af3793880",
 }
 
 

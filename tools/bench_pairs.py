@@ -4,7 +4,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent 5547d64 --change HEAD --scratch /tmp/pairs \\
-        --pairs train_toy_asa=10 --pairs train_wide_noasa=5 --pairs eval_corpus_dsl=5 \\
+        --pairs train_toy_asa=10 --pairs train_wide_noasa=10 --pairs eval_corpus_dsl=10 \\
         --first-seed 40 --out BENCH_21.json
 
 Each side's committed files are exported with ``git archive`` into a fresh
