@@ -14,7 +14,7 @@ from tvadapt.attention import (
     OffsetParams,
     asa_block_attention,
     selection_masks,
-    warp_kv,
+    warp,
 )
 from tvadapt.backbone import vanilla_attention
 from tvadapt.tensor import ParamStore, Tensor, rng_for
@@ -40,20 +40,20 @@ k = Tensor(rng.normal(size=(FRAMES, PATCHES, DIM)))
 mask = np.ones((FRAMES, PATCHES), dtype=bool)
 
 offsets.delta.data[:] = 1.0  # integer frame offset: pure indexing
-k_hat, _ = warp_kv(k, k, offsets, mask)
+k_hat = warp(k, offsets, mask)
 print("integer offset +1 frame: row t equals original row t+1:",
       (k_hat.data[:-1] == k.data[1:]).all())
 print("last frame clamps to the boundary:", (k_hat.data[-1] == k.data[-1]).all())
 
 offsets.delta.data[:] = 0.5  # halfway between frames: bilinear blend
-k_hat, _ = warp_kv(k, k, offsets, mask)
+k_hat = warp(k, offsets, mask)
 blend = 0.5 * (k.data[0] + k.data[1])
 print("fractional offset 0.5 blends neighbors:", np.allclose(k_hat.data[0], blend))
 
 offsets.delta.data[:] = 0.0
 partial = rng.random((FRAMES, PATCHES)) < 0.5
 offsets.gamma.data[:] = 0.7
-k_hat, _ = warp_kv(k, k, offsets, partial)
+k_hat = warp(k, offsets, partial)
 print("unselected patches pass through bitwise:",
       (k_hat.data[~partial] == k.data[~partial]).all())
 
@@ -69,7 +69,7 @@ print("bitwise equal:", (warped.data == plain.data).all())
 print("\n=== offsets are trainable ===")
 offsets.gamma.data[:] = 0.3  # strictly inside a grid cell
 offsets.delta.data[:] = 0.3
-k_hat, v_hat = warp_kv(k, k, offsets, mask)
+k_hat = warp(k, offsets, mask)
 T.tsum(k_hat * k_hat).backward()
 print("d loss / d gamma:", np.array2string(offsets.gamma.grad.ravel(), precision=3))
 print("d loss / d delta:", np.array2string(offsets.delta.grad.ravel(), precision=3))

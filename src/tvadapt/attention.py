@@ -11,11 +11,10 @@ integer positions reduce to direct indexing, so zero offsets reproduce
 vanilla attention bitwise, but the offset gradient there is 0: offsets
 that start at 0 never move. Unselected patches pass through untouched.
 
-The warp of K and V is one tape node over a per-axis sampling plan,
+The warp is one tape node per field over per-axis sampling plans,
 bitwise equal to the chain of gather, blend and select ops it replaces
-(see ``warp_kv`` for the summation order its backward repeats). The
-offsets are fixed during a tower pass, so an ASA pass builds both axis
-plans once, when it starts (``warp_plan``), and every layer reuses them.
+(``warp``). The offsets are fixed during a tower pass, so an ASA pass
+builds both plans once, when it starts, and every layer reuses them.
 """
 
 from __future__ import annotations
@@ -130,14 +129,12 @@ def _blend(a, b, plan):
     return np.where(plan.exact, a, (1.0 - plan.frac) * a + plan.frac * b)
 
 
-def _blend_grad(g, a, b, plan, terms):
-    """Adjoints of ``_blend``'s two rows; frac terms (1 - frac, then frac) go to ``terms``."""
-    g_mix = g * ~plan.exact
+def _blend_grad(g, a, b, plan):
+    """Adjoints of ``_blend``'s two rows and of ``frac`` (None if no offset takes it)."""
+    g_mix, shape = g * ~plan.exact, plan.frac.shape
     g_lo = g * plan.exact + g_mix * (1.0 - plan.frac)
-    if plan.inside is not None:
-        terms.append(-T._unbroadcast(g_mix * a, plan.frac.shape))
-        terms.append(T._unbroadcast(g_mix * b, plan.frac.shape))
-    return g_lo, g_mix * plan.frac
+    return g_lo, g_mix * plan.frac, None if plan.inside is None else (
+        T._unbroadcast(g_mix * b, shape) - T._unbroadcast(g_mix * a, shape))
 
 
 def _scatter(g, idx, axis, shape):
@@ -150,64 +147,59 @@ def _scatter(g, idx, axis, shape):
     return out
 
 
-def warp_kv(k, v, offsets, selection):
-    """Resample key/value fields at offset grid positions for selected patches.
+def _plans(offsets, field):
+    """``offsets`` as axis plans: an ``OffsetParams``'s ``warp_plan`` on ``field``'s grid."""
+    return warp_plan(offsets, *field.shape[-3:-1]) if isinstance(offsets, OffsetParams) else offsets
 
-    k, v: (..., T, N, D); ``offsets``: an ``OffsetParams``, or its
-    ``warp_plan`` over this grid; ``selection``: boolean (..., T, N) mask
-    of the patches to warp. For n in S_t the output row is the field at
-    (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates
-    clamped to the grid; rows outside the selection pass through
-    bitwise. An axis whose offset is ``None`` keeps its grid position.
 
-    One tape node with parents k, v and the offsets that exist yields
-    K-hat and V-hat stacked. Its backward repeats the arithmetic and
-    summation order of the composite of primitive ops it replaces: K
-    fully, then V; per field the frame stage, then the patch stage; each
-    field sums its unselected rows, then the scatter to its ``lo`` rows,
-    then to its ``hi`` rows; each offset sums its four blend terms (K
-    through 1 - frac, K through frac, V likewise), masked by the in-grid
-    mask.
+def warp(f, offsets, selection):
+    """Resample field f (..., T, N, D) at offset grid positions for selected patches.
+
+    ``offsets``: an ``OffsetParams``, or its ``warp_plan`` over this grid; ``selection``:
+    boolean (..., T, N) mask of the patches to warp. For n in S_t the output row is f at
+    (t + delta_t, n + gamma_n), bilinearly interpolated with coordinates clamped to the
+    grid; other rows pass through bitwise. An axis whose offset is ``None`` stays put.
+
+    One tape node with parents f and the offsets that move. Its backward repeats the
+    arithmetic and summation order of the composite of primitive ops it replaces: the
+    frame stage, then the patch stage; f sums its unselected rows, then its scatter to
+    ``lo``, then to ``hi``; each offset sums its 1 - frac term, then its frac term, in-grid.
     """
-    k, v = T.astensor(k), T.astensor(v)
-    plans = warp_plan(offsets, *k.shape[-3:-1]) if isinstance(offsets, OffsetParams) else offsets
-    n_plan, t_plan = plans
+    f = T.astensor(f)
+    n_plan, t_plan = plans = _plans(offsets, f)
     mask = np.asarray(selection, dtype=bool)[..., None]
-    fields = [(f.data, T._grad_node(f)) for f in (k, v)]  # backward reads both values
-
-    def warped(f):
-        s = _blend(*_gather(f, n_plan, -2), n_plan)
-        return np.where(mask, _blend(*_gather(s, t_plan, -3), t_plan), f)
-
-    data = np.stack([warped(f) for f, _ in fields])
+    field, node = f.data, T._grad_node(f)  # backward reads the value
+    s = _blend(*_gather(field, n_plan, -2), n_plan)
+    data = np.where(mask, _blend(*_gather(s, t_plan, -3), t_plan), field)
 
     def _bw(g):
-        n_terms, t_terms = [], []
-        for (field, node), g_field in zip(fields, g):
-            a, b = _gather(field, n_plan, -2)
-            s = _blend(a, b, n_plan)
-            g_lo, g_hi = _blend_grad(g_field * mask, *_gather(s, t_plan, -3), t_plan, t_terms)
-            g_s = _scatter(g_lo, t_plan.lo, -3, s.shape) + _scatter(g_hi, t_plan.hi, -3, s.shape)
-            g_lo, g_hi = _blend_grad(g_s, a, b, n_plan, n_terms)
-            if node is not None:
-                node._accumulate(g_field * ~mask)
-                node._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
-                node._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
-        for plan, terms in ((n_plan, n_terms), (t_plan, t_terms)):
-            if plan.inside is not None:  # the four terms sum left to right
-                offset = plan.offset
-                offset._accumulate(sum(terms[1:], terms[0]).reshape(offset.shape) * plan.inside)
+        a, b = _gather(field, n_plan, -2)
+        s = _blend(a, b, n_plan)
+        g_lo, g_hi, t_term = _blend_grad(g * mask, *_gather(s, t_plan, -3), t_plan)
+        g_s = _scatter(g_lo, t_plan.lo, -3, s.shape) + _scatter(g_hi, t_plan.hi, -3, s.shape)
+        g_lo, g_hi, n_term = _blend_grad(g_s, a, b, n_plan)
+        if node is not None:
+            node._accumulate(g * ~mask)
+            node._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
+            node._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
+        for plan, term in ((n_plan, n_term), (t_plan, t_term)):
+            if term is not None:
+                plan.offset._accumulate(term.reshape(plan.offset.shape) * plan.inside)
 
-    moving = tuple(p.offset for p in plans if p.offset is not None)
-    w = T._make(data, (k, v, *moving), _bw)
-    return w[0], w[1]
+    return T._make(data, (f, *(p.offset for p in plans if p.offset is not None)), _bw)
+
+
+def warp_kv(k, v, offsets, selection):
+    """The key and the value field, each warped (``warp``) with one pair of axis plans."""
+    plans = _plans(offsets, k)
+    return warp(k, plans, selection), warp(v, plans, selection)
 
 
 def asa_block_attention(x_in, q, k, v, heads, offsets, selection):
     """Drop-in block attention: warp patch K/V rows, keep the CLS row.
 
     q, k, v: (..., T, N+1, D) projected tokens from the frozen block;
-    ``offsets`` as in ``warp_kv``; ``selection`` is the (..., T, N)
+    ``offsets`` as in ``warp``; ``selection`` is the (..., T, N)
     patch mask. With zero offsets the result is bitwise identical to
     vanilla attention on the same inputs.
     """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from .attention import SelectionMode, WarpAxes
@@ -21,6 +22,9 @@ _MAX_ELEMENTS = 2**30
 # layers would hold 582, the ViT-B/32 shape holds 390, and the adapters add a
 # few per layer.
 _MAX_TENSORS = 2**16
+
+# The values each field annotation takes: numpy numbers pass, a bool is no number here.
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 # The sizes of each tower that must be at least 1; ``vocab`` must be at least 2.
 _TOWER_SIZES = {
@@ -89,6 +93,10 @@ class ExperimentConfig:
         return self.seed if self.data_seed < 0 else self.data_seed
 
     def validate(self):
+        for field in fields(self):  # every type before any value check compares one
+            value, kind = getattr(self, field.name), _TYPES[field.type]
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f"config field {field.name} must be {field.type}, got {value!r}")
         # every size before any divisibility, so that no check divides by zero
         for tower, sizes in _TOWER_SIZES.items():
             for field in sizes:

@@ -32,6 +32,11 @@ class SyntheticDataset:
     latents: np.ndarray  # (P, d)
     seed: int
 
+    def __post_init__(self):
+        counts = (len(self.videos), len(self.tokens), len(self.latents))
+        if len(set(counts)) != 1:
+            raise InputError("{} videos, {} captions and {} latents do not pair up".format(*counts))
+
     def __len__(self):
         return self.videos.shape[0]
 

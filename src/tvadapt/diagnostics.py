@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .attention import warp_kv
+from .attention import warp
 from .backbone import vanilla_attention
 from .exceptions import ConfigError
 from .model import ASAPass
@@ -54,7 +54,7 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
             out = hook(x_in, q, k, v, heads)  # an ASA hook records this layer's mask
             k_hat = k.data[0, :, 1:, :]
             if layer in attention:
-                k_hat = warp_kv(k_hat, k_hat, asa.plans, asa.masks[layer][0])[0].data
+                k_hat = warp(k_hat, asa.plans, asa.masks[layer][0]).data
             seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
             return out
 

@@ -17,10 +17,9 @@ at a layer without an adapter.
 Alternative decompositions are provided as ablation modes: per-token
 factors, whose rows are the T*(N+1) (frame, token) pairs, frame-major;
 the same per-token rows from one factorization shared across layers;
-and an off mode that holds no layers. Initialization
-is exact-identity: the composed scale is bitwise ones and the composed
-shift bitwise zeros, so a freshly attached adapter preserves the frozen
-model's function.
+and an off mode that holds no layers. Initialization is exact-identity:
+the composed scale is bitwise ones and the composed shift bitwise zeros,
+so a freshly attached adapter preserves the frozen model's function.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class VideoModulation:
         self.layers = [] if self.mode is DecomposeMode.NONE else sorted(layers)
         self.rank = rank
         self.frames = frames
-        self.tokens = tokens
         self.dim = dim
         self.params = {}
         if self.mode is DecomposeMode.NONE:
@@ -80,24 +78,23 @@ class VideoModulation:
         identity_init(self)
 
     def compose(self, layer):
-        """Composed rank-R (scale, shift) for one layer, (rows, D) each.
+        """Composed rank-R (scale, shift) for one layer: ``lead @ trail``, (rows, D) each.
 
-        The rows are the T frames in temporal mode and the T*(N+1)
-        (frame, token) pairs, frame-major, in the per-token modes.
+        Rows are the T frames (temporal) or the T*(N+1) (frame, token) pairs,
+        frame-major (per-token modes). Layer-shared, ``lead`` is row m of ``a``
+        applied to the shared ``b`` and ``trail`` is ``c``: no other layer is built.
         """
         if layer not in self.layers:
             raise ConfigError(f"layer {layer} has no modulation attached")
-        if self.mode is not DecomposeMode.SPATIAL_TEMPORAL_LAYER:
-            entry = self.params[layer]
-            return tuple(T.matmul(entry[f"{tag}_a"], entry[f"{tag}_b"]) for tag in ("c", "s"))
         m = self.layers.index(layer)
-        rows = self.frames * self.tokens
         out = []
         for tag in ("c", "s"):
-            a, b, c = (self.params[f"{tag}_{suffix}"] for suffix in "abc")
-            bc = T.matmul(T.reshape(b, (self.rank * rows, self.rank)), c)
-            full = T.matmul(a, T.reshape(bc, (self.rank, rows * self.dim)))
-            out.append(T.reshape(full, (len(self.layers), rows, self.dim))[m])
+            if self.mode is DecomposeMode.SPATIAL_TEMPORAL_LAYER:
+                a, b, trail = (self.params[f"{tag}_{suffix}"] for suffix in "abc")
+                lead = T.reshape(T.matmul(a[m:m + 1], T.reshape(b, (self.rank, -1))), (-1, self.rank))
+            else:
+                lead, trail = (self.params[layer][f"{tag}_{suffix}"] for suffix in "ab")
+            out.append(T.matmul(lead, trail))
         return tuple(out)
 
     def apply(self, layer, x):
@@ -120,7 +117,6 @@ class TextModulation:
 
     def __init__(self, store, layers, dim, seed, lowrank=False, rank=3, positions=0):
         self.layers = sorted(layers)
-        self.dim = dim
         self.lowrank = lowrank
         self.params = {}
         for layer in self.layers:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import hashlib
+import operator
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -335,12 +336,17 @@ def _unbroadcast(g, shape):
 # -- arithmetic -------------------------------------------------------
 
 
+def _broadcast(op, name, a, b):
+    """``op`` of the values of a and b; DimensionError if their shapes do not broadcast."""
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise DimensionError(f"{name}: cannot broadcast {a.shape} with {b.shape}")
+
+
 def add(a, b):
     a, b = astensor(a), astensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: cannot broadcast {a.shape} with {b.shape}")
+    data = _broadcast(operator.add, "add", a, b)
     na, nb = _grad_node(a), _grad_node(b)
 
     def _bw(g):
@@ -354,10 +360,7 @@ def add(a, b):
 
 def sub(a, b):
     a, b = astensor(a), astensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: cannot broadcast {a.shape} with {b.shape}")
+    data = _broadcast(operator.sub, "sub", a, b)
     na, nb = _grad_node(a), _grad_node(b)
 
     def _bw(g):
@@ -371,10 +374,7 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = astensor(a), astensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: cannot broadcast {a.shape} with {b.shape}")
+    data = _broadcast(operator.mul, "mul", a, b)
     na, nb, ad, bd = _cross(a, b)
 
     def _bw(g):
@@ -388,10 +388,7 @@ def mul(a, b):
 
 def div(a, b):
     a, b = astensor(a), astensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise DimensionError(f"div: cannot broadcast {a.shape} with {b.shape}")
+    data = _broadcast(operator.truediv, "div", a, b)
     na, nb, ad, _ = _cross(a, b)
     bd = b.data  # both gradients read it
 

@@ -356,15 +356,15 @@ def _composite_axis(offset, size):
 
 
 def composite_warp_kv(k, v, offsets, selection):
-    """The warp as a chain of primitive tape ops: the reference that the
-    one-node ``warp_kv`` must match bit for bit."""
+    """The warp as a chain of primitive tape ops, one frac chain per field:
+    the reference that ``warp_kv``'s one node per field must match bit for bit."""
     t_n, n_n = k.shape[-3], k.shape[-2]
-    n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n)
-    t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n)
-    fn = T.reshape(n_frac, (n_n, 1))
-    ft = T.reshape(t_frac, (t_n, 1, 1))
 
     def bilinear(field):
+        n_lo, n_hi, n_frac, n_exact = _composite_axis(offsets.gamma, n_n)
+        t_lo, t_hi, t_frac, t_exact = _composite_axis(offsets.delta, t_n)
+        fn = T.reshape(n_frac, (n_n, 1))
+        ft = T.reshape(t_frac, (t_n, 1, 1))
         g0, g1 = _take(field, n_lo, -2), _take(field, n_hi, -2)
         stage_n = _where_const(n_exact[:, None], g0, (1.0 - fn) * g0 + fn * g1)
         h0, h1 = _take(stage_n, t_lo, -3), _take(stage_n, t_hi, -3)

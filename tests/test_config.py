@@ -1,8 +1,10 @@
 """Config parsing, validation, and preset tests."""
 
+import numpy as np
 import pytest
 
 from tvadapt import config as cm
+from tvadapt.attention import SelectionMode
 from tvadapt.cli import main
 from tvadapt.counting import backbone_elements, backbone_tensors, count_params
 from tvadapt.exceptions import ConfigError
@@ -152,6 +154,28 @@ def test_non_finite_floats_rejected(field, value, tmp_path, capsys):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+# values of a wrong type for each field annotation, and a converter to a
+# right type that is not Python's own
+WRONG_TYPES = {"int": [1.5, 2.0, True, "1", None], "float": [False, "0.1", None],
+               "bool": [1, 0, "no", None], "str": [1, None, b"both"]}
+OTHER_RIGHT_TYPE = {"int": np.int64, "float": np.float64, "bool": bool, "str": str}
+
+
+@pytest.mark.parametrize("field", list(cm._FIELDS))
+def test_every_field_rejects_a_value_of_the_wrong_type(field):
+    # epochs = 1.5, top_k = 1.5 or layers = 2.0 used to reach a raw TypeError
+    # inside train or init_backbone, and seed = "a", rank = 2.5 or asa = "no"
+    # were accepted; numpy integers and floats, and enum members, still pass
+    kind = cm._FIELDS[field].type
+    for value in WRONG_TYPES[kind]:
+        with pytest.raises(ConfigError, match=f"config field {field} must be {kind}, got"):
+            cm.toy_config(**{field: value})
+    default = getattr(cm.toy_config(), field)
+    assert getattr(cm.toy_config(**{field: OTHER_RIGHT_TYPE[kind](default)}), field) == default
+    if field == "selection":
+        assert cm.toy_config(selection=SelectionMode.RANDOM).selection == "random"
 
 
 # adversarial values for every field: signs, edges of the machine integer

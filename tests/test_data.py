@@ -1,5 +1,7 @@
 """Synthetic dataset generator tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def test_minimal_two_pair_dataset():
     assert data.videos.shape == (2, cfg.frames, cfg.frame_h, cfg.frame_w, cfg.channels)
     with pytest.raises(InputError):
         generate_dataset(0, 1, cfg)
+
+
+@pytest.mark.parametrize("counts", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
+def test_counts_that_do_not_pair_up_are_an_input_error(counts):
+    # 3 videos with 4 captions used to train silently on misaligned pairs,
+    # and 4 videos with 3 captions to raise an IndexError inside train
+    data = generate_dataset(0, 4, toy_config())
+    videos, captions, latents = counts
+    with pytest.raises(InputError, match=f"{videos} videos, {captions} captions and {latents}"):
+        replace(data, videos=data.videos[:videos], tokens=data.tokens[:captions],
+                latents=data.latents[:latents])
 
 
 def test_too_small_vocab_raises_instead_of_looping():

@@ -168,6 +168,28 @@ def test_layer_shared_mode_composes_and_bounds_rank():
         assert (sv[RANK:] < 1e-10 * max(1.0, sv[0])).all()
 
 
+def test_layer_shared_compose_builds_only_its_own_layer(monkeypatch):
+    # layer m's leading factor is row m of a applied to the shared b, so no
+    # product holds another layer's (rows, D) block: the (L, rows * D) stack
+    # of every layer, built to keep one row block, held 3,840 elements here
+    frames, tokens, dim, layers = 6, 5, 32, [1, 2, 3, 4]
+    mod = VideoModulation(ParamStore(), "spatial_temporal_layer", layers, RANK, frames, tokens,
+                          dim, 0)
+    sizes = []
+    matmul = T.matmul
+
+    def counted(a, b):
+        out = matmul(a, b)
+        sizes.append(out.data.size)
+        return out
+
+    monkeypatch.setattr(T, "matmul", counted)
+    c, s = mod.compose(2)
+    assert c.shape == s.shape == (frames * tokens, dim)
+    assert (c.data == 1.0).all() and (s.data == 0.0).all()
+    assert sizes and max(sizes) <= frames * tokens * dim
+
+
 @pytest.mark.parametrize("mode, rows", [
     ("temporal", FRAMES),
     ("spatial_temporal", FRAMES * TOKENS),

@@ -421,7 +421,7 @@ def run_digest(config):
 RUN_DIGESTS = {
     ("both", "text_top_k"): "1fc34776dda6b9d0f4df350731d35ed0",
     ("temporal", "text_top_k"): "05367f30655a43b7db0f7c35b888fd66",
-    ("spatial", "text_top_k"): "a8a1ff8f5811944bae7665219cc236e2",
+    ("spatial", "text_top_k"): "6d0564c0b321cb2c84018c295a7e76b9",
     ("both", "random"): "77f2952fe0195b2169aa408098cd785d",
     ("temporal", "random"): "56ece9529eba6141fac1d91fbee0253e",
     ("spatial", "random"): "997bee96c89a4e9da52b2a6af3793880",
@@ -438,12 +438,12 @@ def test_trained_adapters_and_reports_match_pinned_digests(warp_axes, selection)
 AXIS_DIGESTS = {
     "spatial_temporal": (dict(decompose="spatial_temporal"), "e478b755fefa0ab0a337bbe207dcf23f"),
     "spatial_temporal_layer": (dict(decompose="spatial_temporal_layer"),
-                               "ccfedfaff7e535baca0e2b0711ebccb1"),
+                               "ce3b2ce25fbf81b2143e509c1019274b"),
     "no-decompose": (dict(decompose="none"), "3193cb201949414540d311ed09b4b348"),
-    "frozen-prefix": (dict(adapter_layers="3,4"), "725fa1653fd7586e6bae9c505e29dc2f"),
+    "frozen-prefix": (dict(adapter_layers="3,4"), "a2310bf98222342290f459b930cae62b"),
     "text-lowrank": (dict(text_lowrank=True), "98ac02c72b0f343ca53167778312fcf3"),
     "no-asa": (dict(asa=False), "69f28a3e440e71210c286a5dca61f6c7"),
-    "vision_top_k": (dict(selection="vision_top_k"), "0164c8122bc3e6a9b48652a2a6398a98"),
+    "vision_top_k": (dict(selection="vision_top_k"), "179022c8b781ee4b95554e869a2873b5"),
     "mini-batches": (dict(batch_size=4), "30ad0bd8be807061dbb789f40d98758c"),
 }
 
