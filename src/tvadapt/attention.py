@@ -179,9 +179,9 @@ def warp(f, offsets, selection):
         g_s = _scatter(g_lo, t_plan.lo, -3, s.shape) + _scatter(g_hi, t_plan.hi, -3, s.shape)
         g_lo, g_hi, n_term = _blend_grad(g_s, a, b, n_plan)
         if node is not None:
-            node._accumulate(g * ~mask)
-            node._accumulate(_scatter(g_lo, n_plan.lo, -2, field.shape))
-            node._accumulate(_scatter(g_hi, n_plan.hi, -2, field.shape))
+            node._adopt(g * ~mask)
+            node._adopt(_scatter(g_lo, n_plan.lo, -2, field.shape))
+            node._adopt(_scatter(g_hi, n_plan.hi, -2, field.shape))
         for plan, term in ((n_plan, n_term), (t_plan, t_term)):
             if term is not None:
                 plan.offset._accumulate(term.reshape(plan.offset.shape) * plan.inside)

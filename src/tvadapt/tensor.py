@@ -33,6 +33,23 @@ nothing more (and x's value only if w trains); ``gelu`` keeps
 standard deviation. Backward recomputes the rest (Chen et al., 2016,
 "Training Deep Nets with Sublinear Memory Cost").
 
+Every gradient buffer has one owner. ``_accumulate`` copies a first
+gradient into a fresh C-ordered buffer and sums later ones into it.
+``_adopt`` instead takes the array it is handed as the buffer when the
+tensor has no gradient yet and the array is an owning, C-contiguous
+float64 array of the tensor's shape; otherwise it accumulates it. A
+closure adopts only an array it has just made and never touches again
+(a product, a quotient, a scatter); a pass-through adjoint (``add``,
+``reshape``, ``swapaxes``, ``concat``, ``tsum``, a ``row_blocks`` seed)
+may be a view or shared, so it is accumulated, which copies it. The
+sweep hands each node's buffer to its closure, which then owns it, as
+PyTorch's ``AccumulateGrad`` takes a gradient it can own instead of
+copying it: ``gelu``'s closure writes the adjoint of its 0.5 x path
+into that buffer and adopts it into x, and, since a closure runs once,
+writes the erf path's Gaussian factor into the kept ``erf + 1``, which
+the 0.5 x path is the last to read. So a taped backward holds about its
+tape, not copies of the adjoints in flight.
+
 A ``row_blocks`` node runs a row-wise function over contiguous blocks of
 its input's leading rows, one block per thread (``workers.map_threads``).
 It holds one private tape per block, rooted at a fresh leaf over the
@@ -132,12 +149,30 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g):
+        if np.shape(g) != self.data.shape:
+            raise ContractError(
+                f"gradient of shape {np.shape(g)} for a tensor of shape {self.data.shape}"
+            )
         if self.grad is None:
             # a fresh buffer; never alias ``g``
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
         else:
             self.grad += g
+
+    def _adopt(self, g):
+        """Take ``g`` as the gradient buffer if it can be owned, else ``_accumulate`` it.
+
+        ``g`` is adopted when there is no gradient yet and it is an owning,
+        C-contiguous float64 array of this tensor's shape. The caller must
+        have just made ``g`` and must never touch it again.
+        """
+        if (self.grad is None and isinstance(g, np.ndarray) and g.flags.owndata
+                and g.flags.c_contiguous and g.dtype == np.float64
+                and g.shape == self.data.shape):
+            self.grad = g
+        else:
+            self._accumulate(g)
 
     # -- autodiff core --------------------------------------------------
 
@@ -276,9 +311,10 @@ def _sweep(root, g):
         node = topo.pop()
         if node._backward is None:
             continue
-        if node.grad is not None:
-            node._backward(node.grad)
-        node.grad = None
+        # the node hands its gradient buffer to its closure, which owns it
+        g, node.grad = node.grad, None
+        if g is not None:
+            node._backward(g)
         node._parents = ()
         node._backward = _released
 
@@ -367,7 +403,7 @@ def sub(a, b):
         if na is not None:
             na._accumulate(_unbroadcast(g, na.shape))
         if nb is not None:
-            nb._accumulate(_unbroadcast(-g, nb.shape))
+            nb._adopt(_unbroadcast(-g, nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -379,9 +415,9 @@ def mul(a, b):
 
     def _bw(g):
         if na is not None:
-            na._accumulate(_unbroadcast(g * bd, na.shape))
+            na._adopt(_unbroadcast(g * bd, na.shape))
         if nb is not None:
-            nb._accumulate(_unbroadcast(g * ad, nb.shape))
+            nb._adopt(_unbroadcast(g * ad, nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -394,9 +430,9 @@ def div(a, b):
 
     def _bw(g):
         if na is not None:
-            na._accumulate(_unbroadcast(g / bd, na.shape))
+            na._adopt(_unbroadcast(g / bd, na.shape))
         if nb is not None:
-            nb._accumulate(_unbroadcast(-g * ad / (bd * bd), nb.shape))
+            nb._adopt(_unbroadcast(-g * ad / (bd * bd), nb.shape))
 
     return _make(data, (a, b), _bw)
 
@@ -410,7 +446,7 @@ def exp(a):
     na = a.node
 
     def _bw(g):
-        na._accumulate(g * data)
+        na._adopt(g * data)
 
     return _make(data, (a,), _bw)
 
@@ -420,7 +456,7 @@ def log(a):
     na, ad = a.node, a.data
 
     def _bw(g):
-        na._accumulate(g / ad)
+        na._adopt(g / ad)
 
     return _make(np.log(ad), (a,), _bw)
 
@@ -431,7 +467,7 @@ def sqrt(a):
     na = a.node
 
     def _bw(g):
-        na._accumulate(g * 0.5 / data)
+        na._adopt(g * 0.5 / data)
 
     return _make(data, (a,), _bw)
 
@@ -461,10 +497,10 @@ def _matmul_grads(g, na, nb, ad, bd):
     """Scatter the adjoint ``g`` of ``a @ b`` into ``na``, then ``nb`` (``_cross``)."""
     if na is not None:
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        na._accumulate(_unbroadcast(ga, na.shape))
+        na._adopt(_unbroadcast(ga, na.shape))
     if nb is not None:
         gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        nb._accumulate(_unbroadcast(gb, nb.shape))
+        nb._adopt(_unbroadcast(gb, nb.shape))
 
 
 def matmul(a, b):
@@ -512,7 +548,7 @@ def softmax(a, axis):
 
     def _bw(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        na._accumulate(data * (g - inner))
+        na._adopt(data * (g - inner))
 
     return _make(data, (a,), _bw)
 
@@ -585,7 +621,7 @@ def getitem(a, key):
             ga[key] += g  # a basic key hits each element at most once
         else:
             np.add.at(ga, key, g)
-        na._accumulate(ga)
+        na._adopt(ga)
 
     return _make(data, (a,), _bw)
 
@@ -642,19 +678,22 @@ def gelu(x):
 
     def _bw(g):
         # the composite's two paths to x: ga (through 0.5 x) reaches x before
-        # gb (through erf)
-        ga = g * s
-        ga *= 0.5
-        nx._accumulate(ga)
-        gb = g * (0.5 * xd)
+        # gb (through erf). gb reads g first; then ga is written into g, which
+        # this node owns, and e into s, which ga was the last to read
+        gb = np.multiply(xd, 0.5)
+        gb *= g
         gb *= 2.0
         gb *= _INV_SQRT_PI
-        e = xd * _INV_SQRT_2
-        e *= -e
+        ga = np.multiply(g, s, out=g)
+        ga *= 0.5
+        nx._adopt(ga)
+        e = np.multiply(xd, _INV_SQRT_2, out=s)
+        e *= e
+        np.negative(e, out=e)
         np.exp(e, out=e)
         gb *= e
         gb *= _INV_SQRT_2
-        nx._accumulate(gb)
+        nx._adopt(gb)
 
     return _make(data, (x,), _bw)
 
@@ -693,7 +732,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
             return
         c = xd - mu
         if ng is not None:
-            ng._accumulate(_unbroadcast(g * (c / sd), ng.shape))
+            ng._adopt(_unbroadcast(g * (c / sd), ng.shape))
         if nx is None:
             return
         gn = g * gd
@@ -710,10 +749,12 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gc = np.divide(gn, sd, out=c)
         gc += t
         gc += t
-        nx._accumulate(gc)
-        # mean path, a second call: a held gradient r must become (r + a) + b
-        gm = _unbroadcast(np.negative(gc, out=gc), mu.shape)
+        # mean path, summed from a negated copy in t's buffer: gc is adopted,
+        # and summing first then negating would flip signed zeros
+        gm = _unbroadcast(np.negative(gc, out=t), mu.shape)
         gm *= inv_n
+        # a held gradient r must become (r + gc) + gm
+        nx._adopt(gc)
         nx._accumulate(np.broadcast_to(gm, nx.shape))
 
     return _make(data, (gain, x, bias), _bw)
@@ -754,7 +795,7 @@ def row_blocks(fn, x, parts):
         gx = np.empty_like(nx.data)
         for rs, leaf in zip(bounds, leaves):
             gx[rs] = 0.0 if leaf.grad is None else leaf.grad
-        nx._accumulate(gx)
+        nx._adopt(gx)
 
     return _make(data, (x,), _bw)
 

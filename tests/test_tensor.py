@@ -427,6 +427,43 @@ def test_a_node_keeps_its_value_shape_and_a_c_ordered_gradient(view):
     assert _bits(node.grad).tobytes() == _bits(g).tobytes()
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first-write", "later-sum"])
+def test_a_mis_shaped_adjoint_raises_instead_of_broadcasting(first):
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    if not first:
+        t._accumulate(np.ones((3, 4)))
+    with pytest.raises(ContractError, match=r"\(1, 4\).*\(3, 4\)"):
+        t._accumulate(np.ones((1, 4)))
+    assert t.grad is None if first else (t.grad == 1.0).all()
+
+
+@pytest.mark.parametrize("make, adopted", [
+    (lambda: np.full((3, 4), 2.0), True),
+    (lambda: np.full((4, 3), 2.0).T, False),  # F-ordered
+    (lambda: np.full((3, 8), 2.0)[:, ::2], False),  # a view
+    (lambda: np.full((3, 4), 2.0, dtype=np.float32), False),
+    (lambda: np.float64(2.0) * np.ones((3, 4)), True),
+], ids=["owning-c", "f-order", "view", "float32", "product"])
+def test_adopt_takes_only_an_owning_c_ordered_float64_array(make, adopted):
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    g = make()
+    t._adopt(g)
+    assert (t.grad is g) == adopted
+    assert t.grad.flags.c_contiguous and t.grad.dtype == np.float64
+    np.testing.assert_array_equal(t.grad, np.full((3, 4), 2.0))
+    # a held gradient is summed into, never replaced
+    held = t.grad
+    t._adopt(np.ones((3, 4)))
+    assert t.grad is held
+    np.testing.assert_array_equal(t.grad, np.full((3, 4), 3.0))
+
+
+def test_adopt_of_a_mis_shaped_array_raises():
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    with pytest.raises(ContractError):
+        t._adopt(np.ones((1, 4)))
+
+
 def _signed_adjoint(shape, seed):
     # mixed signs with signed zeros, so a sum that drops the sign of zero shows
     g = rng_for(seed, "adjoint").normal(size=shape)
