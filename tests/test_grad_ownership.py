@@ -11,6 +11,7 @@ gradient buffers share memory.
 """
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -41,13 +42,15 @@ class _Ownership:
         self.owners = {}  # id -> every tensor that has taken a gradient write
         self.adopted = 0
         self.owner_writes = 0  # closures handed an adopted buffer as their adjoint
+        self._lock = threading.Lock()  # split blocks write from two threads
         adopt, accumulate, make = T.Tensor._adopt, T.Tensor._accumulate, T._make
 
         def adopting(tensor, g):
             adopt(tensor, g)
             if tensor.grad is g:
                 g.flags.writeable = False
-                self.adopted += 1
+                with self._lock:
+                    self.adopted += 1
                 self._check(tensor)
 
         def accumulating(tensor, g):
@@ -58,7 +61,8 @@ class _Ownership:
 
         def making(data, parents, backward_fn):
             def owned(g):
-                self.owner_writes += not g.flags.writeable
+                with self._lock:
+                    self.owner_writes += not g.flags.writeable
                 g.flags.writeable = True  # the closure owns its adjoint
                 backward_fn(g)
 
@@ -69,8 +73,10 @@ class _Ownership:
         monkeypatch.setattr(T, "_make", making)
 
     def _check(self, tensor):
-        self.owners[id(tensor)] = tensor
-        for other in list(self.owners.values()):
+        with self._lock:
+            self.owners[id(tensor)] = tensor
+            others = list(self.owners.values())
+        for other in others:
             grad = other.grad
             assert other is tensor or grad is None or not np.shares_memory(grad, tensor.grad)
 
@@ -175,10 +181,6 @@ def test_each_op_hands_its_gradients_to_one_owner(name, monkeypatch):
         assert not any(np.shares_memory(leaf.grad, other.grad) for other in leaves[i + 1:])
 
 
-def _one_op(x, backward_fn):
-    return T.tsum(T._make(x.data * 2.0, (x,), backward_fn))
-
-
 def test_a_producer_that_writes_after_handing_over_raises(monkeypatch):
     _Ownership(monkeypatch)
     x = Tensor(np.ones(3), requires_grad=True)
@@ -189,7 +191,7 @@ def test_a_producer_that_writes_after_handing_over_raises(monkeypatch):
         gx += 1.0  # x owns gx now
 
     with pytest.raises(ValueError, match="read-only"):
-        _one_op(x, _bw).backward()
+        T.tsum(T._make(x.data * 2.0, (x,), _bw)).backward()
 
 
 def test_one_buffer_handed_to_two_tensors_is_caught(monkeypatch):
