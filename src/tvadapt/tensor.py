@@ -31,7 +31,9 @@ recomputed bit for bit from them: ``linear`` (``x @ w + b``) keeps
 nothing more (and x's value only if w trains); ``gelu`` keeps
 ``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean and
 standard deviation. Backward recomputes the rest (Chen et al., 2016,
-"Training Deep Nets with Sublinear Memory Cost").
+"Training Deep Nets with Sublinear Memory Cost"). ``gelu`` evaluates erf
+on |x| and copies x's sign back, the same bits at about half erf's cost,
+since SciPy's erf is odd bit for bit.
 
 Every gradient buffer has one owner. ``_accumulate`` copies a first
 gradient into a fresh C-ordered buffer and sums later ones into it.
@@ -667,10 +669,21 @@ def gelu(x):
 
     Smooth, so central differences apply. Keeps erf(x / sqrt 2) + 1 for
     backward and recomputes 0.5 x and x / sqrt 2 from the input.
+
+    erf runs on |x| / sqrt 2 and x's sign is put back with ``copysign``.
+    SciPy's erf is Cephes' ``erf``, which begins ``if (x < 0) return
+    -erf(-x)``, so erf is odd bit for bit, and |x| * c equals |x * c|
+    under round-to-nearest: the result is erf(x / sqrt 2)'s bits for
+    every non-NaN x, signed zeros and infinities included. On
+    activations about half negative that branch mispredicts on about
+    every other element, which is most of erf's cost. A NaN input still
+    gives NaN, but one that keeps the input's sign bit.
     """
     x = astensor(x)
-    s = x.data * _INV_SQRT_2
+    s = np.abs(x.data)
+    s *= _INV_SQRT_2
     _erf(s, out=s)
+    np.copysign(s, x.data, out=s)
     s += 1.0
     data = 0.5 * x.data
     data *= s

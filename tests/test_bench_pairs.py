@@ -171,3 +171,21 @@ def test_summarize_verdicts(bench):
     higher = dict(LOWER, better="higher")
     assert bench.summarize(higher, [1.0] * 4, [0.8] * 4)["verdict"] == "worse beyond bound"
     assert bench.summarize(higher, [1.0] * 4, [0.8] * 4)["change_wins"] == 0
+    # a gain needs 9 of 10 pairs won and a median gap beyond the parent's IQR
+    parent = [10.0 + 0.1 * k for k in range(10)]  # IQR 0.45
+    faster = [p - 1.0 for p in parent]
+    # 9 of 10 pairs won, the tied pair counting for neither side
+    nine = bench.summarize(LOWER, parent, faster[:9] + [parent[9]])
+    assert nine["change_wins"] == 9 and nine["gain"]
+    # 8 of 10 won: the medians still differ by 1.0, but no gain
+    eight = bench.summarize(LOWER, parent, faster[:8] + parent[8:])
+    assert eight["change_wins"] == 8 and not eight["gain"]
+    # every pair won, by a median gap of 0.3, inside the parent's IQR
+    close = bench.summarize(LOWER, parent, [p - 0.3 for p in parent])
+    assert close["change_wins"] == 10 and not close["gain"]
+    # the same rule upward for a metric where higher is better
+    assert bench.summarize(higher, parent, [p + 1.0 for p in parent])["gain"]
+    assert not bench.summarize(higher, parent, faster)["gain"]
+    # a gain claims nothing about the bound: the verdict is unchanged
+    assert nine["verdict"] == eight["verdict"] == "within bound"
+

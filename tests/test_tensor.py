@@ -14,7 +14,9 @@ from conftest import _bits
 from tvadapt import tensor as T
 from tvadapt.backbone import init_backbone, vanilla_attention, vit_block
 from tvadapt.config import toy_config
+from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ContractError, DimensionError, NumericError
+from tvadapt.model import AdapterModel
 from tvadapt.tensor import ParamStore, Tensor, fd_check, no_grad, rng_for
 
 
@@ -567,6 +569,52 @@ def test_fused_gelu_bitwise_matches_erf_composite():
     for n, shape in enumerate(_random_shapes("gelu")):
         x = _with_signed_zeros(rng_for(n, "fused-gelu").normal(size=shape) * 2.0, n)
         _assert_fused_matches_composite(T.gelu, _gelu_composite, [x], n)
+
+
+def test_fused_gelu_bitwise_matches_erf_composite_at_erf_edges():
+    # ±0, x / sqrt 2 one ulp either side of 1 (where Cephes' erf switches to
+    # its erfc path) and |x| up to 40, where erf rounds to ±1; finite, since
+    # the backward's exp(-x^2 / 2) * x is inf * 0 at an infinite input
+    root2 = np.sqrt(2.0)
+    edge = np.array([np.nextafter(root2, 0.0), root2, np.nextafter(root2, 3.0)])
+    assert (edge * T._INV_SQRT_2 < 1.0).any() and (edge * T._INV_SQRT_2 > 1.0).any()
+    x = np.concatenate([[0.0, -0.0], edge, -edge, np.linspace(-40.0, 40.0, 31)])
+    _assert_fused_matches_composite(T.gelu, _gelu_composite, [x.reshape(3, 13)], 11)
+
+
+def _erf_sweep():
+    """Normal samples at scales 1e-300 to 1e300 and the float64 edge values."""
+    rng = rng_for(0, "erf-sweep")
+    scaled = [rng.normal(size=2000) * 10.0 ** e for e in range(-300, 301, 20)]
+    tiny, smallest = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).tiny
+    edges = np.array([0.0, tiny, smallest, np.nextafter(1.0, 2.0), np.inf])
+    return np.concatenate(scaled + [edges, -edges])
+
+
+def test_scipy_erf_is_odd_bit_for_bit_so_gelu_may_run_it_on_abs_x():
+    # gelu evaluates erf on |x| / sqrt 2 and copies x's sign back; that is
+    # erf(x / sqrt 2)'s bits only while SciPy's erf keeps Cephes' x < 0 branch
+    v = _erf_sweep()
+    np.testing.assert_array_equal(_bits(T._erf(-v)), _bits(-T._erf(v)))
+    s = np.abs(v) * T._INV_SQRT_2
+    T._erf(s, out=s)
+    np.copysign(s, v, out=s)
+    np.testing.assert_array_equal(_bits(s), _bits(T._erf(v * T._INV_SQRT_2)))
+
+
+def test_gelu_hands_erf_no_negative_value_in_a_taped_step(monkeypatch):
+    signed = []
+
+    def erf(a, out=None):
+        signed.append(bool(np.signbit(a).any()))
+        return special.erf(a, out=out)
+
+    monkeypatch.setattr(T, "_erf", erf)
+    cfg = toy_config(pairs=6, batch_size=6)
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    model.batch_loss(data.videos, data.tokens, sel_key=("train", 0)).backward()
+    assert len(signed) > 0 and not any(signed)
 
 
 def test_fused_layer_norm_bitwise_matches_mean_var_composite():

@@ -21,7 +21,10 @@ runs past ``RUN_TIMEOUT_S``, whose ``#`` status line does not say
 differs from the first run's, stops the whole comparison: its timings
 would describe an output nobody checked, or another machine. The output file holds each end-to-end metric's
 medians, interquartile ranges and pair wins, the verdict against the
-bounds in ``BENCHMARK.json``, the seeds, the machine, each side's
+bounds in ``BENCHMARK.json``, whether the change shows a gain (it wins at
+least nine tenths of the pairs, ties counting for neither side, and its
+median is better than the parent's by more than the parent's
+interquartile range), the seeds, the machine, each side's
 ``src/tvadapt/`` line count, and every run with its status line. A
 stopped comparison still writes its file, marked ``"incomplete": true``,
 with the runs made so far and the refused run, and exits 1.
@@ -133,9 +136,13 @@ def summarize(metric, parent, change):
         verdict = "unresolved: IQR wider than the bound"
     else:
         verdict = "within bound"
+    # a gain: the change wins nine tenths of the pairs (ties count for neither)
+    # and its median is better by more than the parent's interquartile range
+    gap = (p_med - c_med) if lower else (c_med - p_med)
+    gain = 10 * wins >= 9 * len(parent) and gap > iqr(parent)
     return {"parent_median": p_med, "change_median": c_med, "rel_change": rel,
             "parent_iqr": iqr(parent), "change_iqr": iqr(change), "change_wins": wins,
-            "bound": metric["bound"], "verdict": verdict,
+            "bound": metric["bound"], "verdict": verdict, "gain": gain,
             "parent": list(parent), "change": list(change)}
 
 
