@@ -32,8 +32,8 @@ nothing more (and x's value only if w trains); ``gelu`` keeps
 ``erf(x / sqrt 2) + 1``; ``layer_norm`` keeps the per-row mean and
 standard deviation. Backward recomputes the rest (Chen et al., 2016,
 "Training Deep Nets with Sublinear Memory Cost"). ``gelu`` evaluates erf
-on |x| and copies x's sign back, the same bits at about half erf's cost,
-since SciPy's erf is odd bit for bit.
+on |x| and copies x's sign back: SciPy's erf is odd bit for bit, so the
+bits are the same, and erf's sign branch no longer mispredicts.
 
 Every gradient buffer has one owner. ``_accumulate`` copies a first
 gradient into a fresh C-ordered buffer and sums later ones into it.
@@ -676,7 +676,7 @@ def gelu(x):
     under round-to-nearest: the result is erf(x / sqrt 2)'s bits for
     every non-NaN x, signed zeros and infinities included. On
     activations about half negative that branch mispredicts on about
-    every other element, which is most of erf's cost. A NaN input still
+    every other element, a large part of erf's cost. A NaN input still
     gives NaN, but one that keeps the input's sign bit.
     """
     x = astensor(x)

@@ -136,8 +136,6 @@ def summarize(metric, parent, change):
         verdict = "unresolved: IQR wider than the bound"
     else:
         verdict = "within bound"
-    # a gain: the change wins nine tenths of the pairs (ties count for neither)
-    # and its median is better by more than the parent's interquartile range
     gap = (p_med - c_med) if lower else (c_med - p_med)
     gain = 10 * wins >= 9 * len(parent) and gap > iqr(parent)
     return {"parent_median": p_med, "change_median": c_med, "rel_change": rel,
