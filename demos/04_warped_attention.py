@@ -12,11 +12,11 @@ import numpy as np
 from tvadapt import tensor as T
 from tvadapt.attention import (
     OffsetParams,
-    asa_block_attention,
+    asa_kv,
     selection_masks,
     warp,
 )
-from tvadapt.backbone import vanilla_attention
+from tvadapt.backbone import attention_core
 from tvadapt.tensor import ParamStore, Tensor, rng_for
 
 FRAMES, PATCHES, DIM = 6, 4, 8
@@ -62,8 +62,8 @@ offsets.gamma.data[:] = 0.0
 offsets.delta.data[:] = 0.0
 q = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
 kv = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
-warped = asa_block_attention(q, q, kv, kv, 2, offsets, mask)
-plain = vanilla_attention(q, q, kv, kv, 2)
+warped = attention_core(q, *asa_kv(kv, kv, offsets, mask), 2)
+plain = attention_core(q, kv, kv, 2)
 print("bitwise equal:", (warped.data == plain.data).all())
 
 print("\n=== offsets are trainable ===")

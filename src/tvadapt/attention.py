@@ -10,6 +10,8 @@ patch-index) grid with coordinates clamped to the valid range. Exact
 integer positions reduce to direct indexing, so zero offsets reproduce
 vanilla attention bitwise, but the offset gradient there is 0: offsets
 that start at 0 never move. Unselected patches pass through untouched.
+Queries stay where they are: ``asa_kv`` gives the warped keys and values
+that an adapted block's attention hook returns to it.
 
 The warp is one tape node per field over per-axis sampling plans,
 bitwise equal to the chain of gather, blend and select ops it replaces
@@ -25,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .backbone import attention_core
 from .exceptions import ConfigError
 from .tensor import Tensor
 
@@ -195,15 +196,13 @@ def warp_kv(k, v, offsets, selection):
     return warp(k, plans, selection), warp(v, plans, selection)
 
 
-def asa_block_attention(x_in, q, k, v, heads, offsets, selection):
-    """Drop-in block attention: warp patch K/V rows, keep the CLS row.
+def asa_kv(k, v, offsets, selection):
+    """The keys and values a block attends over under ASA: patch rows warped, CLS row kept.
 
-    q, k, v: (..., T, N+1, D) projected tokens from the frozen block;
+    k, v: (..., T, N+1, D) projected tokens from the frozen block;
     ``offsets`` as in ``warp``; ``selection`` is the (..., T, N)
-    patch mask. With zero offsets the result is bitwise identical to
-    vanilla attention on the same inputs.
+    patch mask. With zero offsets both are bitwise the inputs' values.
     """
     k_hat_p, v_hat_p = warp_kv(k[..., 1:, :], v[..., 1:, :], offsets, selection)
-    k_hat = T.concat([k[..., :1, :], k_hat_p], axis=-2)
-    v_hat = T.concat([v[..., :1, :], v_hat_p], axis=-2)
-    return attention_core(q, k_hat, v_hat, heads)
+    return (T.concat([k[..., :1, :], k_hat_p], axis=-2),
+            T.concat([v[..., :1, :], v_hat_p], axis=-2))

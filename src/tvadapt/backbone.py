@@ -7,7 +7,8 @@ EOS token, and reads the sentence feature at the EOS position. All
 weights are frozen stand-ins for a pretrained model. Adapters attach
 through two hooks: one ``modulate(layer, x) -> x`` callable, which
 both towers call on every block's output, and in the video tower a
-per-layer map of replacement attention operations inside the blocks.
+per-layer map of attention hooks, each of which returns the keys and
+values its block attends over.
 Every size is a field of the one ``ExperimentConfig`` the functions
 take; the EOS id is ``vocab - 1``. Every frozen tensor is declared once,
 in the tables ``_STEM_SHAPES`` and ``_BLOCK_SHAPES``, from which
@@ -101,30 +102,27 @@ def attention_core(q, k, v, heads):
     return T.reshape(T.swapaxes(ctx, -3, -2), (*lead, s, d))
 
 
-def vanilla_attention(x_in, q, k, v, heads):
-    """Per-frame multi-head self-attention over all N+1 tokens."""
-    return attention_core(q, k, v, heads)
-
-
-# Block-input elements from which a taped block that attends with
-# ``vanilla_attention`` splits its rows over every usable core
-# (``T.row_blocks``). In a sweep of one taped block, forward plus backward,
-# at 1 and 2 parts (2-core x86_64 VM, BLAS on one thread), every shape from
-# 2**15 elements up ran faster split: 0.70-0.74x for wide video blocks of
-# 20,480 to 327,680 elements, 0.80x for a 27,648-element text block, 0.82x
-# for a 61,440-element toy video block. Below it a split ran up to 4x
-# slower (a 1,728-element text block: 0.84 against 3.3 ms). A thread start
-# and join cost about 0.1 ms; the rest is the two threads handing the GIL
-# back and forth between small numpy calls.
+# Block-input elements from which a taped block with no attention hook
+# splits its rows over every usable core (``T.row_blocks``). In a sweep of
+# one taped block, forward plus backward, at 1 and 2 parts (2-core x86_64
+# VM, BLAS on one thread), every shape from 2**15 elements up ran faster
+# split: 0.70-0.74x for wide video blocks of 20,480 to 327,680 elements,
+# 0.80x for a 27,648-element text block, 0.82x for a 61,440-element toy
+# video block. Below it a split ran up to 4x slower (a 1,728-element text
+# block: 0.84 against 3.3 ms). A thread start and join cost about 0.1 ms;
+# the rest is the two threads handing the GIL back and forth between
+# small numpy calls.
 _SPLIT_MIN = 2**15
 
 
-def vit_block(x, store, prefix, heads, attention_fn, row=None):
+def vit_block(x, store, prefix, heads, hook=None, row=None):
     """Pre-norm residual block: x + Attn(LN(x)), then + MLP(LN(.)).
 
-    ``attention_fn(x_in, q, k, v, heads)`` receives the block input
-    (pre-norm) alongside the projected triplet so that replacement
-    attention operations can score patches on the raw features.
+    Attention is ``attention_core`` over the block's own queries and the
+    keys and values ``hook(x_in, q, k, v)`` returns, or its own keys and
+    values with no hook. The hook receives the block input (pre-norm)
+    alongside the projected triplet so that it can score patches on the
+    raw features.
 
     With ``row`` set, attention still sees every token, but ``wo``, the
     residual, ``ln2`` and the MLP run on token ``row`` alone, and the
@@ -132,34 +130,34 @@ def vit_block(x, store, prefix, heads, attention_fn, row=None):
     as (..., D) operands: a size-1 token axis there would make M=1
     products, which BLAS computes with other kernels and other bits.
 
-    A taped block (recording, and x requires grad) that attends with
-    ``vanilla_attention`` and whose input holds at least ``_SPLIT_MIN``
-    elements runs its leading rows in ``min(processes(), rows // 2)``
-    contiguous blocks, one per usable core (``T.row_blocks``). Such a
-    block holds no trainable leaf and every op in it acts on each
-    leading row alone, so the split is bitwise one pass; each block
-    keeps two or more rows, so no product in it becomes an M=1 product.
+    A taped block (recording, and x requires grad) with no attention
+    hook whose input holds at least ``_SPLIT_MIN`` elements runs its
+    leading rows in ``min(processes(), rows // 2)`` contiguous blocks,
+    one per usable core (``T.row_blocks``). Such a block holds no
+    trainable leaf and every op in it acts on each leading row alone,
+    so the split is bitwise one pass; each block keeps two or more
+    rows, so no product in it becomes an M=1 product.
     A hook may hold trainable leaves whose gradients sum over rows, so a
     hooked block stays one block. ``processes()`` is 1 on one usable
     core, inside a forked share and while another thread is alive, so
     the block runs as one there too.
     """
     parts = 1
-    if (attention_fn is vanilla_attention and T.recording() and x.requires_grad
-            and x.data.size >= _SPLIT_MIN):
+    if hook is None and T.recording() and x.requires_grad and x.data.size >= _SPLIT_MIN:
         parts = max(1, min(processes(), len(x.data) // 2))
-    return T.row_blocks(lambda rows: _block_body(rows, store, prefix, heads, attention_fn, row),
-                        x, parts)
+    return T.row_blocks(lambda rows: _block_body(rows, store, prefix, heads, hook, row), x, parts)
 
 
-def _block_body(x, store, prefix, heads, attention_fn, row):
+def _block_body(x, store, prefix, heads, hook, row):
     """The body of ``vit_block`` on one block of rows."""
     p = lambda name: store[f"{prefix}/{name}"]
     h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
     q = T.linear(h, p("wq"), p("bq"))
     k = T.linear(h, p("wk"), p("bk"))
     v = T.linear(h, p("wv"), p("bv"))
-    ctx = attention_fn(x, q, k, v, heads)
+    if hook is not None:
+        k, v = hook(x, q, k, v)
+    ctx = attention_core(q, k, v, heads)
     if row is not None:
         x, ctx = x[..., row, :], ctx[..., row, :]
     x = x + T.linear(ctx, p("wo"), p("bo"))
@@ -201,9 +199,11 @@ def encode_video(video, store, config, modulate=None, attention=None, start=0, s
 
     ``modulate(layer, x)`` is called on every block's output, and what
     it returns feeds the next block; ``attention`` maps layer index ->
-    replacement attention operation. Returns the final frame CLS
-    sequence (..., T, D), the only rows the heads read; a caller that
-    needs a block's internals reads them through its hooks.
+    attention hook ``hook(x_in, q, k, v) -> (k, v)`` (``vit_block``);
+    a layer without one attends over its own keys and values. Returns
+    the final frame CLS sequence (..., T, D), the only rows the heads
+    read; a caller that needs a block's internals reads them through
+    its hooks.
 
     The last block computes only those CLS rows after attention, so
     ``modulate`` receives (..., T, 1, D) there rather than
@@ -248,9 +248,9 @@ def _blocks(x, store, tower, layers, heads, modulate, attention, start, stop, la
     if start and modulate is not None:
         x = modulate(start, x)
     for layer in range(start + 1, layers + 1):
-        fn = attention.get(layer, vanilla_attention)
         row = last_row if layer == layers else None
-        x = vit_block(x, store, f"backbone/{tower}/block{layer}", heads, fn, row=row)
+        x = vit_block(x, store, f"backbone/{tower}/block{layer}", heads, attention.get(layer),
+                      row=row)
         if layer == stop:
             return x
         if modulate is not None:

@@ -5,9 +5,9 @@ scale/shift matrices, the rank-R (rows, D) pair ``compose`` returns, plus
 the scale's singular values, which show the rank structure; (b) for one
 query patch of one video, its per-frame attention distribution over all
 patches of every frame under the current (possibly warped) keys. The
-map reads the model's own forward through an attention-hook probe, and
-warps the keys with the plans and the mask that the forward's ASA pass
-(``model.ASAPass``) recorded for that layer.
+map reads the model's own forward through an attention-hook probe,
+which scores against the keys that the forward's own hook returned
+(``model.ASAPass``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import os
 import numpy as np
 
 from . import tensor as T
-from .attention import warp
-from .backbone import vanilla_attention
 from .exceptions import ConfigError
 from .model import ASAPass
 from .tensor import no_grad
@@ -31,13 +29,12 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
     Runs the model's own video tower pass (``model.video_tower``) with a
     probe at ``layer`` (default: the final adapted layer; the tower
     rejects one outside it). The probe calls that layer's attention hook
-    once and reads the block's projected queries and keys, the pass's
-    warp plans and the patch mask the hook recorded for that layer
-    (``ASAPass.masks``), in random mode the pass's draw. Row t is
-    softmax_n of q[frame, patch] . k_hat[t, n] / sqrt(D) (single head,
-    full-dimension scale), where k_hat warps the keys with that mask
-    (unwarped at a layer without ASA). With zero offsets row ``frame`` equals the
-    vanilla patch-attention row of that frame.
+    once, hands the block the keys and values it returned, and reads the
+    block's projected queries and those keys. Row t is softmax_n of
+    q[frame, patch] . k_hat[t, n] / sqrt(D) (single head, full-dimension
+    scale), where k_hat are the patch rows of the keys the block attends
+    over (its own keys at a layer without ASA). With zero offsets row
+    ``frame`` equals the vanilla patch-attention row of that frame.
     """
     cfg = model.config
     layer = layer if layer is not None else cfg.visual_adapter_layers()[-1]
@@ -45,18 +42,17 @@ def attention_similarity_map(model, video, candidates=None, layer=None, frame=0,
         raise ConfigError(f"query patch ({frame}, {patch}) outside the grid")
 
     with no_grad():
-        asa = ASAPass(model, video[None], candidates, ("diag",)) if cfg.asa else None
-        attention = asa.hooks(slice(None)) if asa else {}  # one video: one inline block
-        hook = attention.get(layer, vanilla_attention)
+        attention = {}
+        if cfg.asa:  # one video: one inline block
+            attention = ASAPass(model, video[None], candidates, ("diag",)).hooks(slice(None))
+        hook = attention.get(layer)
         seen = {}
 
-        def probe(x_in, q, k, v, heads):
-            out = hook(x_in, q, k, v, heads)  # an ASA hook records this layer's mask
-            k_hat = k.data[0, :, 1:, :]
-            if layer in attention:
-                k_hat = warp(k_hat, asa.plans, asa.masks[layer][0]).data
-            seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch], k_hat)
-            return out
+        def probe(x_in, q, k, v):
+            kv = (k, v) if hook is None else hook(x_in, q, k, v)
+            seen["scores"] = np.einsum("d,tnd->tn", q.data[0, frame, 1 + patch],
+                                       kv[0].data[0, :, 1:, :])
+            return kv
 
         model.video_tower(video[None], lambda rows: {**attention, layer: probe})
     return T.softmax(seen["scores"] / np.sqrt(cfg.dim_v), axis=1).data

@@ -7,7 +7,7 @@ retrieval head), and the loss temperature. Everything else is frozen.
 
 Video encoding with warped attention needs the most video-aligned
 candidate sentence per video. That is picked from a gradient-free
-preliminary pass (vanilla attention, current modulation): selection is
+preliminary pass (no attention hook, current modulation): selection is
 a hard argmax, so re-deriving it without a tape changes no gradients.
 
 Every reader of the video tower (the prepass, ``encode_videos`` and the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import OffsetParams, SelectionMode, asa_block_attention, selection_masks, warp_plan
+from .attention import OffsetParams, SelectionMode, asa_kv, selection_masks, warp_plan
 from .backbone import encode_text, encode_video, init_backbone
 from .exceptions import InputError
 from .modulation import TextModulation, VideoModulation
@@ -237,10 +237,9 @@ class ASAPass:
     layer's mask for the whole batch there too, in layer order, from the
     ``randsel`` stream keyed by ``sel_key``: ``selection_masks`` ranks one
     uniform draw per layer, so no share or block boundary changes a mask.
-    ``hooks`` is the attention map ``video_tower`` takes; each hook records
-    the (..., T, N) patch mask it served in ``masks[layer]``. A pass is
-    built per call and the model holds none; a forked share's writes to
-    ``masks`` do not reach the caller.
+    ``hooks`` is the attention map ``video_tower`` takes; each hook returns
+    its block's keys and values warped under that layer's patch mask
+    (``asa_kv``). A pass is built per call and the model holds none.
     """
 
     def __init__(self, model, videos, candidates=None, sel_key=("eval",), states=None):
@@ -248,7 +247,7 @@ class ASAPass:
         self.model, self.videos, self.states = model, videos, states
         self.mode = SelectionMode(cfg.selection)
         self.plans = warp_plan(model.offsets, cfg.frames, cfg.patches)
-        self.masks, self.drawn = {}, {}
+        self.drawn = {}
         if self.mode is SelectionMode.RANDOM:  # a draw reads only the mask's shape
             rng = rng_for(cfg.seed, "randsel", *sel_key)
             shape = (*np.shape(videos)[:-4], cfg.frames, cfg.patches, 0)
@@ -275,13 +274,12 @@ class ASAPass:
             w_star = self.candidates[picked]
 
         def hook(layer):
-            def attend(x_in, q, k, v, heads):
+            def attend(x_in, q, k, v):
                 x = x_in.data
                 mask = self.drawn[layer][rows] if self.drawn else selection_masks(
                     self.mode, cfg.top_k, x[..., 1:, :], w_star=w_star,
                     proj_w=model.proj_w.data, proj_b=model.proj_b.data, cls_feats=x[..., 0, :])
-                self.masks[layer] = mask
-                return asa_block_attention(x_in, q, k, v, heads, self.plans, mask)
+                return asa_kv(k, v, self.plans, mask)
             return attend
 
         return {layer: hook(layer) for layer in cfg.visual_adapter_layers()}

@@ -13,8 +13,8 @@ import numpy as np
 
 from tvadapt import config as cm
 from tvadapt.ablation import SUITES, format_table, perfect_step, run_suite
-from tvadapt.attention import OffsetParams, WarpAxes, warp_kv
-from tvadapt.backbone import vanilla_attention
+from tvadapt.attention import OffsetParams, WarpAxes, asa_kv, warp_kv
+from tvadapt.backbone import attention_core
 from tvadapt.checkpoint import load_model, save_checkpoint
 from tvadapt.counting import count_params
 from tvadapt.data import generate_dataset
@@ -162,10 +162,8 @@ def test_criterion_05_zero_offset_equivalence():
         k = Tensor(rng.normal(size=(frames, patches + 1, dim)))
         v = Tensor(rng.normal(size=(frames, patches + 1, dim)))
         mask = rng.random((frames, patches)) < 0.5
-        from tvadapt.attention import asa_block_attention
-
-        got = asa_block_attention(x, q, k, v, heads, off, mask)
-        want = vanilla_attention(x, q, k, v, heads)
+        got = attention_core(q, *asa_kv(k, v, off, mask), heads)
+        want = attention_core(q, k, v, heads)
         assert (got.data == want.data).all()
     _report(5, "zero-offset equivalence", "200 random inputs, bitwise")
 

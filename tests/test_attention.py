@@ -8,11 +8,11 @@ from tvadapt import tensor as T
 from tvadapt.attention import (
     OffsetParams,
     WarpAxes,
-    asa_block_attention,
+    asa_kv,
     selection_masks,
     warp_kv,
 )
-from tvadapt.backbone import attention_core, encode_video, vanilla_attention
+from tvadapt.backbone import attention_core, encode_video
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ConfigError, InputError
@@ -440,8 +440,8 @@ def test_asa_zero_offsets_equals_vanilla_bitwise():
         k = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
         v = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
         mask = rng.random((FRAMES, PATCHES)) < 0.5
-        got = asa_block_attention(x, q, k, v, heads, off, mask)
-        want = vanilla_attention(x, q, k, v, heads)
+        got = attention_core(q, *asa_kv(k, v, off, mask), heads)
+        want = attention_core(q, k, v, heads)
         assert (got.data == want.data).all()
 
 
@@ -475,7 +475,7 @@ def test_asa_output_continuous_in_offsets():
     x = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
     q = Tensor(rng.normal(size=(FRAMES, PATCHES + 1, DIM)))
     mask = np.ones((FRAMES, PATCHES), bool)
-    base = asa_block_attention(x, q, x, x, 1, off, mask).data
+    base = attention_core(q, *asa_kv(x, x, off, mask), 1).data
     off.gamma.data[0, 0] += 1e-6
-    bumped = asa_block_attention(x, q, x, x, 1, off, mask).data
+    bumped = attention_core(q, *asa_kv(x, x, off, mask), 1).data
     assert np.abs(bumped - base).max() <= 100.0 * 1e-6

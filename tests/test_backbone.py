@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erf
 from conftest import _bits
 
+from tvadapt import backbone
 from tvadapt import tensor as T
 from tvadapt.backbone import (
     attention_core,
@@ -14,7 +15,6 @@ from tvadapt.backbone import (
     encode_video,
     init_backbone,
     patchify,
-    vanilla_attention,
     vit_block,
 )
 from tvadapt.config import toy_config
@@ -134,7 +134,7 @@ def test_block_zero_weights_is_identity():
     for name in block_params(store, prefix):
         store[f"{prefix}/{name}"].data[:] = 0.0
     x = rng_for(0, "blk").normal(size=(3, 5, 8))
-    out = vit_block(Tensor(x), store, prefix, CFG.heads_v, lambda xi, q, k, v, h: attention_core(q, k, v, h))
+    out = vit_block(Tensor(x), store, prefix, CFG.heads_v)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -167,7 +167,7 @@ def test_block_matches_dense_reference():
     store = make_store()
     prefix = "backbone/visual/block1"
     x = rng_for(3, "ref").normal(size=(3, 5, 8))
-    got = vit_block(Tensor(x), store, prefix, CFG.heads_v, vanilla_attention)
+    got = vit_block(Tensor(x), store, prefix, CFG.heads_v)
     want = ref_block(x, block_params(store, prefix), CFG.heads_v)
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
@@ -189,8 +189,65 @@ def test_vanilla_block_records_one_node_per_fused_op():
     # adds; split back into their composites they record 54
     store = make_store()
     x = Tensor(rng_for(5, "tape").normal(size=(3, 5, 8)), requires_grad=True)
-    out = vit_block(x, store, "backbone/visual/block1", CFG.heads_v, vanilla_attention)
+    out = vit_block(x, store, "backbone/visual/block1", CFG.heads_v)
     assert _taped_nodes(out) == 24
+
+
+def _record_attention(monkeypatch):
+    """Log the (q, k, v) of every ``attention_core`` call and the outputs of every ``linear``."""
+    cores, linears = [], []
+    core, linear = backbone.attention_core, T.linear
+
+    def recording_core(q, k, v, heads):
+        cores.append((q, k, v))
+        return core(q, k, v, heads)
+
+    def recording_linear(*args):
+        linears.append(linear(*args))
+        return linears[-1]
+
+    monkeypatch.setattr(backbone, "attention_core", recording_core)
+    monkeypatch.setattr(T, "linear", recording_linear)
+    return cores, linears
+
+
+def test_block_attends_over_the_keys_and_values_its_hook_returns(monkeypatch):
+    store = make_store()
+    x = Tensor(rng_for(7, "hook").normal(size=(3, 5, 8)))
+    cores, linears = _record_attention(monkeypatch)
+    vit_block(x, store, "backbone/visual/block1", CFG.heads_v)
+    # no hook: the block's own query, key and value projections, in that order
+    assert len(cores) == 1 and all(a is b for a, b in zip(cores[0], linears[:3]))
+
+    cores.clear()
+    linears.clear()
+    seen = []
+
+    def hook(x_in, q, k, v):
+        seen.append((x_in, q, k, v))
+        return k * 2.0, v * 3.0
+
+    vit_block(x, store, "backbone/visual/block1", CFG.heads_v, hook)
+    (x_in, q, k, v), = seen
+    assert x_in is x and all(a is b for a, b in zip((q, k, v), linears[:3]))
+    (q_core, k_core, v_core), = cores
+    assert q_core is q
+    np.testing.assert_array_equal(k_core.data, 2.0 * k.data)
+    np.testing.assert_array_equal(v_core.data, 3.0 * v.data)
+
+
+@pytest.mark.parametrize("row", [None, 0])
+def test_identity_hook_block_is_bitwise_the_unhooked_block(row):
+    store = make_store()
+    x = rng_for(8, "identity").normal(size=(3, 5, 8))
+    outs = []
+    for hook in (None, lambda x_in, q, k, v: (k, v)):
+        xt = Tensor(x, requires_grad=True)
+        out = vit_block(xt, store, "backbone/visual/block2", CFG.heads_v, hook, row=row)
+        T.tsum(out * out).backward()
+        outs.append((_bits(out.data), _bits(xt.grad), _taped_nodes(out)))
+    (out_a, grad_a, nodes_a), (out_b, grad_b, nodes_b) = outs
+    assert (out_a == out_b).all() and (grad_a == grad_b).all() and nodes_a == nodes_b
 
 
 # -- encode_video ------------------------------------------------------------
@@ -241,7 +298,7 @@ def test_encode_video_rejects_bad_hook_layer():
     video = np.zeros((3, 4, 4, 1))
     for layer in (0, CFG.layers + 1):
         with pytest.raises(ConfigError):
-            encode_video(video, store, CFG, attention={layer: vanilla_attention})
+            encode_video(video, store, CFG, attention={layer: lambda x, q, k, v: (k, v)})
 
 
 # -- encode_text -------------------------------------------------------------

@@ -155,6 +155,17 @@ def test_seed_without_a_reference_stops_before_the_first_run(bench, tmp_path, mo
     assert list((tmp_path / "s").iterdir()) == []  # the exported trees are removed
 
 
+def test_one_commit_on_both_sides_stops_before_the_export(bench, tmp_path, monkeypatch):
+    exports = []
+    monkeypatch.setattr(bench, "git", lambda *argv, text=True: "abc123\n")
+    monkeypatch.setattr(bench, "export", lambda rev, dest: exports.append(rev))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="--parent and --change are one commit, abc123"):
+        bench.main(["--parent", "HEAD~0", "--change", "main", "--scratch", str(tmp_path / "s"),
+                    "--pairs", f"{WORKLOAD}=2", "--first-seed", "40", "--out", str(out)])
+    assert exports == [] and not out.exists() and not (tmp_path / "s").exists()
+
+
 LOWER = {"better": "lower", "bound": 0.1}
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tvadapt import config as cm
 from tvadapt import diagnostics
 from tvadapt import model as model_mod
 from tvadapt.ablation import SUITES, format_table, perfect_step, rows_to_json, run_suite
+from tvadapt.attention import asa_kv
 from tvadapt.checkpoint import save_checkpoint
 from tvadapt.cli import main
 from tvadapt.counting import count_params
@@ -486,36 +488,77 @@ def test_similarity_map_runs_the_models_tower_pass(monkeypatch):
     assert calls == [data.videos[:1].shape] * 2
 
 
-def test_similarity_map_warps_with_the_mask_the_forward_drew(monkeypatch):
+def _map_rows(model, video, layer):
+    """Map rows from ``layer``'s keys warped here with ``asa_kv`` under the mask a forward
+    draws from the map's selection stream, and from the same keys unwarped."""
+    asa = ASAPass(model, video[None], sel_key=("diag",))
+    hooks = asa.hooks(slice(None))
+    seen = {}
+
+    def spy(x_in, q, k, v):
+        seen.update(q=q, k=k, v=v)
+        return hooks[layer](x_in, q, k, v) if layer in hooks else (k, v)
+
+    with no_grad():
+        model.video_tower(video[None], lambda rows: {**hooks, layer: spy})
+        keys = [seen["k"]]
+        if layer in hooks:
+            keys.insert(0, asa_kv(seen["k"], seen["v"], asa.plans, asa.drawn[layer])[0])
+    query = seen["q"].data[0, 0, 1]  # frame 0, patch 0
+    rows = []
+    for k in keys:
+        scores = k.data[0, :, 1:, :] @ query / np.sqrt(model.config.dim_v)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        rows.append(e / e.sum(axis=1, keepdims=True))
+    return rows, asa.drawn
+
+
+def test_similarity_map_warps_with_the_mask_the_forward_drew():
     cfg = cm.toy_config(pairs=4, selection="random")
     data = generate_dataset(cfg.seed, cfg.pairs, cfg)
     video = data.videos[0]
     model = AdapterModel(cfg)
-    # the masks a forward pass draws from the map's selection stream
-    asa = ASAPass(model, video[None], sel_key=("diag",))
-    with no_grad():
-        model.video_tower(video[None], asa.hooks)
-    drawn = [asa.masks[layer] for layer in cfg.visual_adapter_layers()]
-    assert (drawn[2] != drawn[0]).any()  # layers draw distinct random masks
-
-    seen = []
-    warp = diagnostics.warp
-
-    def recording_warp(f, offsets, selection, **kwargs):
-        seen.append(selection)
-        return warp(f, offsets, selection, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "warp", recording_warp)
-    for layer, mask in zip(cfg.visual_adapter_layers(), drawn):
-        seen.clear()
-        attention_similarity_map(model, video, layer=layer)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], mask[0])
+    rng = np.random.default_rng(0)  # off the grid, so that the mask shows in the keys
+    for t in (model.offsets.gamma, model.offsets.delta):
+        t.data[:] = rng.uniform(0.15, 0.45, size=t.shape)
+    for layer in cfg.visual_adapter_layers():
+        (want, unwarped), drawn = _map_rows(model, video, layer)
+        got = attention_similarity_map(model, video, layer=layer)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.abs(got - unwarped).max() > 1e-6
+    assert (drawn[3] != drawn[1]).any()  # layers draw distinct random masks
     # a layer without ASA shows the unwarped keys
     light = AdapterModel(cm.toy_config(pairs=4, selection="random", adapter_layers="1,2"))
-    seen.clear()
-    attention_similarity_map(light, video, layer=3)
-    assert seen == []
+    (want,), _ = _map_rows(light, video, 3)
+    np.testing.assert_allclose(attention_similarity_map(light, video, layer=3), want,
+                               rtol=0, atol=1e-12)
+
+
+def test_similarity_map_warps_the_keys_once_in_its_forward(monkeypatch):
+    cfg = cm.toy_config(pairs=4)  # text selection: the map also runs an unhooked prepass
+    data = generate_dataset(cfg.seed, cfg.pairs, cfg)
+    model = AdapterModel(cfg)
+    with no_grad():
+        cands = model.encode_texts(data.tokens).data
+    forwards, warps = [], []
+    encode, warp = model_mod.encode_video, attention_mod.warp
+
+    def counted_encode(*args, **kwargs):
+        forwards.append(len(forwards))
+        return encode(*args, **kwargs)
+
+    def counted_warp(*args, **kwargs):
+        warps.append(forwards[-1])
+        return warp(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "encode_video", counted_encode)
+    for name, module in list(sys.modules.items()):  # every binding of attention.warp
+        if name.startswith("tvadapt") and getattr(module, "warp", None) is warp:
+            monkeypatch.setattr(module, "warp", counted_warp)
+    attention_similarity_map(model, data.videos[0], candidates=cands)
+    # the prepass, then the map's forward: one key and one value warp per adapted layer
+    assert len(forwards) == 2
+    assert warps == [1] * 2 * len(cfg.visual_adapter_layers())
 
 
 def test_similarity_map_rejects_a_query_outside_the_tower():

@@ -16,7 +16,7 @@ from conftest import _bits
 from tvadapt import model as model_mod
 from tvadapt import tensor as T
 from tvadapt import workers
-from tvadapt.backbone import encode_video, patchify, vanilla_attention, vit_block
+from tvadapt.backbone import attention_core, encode_video, patchify, vit_block
 from tvadapt.config import toy_config
 from tvadapt.model import AdapterModel
 from tvadapt.tensor import rng_for
@@ -30,14 +30,16 @@ SHAPES = {
 }
 
 
-def full_rows_last_block(x, store, prefix, heads, attention_fn):
+def full_rows_last_block(x, store, prefix, heads, hook):
     """The last block before it learned ``row``: every token after attention."""
     p = lambda name: store[f"{prefix}/{name}"]
     h = T.layer_norm(x, p("ln1_g"), p("ln1_b"))
     q = T.linear(h, p("wq"), p("bq"))
     k = T.linear(h, p("wk"), p("bk"))
     v = T.linear(h, p("wv"), p("bv"))
-    ctx = attention_fn(x, q, k, v, heads)
+    if hook is not None:
+        k, v = hook(x, q, k, v)
+    ctx = attention_core(q, k, v, heads)
     x = x + T.linear(ctx, p("wo"), p("bo"))
     h = T.layer_norm(x, p("ln2_g"), p("ln2_b"))
     h = T.linear(T.gelu(T.linear(h, p("mlp_w1"), p("mlp_b1"))), p("mlp_w2"), p("mlp_b2"))
@@ -50,12 +52,12 @@ def encode_video_full_rows(video, store, config, modulate=None, attention=None, 
     attention = attention or {}
     x = patchify(video, store, config)
     for layer in range(1, config.layers + 1):
-        fn = attention.get(layer, vanilla_attention)
+        hook = attention.get(layer)
         prefix = f"backbone/visual/block{layer}"
         if layer < config.layers:
-            x = vit_block(x, store, prefix, config.heads_v, fn)
+            x = vit_block(x, store, prefix, config.heads_v, hook)
         else:
-            x = full_rows_last_block(x, store, prefix, config.heads_v, fn)
+            x = full_rows_last_block(x, store, prefix, config.heads_v, hook)
         if modulate is not None:
             x = modulate(layer, x)
     return x[..., 0, :]

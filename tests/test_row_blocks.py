@@ -2,9 +2,9 @@
 
 Oracle: the same taped step (forward, contrastive loss, backward) on one
 usable core, where every block runs as one. With two or three usable
-cores forced through ``os.sched_getaffinity``, each taped block that
-attends with ``vanilla_attention`` runs its leading rows in blocks on
-helper threads (``tensor.row_blocks``). The video and text embeddings,
+cores forced through ``os.sched_getaffinity``, each taped block with no
+attention hook runs its leading rows in blocks on helper threads
+(``tensor.row_blocks``). The video and text embeddings,
 the loss and every trainable leaf's gradient must keep their bits. The
 split floor ``_SPLIT_MIN`` is lowered to one element except where the
 default rule itself is checked, so that the small batches split too.
@@ -55,9 +55,9 @@ def _spy_splits(monkeypatch):
     calls = []
     row_blocks, vit_block = T.row_blocks, backbone.vit_block
 
-    def logging_block(x, store, prefix, heads, attention_fn, row=None):
-        calls.append([attention_fn is not backbone.vanilla_attention, None])
-        return vit_block(x, store, prefix, heads, attention_fn, row=row)
+    def logging_block(x, store, prefix, heads, hook=None, row=None):
+        calls.append([hook is not None, None])
+        return vit_block(x, store, prefix, heads, hook, row=row)
 
     def logging_split(fn, x, parts):
         calls[-1][1] = parts
@@ -137,13 +137,25 @@ def test_cls_only_last_block_split_is_bitwise(cores, split_every_block, monkeypa
     for count in (1, cores):
         _use_cores(monkeypatch, count)
         x.grad = None
-        out = backbone.vit_block(x, store, "backbone/visual/block4", WIDE.heads_v,
-                                 backbone.vanilla_attention, row=0)
+        out = backbone.vit_block(x, store, "backbone/visual/block4", WIDE.heads_v, row=0)
         T.tsum(out * weight).backward()
         runs.append((_bits(out.data), _bits(x.grad)))
     (out_split, grad_split), (out_one, grad_one) = runs[1], runs[0]
     assert out_split.shape == weight.shape
     assert (out_split == out_one).all() and (grad_split == grad_one).all()
+
+
+def test_identity_hook_keeps_a_split_size_block_whole(monkeypatch):
+    # the split reads whether a hook is present, not what the hook computes
+    store = AdapterModel(WIDE).store
+    x = Tensor(rng_for(1, "hooked", "x").normal(size=(8, WIDE.frames, 10, WIDE.dim_v)),
+               requires_grad=True)
+    assert x.data.size >= backbone._SPLIT_MIN
+    _use_cores(monkeypatch, 2)
+    calls = _spy_splits(monkeypatch)
+    for hook in (lambda x_in, q, k, v: (k, v), None):
+        backbone.vit_block(x, store, "backbone/visual/block2", WIDE.heads_v, hook)
+    assert calls == [[True, 1], [False, 2]]
 
 
 @pytest.mark.parametrize("cores", [2, 3])

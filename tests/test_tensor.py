@@ -12,7 +12,7 @@ from scipy import special
 from conftest import _bits
 
 from tvadapt import tensor as T
-from tvadapt.backbone import init_backbone, vanilla_attention, vit_block
+from tvadapt.backbone import init_backbone, vit_block
 from tvadapt.config import toy_config
 from tvadapt.data import generate_dataset
 from tvadapt.exceptions import ContractError, DimensionError, NumericError
@@ -673,7 +673,7 @@ def test_fused_ops_bitwise_in_a_vit_block(monkeypatch):
             t.data = t.data + 0.3 * noise.normal(size=t.shape)
             t.requires_grad = True
         x = Tensor(x0, requires_grad=True)
-        out = vit_block(x, store, prefix, cfg.heads_v, vanilla_attention)
+        out = vit_block(x, store, prefix, cfg.heads_v)
         T.tsum(out * Tensor(adjoint)).backward()
         return [out.data, x.grad] + [t.grad for t in params]
 

@@ -13,9 +13,11 @@ directory under ``--scratch``, so each runs its own unchanged
 to the repository's git metadata. A pair is one seed run on both sides
 with ``--trace 0``; even seeds run the parent first, odd seeds the change
 first, and the workloads take turns within a seed. Every run lasts
-``BENCHMARK.json``'s ``run_seconds``. A seed for which the parent's
-``perfbench/reference.json`` holds no digest on a requested workload stops
-the comparison before the first run. A run that exits non-zero, that
+``BENCHMARK.json``'s ``run_seconds``. A ``--parent`` and ``--change`` that
+resolve to one commit stop the comparison before anything is exported: a
+tree against itself would read as "nothing worse". A seed for which the
+parent's ``perfbench/reference.json`` holds no digest on a requested
+workload stops the comparison before the first run. A run that exits non-zero, that
 runs past ``RUN_TIMEOUT_S``, whose ``#`` status line does not say
 "reference checked", that failed a task, or whose machine fingerprint
 differs from the first run's, stops the whole comparison: its timings
@@ -176,6 +178,8 @@ def main(argv=None):
     args = parse_args(argv)
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
             for side, rev in zip(SIDES, (args.parent, args.change))}
+    if revs["parent"] == revs["change"]:
+        raise SystemExit(f"--parent and --change are one commit, {revs['parent']}")
     args.scratch.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     try:
